@@ -1,32 +1,57 @@
-// Command isqserve runs the indoor LBS HTTP backend over one benchmark
-// dataset, with any subset of the five engines loaded side by side.
+// Command isqserve runs the indoor LBS HTTP backend: one venue (a benchmark
+// dataset or a snapshot artifact) or a tier of several, each with any subset
+// of the five engines loaded side by side behind a cost-based router.
 //
 // Usage:
 //
 //	isqserve [-addr :8080] [-dataset CPH] [-engines IDModel,VIPTree]
 //	         [-default VIPTree] [-objects 1000] [-seed 1]
 //	         [-snapshot file.isq] [-save-snapshot file.isq]
+//	         [-venues id=CPH,id2=gen:7,id3=snap:x.isq] [-shards 0] [-route-pin ENGINE]
 //	         [-query-timeout 0] [-max-visited-doors 0] [-max-work-mb 0]
 //	         [-read-timeout 30s] [-read-header-timeout 5s] [-idle-timeout 2m]
 //	         [-debug-addr ""]
 //
-// Endpoints (GET unless noted, JSON unless noted):
+// Without -venues isqserve serves one venue: -dataset built cold (or
+// -snapshot loaded), seeded with -objects random POIs, with every query
+// class pinned to -default. -venues instead boots a tier from a
+// comma-separated list of id=source entries, where source is a dataset name
+// (CPH), gen:<seed> (a generated venue), or snap:<path> (a snapshot
+// artifact); venues hash across -shards shards and route each query class
+// by observed cost. -route-pin ENGINE pins every venue's router (the
+// deterministic override).
 //
-//	/v1/info
-//	/v1/range?x=&y=&floor=&r=[&engine=]
-//	/v1/knn?x=&y=&floor=&k=[&engine=]
-//	/v1/route?x=&y=&floor=&x2=&y2=&floor2=[&engine=]
-//	/v1/partitions?floor=
-//	/v1/trace?op=range|knn|route&...   per-stage span breakdown of one query
-//	POST /v1/swap                      load a snapshot and publish it atomically
-//	/metrics                           plain-text counters and latency quantiles
+// Endpoints (GET unless noted, JSON unless noted), per venue:
 //
-// -snapshot boots from a snapshot artifact (built offline with isqsnap)
-// instead of running the expensive in-process construction; the same path
-// is then the default for POST /v1/swap and for SIGHUP, which re-loads the
-// artifact and publishes it without dropping a request — the fleet-rollout
-// primitive: rebuild once offline, SIGHUP every replica. -save-snapshot
-// writes the artifact after a cold build (so the next boot can skip it).
+//	/v1/venues                                   venue listing
+//	/v1/venues/{id}/info
+//	/v1/venues/{id}/range?x=&y=&floor=&r=[&engine=]
+//	/v1/venues/{id}/knn?x=&y=&floor=&k=[&engine=]
+//	/v1/venues/{id}/spd?x=&y=&floor=&x2=&y2=&floor2=[&engine=]
+//	/v1/venues/{id}/partitions?floor=
+//	/v1/venues/{id}/trace?op=range|knn|spd&...   per-stage span breakdown of one query
+//	/v1/venues/{id}/route                        decision table + evidence (POST pins)
+//	POST /v1/venues/{id}/swap                    load a snapshot and publish it atomically
+//	/v1/venues/{id}/metrics                      plain-text counters, latency quantiles, layer gauges
+//	/v1/venues/{id}/monitors                     list (POST registers a range/knn monitor)
+//	DELETE /v1/venues/{id}/monitors/{mid}
+//	/v1/venues/{id}/monitors/{mid}/result
+//	/v1/venues/{id}/monitors/{mid}/stream        ndjson enter/leave deltas
+//	POST /v1/venues/{id}/updates                 batched moving-object positions
+//
+// On a one-venue server the unprefixed paths /v1/info, /v1/range, /v1/knn,
+// /v1/route (= spd), /v1/partitions, /v1/trace, POST /v1/swap, /metrics,
+// /v1/monitors... and POST /v1/updates are aliases for that venue; with
+// several venues they answer 404 naming the per-venue path.
+//
+// -snapshot boots the single venue from a snapshot artifact (built offline
+// with isqsnap) instead of running the expensive in-process construction;
+// -save-snapshot writes the artifact after a cold build (so the next boot
+// can skip it). Either path is then the venue's reload artifact: a
+// path-less POST .../swap and SIGHUP re-load it and publish it without
+// dropping a request — the fleet-rollout primitive: rebuild once offline,
+// SIGHUP every replica. SIGHUP reloads every venue that has one (snap:
+// entries under -venues).
 //
 // -query-timeout bounds every query endpoint (an expired query answers
 // 504); -max-visited-doors / -max-work-mb set the admission budget (an
@@ -35,20 +60,8 @@
 //
 // -debug-addr, when non-empty, starts a second listener (keep it private —
 // bind to localhost) serving net/http/pprof under /debug/pprof/ and expvar
-// under /debug/vars, with the query-metrics registry published as the
-// "isq" expvar.
-//
-// -venues switches to the multi-venue serving tier: a comma-separated list
-// of id=source entries, where source is a dataset name (CPH), gen:<seed>
-// (a generated venue), or snap:<path> (a snapshot artifact). Venues hash
-// across -shards shards, and every venue routes each query class through
-// its cost-based router (-route-pin ENGINE pins all of them — the
-// deterministic override). The tier serves:
-//
-//	/v1/venues
-//	/v1/venues/{id}/info|range|knn|spd|metrics
-//	/v1/venues/{id}/route            decision table + evidence (POST pins)
-//	POST /v1/venues/{id}/swap        per-venue snapshot swap
+// under /debug/vars, with every venue's metrics registry published under
+// the "isq" expvar.
 package main
 
 import (
@@ -108,60 +121,66 @@ func parseVenueSpecs(raw string, engines []string, objects int) ([]tenant.VenueS
 	return specs, nil
 }
 
-// serveTenant boots and serves the multi-venue tier.
-func serveTenant(venues string, shards int, routePin string, engines []string,
-	objects int, seed int64, queryTimeout time.Duration, budget query.Budget,
-	hs *http.Server) {
-	specs, err := parseVenueSpecs(venues, engines, objects)
-	if err != nil {
-		log.Fatal(err)
-	}
-	start := time.Now()
-	tier, err := tenant.New(specs, tenant.Options{Shards: shards, Seed: seed})
-	if err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("booted %d venues across %d shards in %v",
-		len(tier.VenueIDs()), tier.NumShards(), time.Since(start).Round(time.Millisecond))
-	if routePin != "" {
-		for _, id := range tier.VenueIDs() {
-			v, _ := tier.Venue(id)
-			if err := v.Router().Pin("", routePin); err != nil {
-				log.Fatalf("venue %s: %v", id, err)
+// singleVenueSpec builds (or loads) the single venue's bundle and seeds it
+// with objects random POIs.
+func singleVenueSpec(ds string, engines []string, snap, saveSnap string, objects int, seed int64) (tenant.VenueSpec, error) {
+	var b *bundle.Bundle
+	if snap != "" {
+		start := time.Now()
+		var err error
+		if b, err = bundle.LoadFile(snap); err != nil {
+			return tenant.VenueSpec{}, fmt.Errorf("load snapshot %s: %w", snap, err)
+		}
+		log.Printf("loaded snapshot %s in %v (format v%d, fingerprint %016x, engines %v)",
+			snap, time.Since(start).Round(time.Millisecond), b.FormatVersion, b.Fingerprint, b.EngineList())
+	} else {
+		info, err := dataset.Build(ds)
+		if err != nil {
+			return tenant.VenueSpec{}, err
+		}
+		start := time.Now()
+		b, err = bundle.Build(info.Name, info.Space, bundle.Options{Engines: engines, Gamma: info.Gamma})
+		if err != nil {
+			return tenant.VenueSpec{}, err
+		}
+		for _, name := range b.EngineList() {
+			log.Printf("built %s (%.1f MB)", name, float64(b.Engines[name].SizeBytes())/1e6)
+		}
+		log.Printf("cold build of %s took %v", info.Name, time.Since(start).Round(time.Millisecond))
+		if saveSnap != "" {
+			start = time.Now()
+			if err := b.WriteFile(saveSnap, true); err != nil {
+				return tenant.VenueSpec{}, fmt.Errorf("save snapshot: %w", err)
 			}
-		}
-		log.Printf("routing pinned to %s for every venue and query class", routePin)
-	}
-	srv := server.NewTenantServer(tier)
-	if queryTimeout > 0 {
-		for _, ep := range []string{"range", "knn", "spd"} {
-			srv.SetTimeout(ep, queryTimeout)
+			log.Printf("saved snapshot %s in %v", saveSnap, time.Since(start).Round(time.Millisecond))
+			snap = saveSnap
 		}
 	}
-	if budget != (query.Budget{}) {
-		srv.SetBudget(budget)
-	}
-	for _, id := range tier.VenueIDs() {
-		log.Printf("venue %s on shard %d", id, tier.ShardOf(id))
-	}
-	hs.Handler = srv.Handler()
-	log.Printf("serving %d venues on %s", len(tier.VenueIDs()), hs.Addr)
-	log.Fatal(hs.ListenAndServe())
+	return tenant.VenueSpec{
+		ID:         b.Name,
+		Bundle:     b,
+		Snapshot:   snap,
+		ObjectList: workload.New(b.Space, seed).Objects(objects),
+	}, nil
 }
 
 func main() {
 	var (
 		addr    = flag.String("addr", ":8080", "listen address")
-		ds      = flag.String("dataset", "CPH", "benchmark dataset (cold-build path)")
-		names   = flag.String("engines", "IDModel,VIPTree", "engines to load (cold-build path)")
-		def     = flag.String("default", "VIPTree", "default engine")
-		objects = flag.Int("objects", 1000, "number of random POIs")
-		seed    = flag.Int64("seed", 1, "workload seed")
+		ds      = flag.String("dataset", "CPH", "benchmark dataset (single venue, cold-build path)")
+		names   = flag.String("engines", "IDModel,VIPTree", "engines to build")
+		def     = flag.String("default", "VIPTree", "single venue: engine every query class is pinned to (empty = route by cost)")
+		objects = flag.Int("objects", 1000, "number of random POIs per venue")
+		seed    = flag.Int64("seed", 1, "workload and router seed")
 
-		snap     = flag.String("snapshot", "", "boot from this snapshot artifact; also the SIGHUP / POST /v1/swap reload default")
-		saveSnap = flag.String("save-snapshot", "", "after a cold build, write the serving state to this artifact")
+		snap     = flag.String("snapshot", "", "single venue: boot from this snapshot artifact; also its SIGHUP / path-less swap reload artifact")
+		saveSnap = flag.String("save-snapshot", "", "single venue: after a cold build, write the serving bundle to this artifact")
 
-		queryTimeout = flag.Duration("query-timeout", 0, "per-query deadline on range/knn/route (0 = unbounded)")
+		venues   = flag.String("venues", "", "serve a tier: comma-separated id=dataset|id=gen:<seed>|id=snap:<path> entries")
+		shards   = flag.Int("shards", 0, "shard count for -venues (0 = min(4, venues))")
+		routePin = flag.String("route-pin", "", "pin every venue's router to this engine (deterministic override)")
+
+		queryTimeout = flag.Duration("query-timeout", 0, "per-query deadline on range/knn/spd (0 = unbounded)")
 		maxDoors     = flag.Int("max-visited-doors", 0, "per-query door-expansion budget (0 = unbounded)")
 		maxWorkMB    = flag.Float64("max-work-mb", 0, "per-query transient working-set budget in MB (0 = unbounded)")
 
@@ -170,94 +189,55 @@ func main() {
 		idleTimeout       = flag.Duration("idle-timeout", 2*time.Minute, "http.Server IdleTimeout")
 
 		debugAddr = flag.String("debug-addr", "", "private listener for pprof + expvar (empty = disabled)")
-
-		venues   = flag.String("venues", "", "multi-venue tier: comma-separated id=dataset|id=gen:<seed>|id=snap:<path> entries")
-		shards   = flag.Int("shards", 0, "shard count for -venues (0 = min(4, venues))")
-		routePin = flag.String("route-pin", "", "pin every venue's router to this engine (deterministic override)")
 	)
 	flag.Parse()
+	engines := strings.Split(*names, ",")
 
+	var specs []tenant.VenueSpec
+	pin := *routePin
 	if *venues != "" {
-		hs := &http.Server{
-			Addr:              *addr,
-			ReadTimeout:       *readTimeout,
-			ReadHeaderTimeout: *readHeaderTimeout,
-			IdleTimeout:       *idleTimeout,
+		if *snap != "" || *saveSnap != "" {
+			log.Fatal("-snapshot and -save-snapshot are single-venue flags; give -venues entries as id=snap:<path>")
 		}
-		budget := query.Budget{MaxVisitedDoors: *maxDoors, MaxWorkBytes: int64(*maxWorkMB * 1e6)}
-		if *maxDoors == 0 && *maxWorkMB == 0 {
-			budget = query.Budget{}
-		}
-		serveTenant(*venues, *shards, *routePin, strings.Split(*names, ","),
-			*objects, *seed, *queryTimeout, budget, hs)
-		return
-	}
-
-	var b *bundle.Bundle
-	if *snap != "" {
-		start := time.Now()
 		var err error
-		b, err = bundle.LoadFile(*snap)
-		if err != nil {
-			log.Fatalf("load snapshot %s: %v", *snap, err)
+		if specs, err = parseVenueSpecs(*venues, engines, *objects); err != nil {
+			log.Fatal(err)
 		}
-		log.Printf("loaded snapshot %s in %v (format v%d, fingerprint %016x, engines %v)",
-			*snap, time.Since(start).Round(time.Millisecond), b.FormatVersion, b.Fingerprint, b.EngineList())
 	} else {
-		info, err := dataset.Build(*ds)
+		spec, err := singleVenueSpec(*ds, engines, *snap, *saveSnap, *objects, *seed)
 		if err != nil {
 			log.Fatal(err)
 		}
-		start := time.Now()
-		b, err = bundle.Build(info.Name, info.Space, bundle.Options{
-			Engines: strings.Split(*names, ","),
-			Gamma:   info.Gamma,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		for _, name := range b.EngineList() {
-			log.Printf("built %s (%.1f MB)", name, float64(b.Engines[name].SizeBytes())/1e6)
-		}
-		log.Printf("cold build of %s took %v", info.Name, time.Since(start).Round(time.Millisecond))
-		if *saveSnap != "" {
-			start = time.Now()
-			if err := b.WriteFile(*saveSnap, true); err != nil {
-				log.Fatalf("save snapshot: %v", err)
-			}
-			log.Printf("saved snapshot %s in %v", *saveSnap, time.Since(start).Round(time.Millisecond))
+		specs = []tenant.VenueSpec{spec}
+		if pin == "" {
+			pin = *def
 		}
 	}
 
-	st, err := server.StateFromBundle(b, *def)
+	start := time.Now()
+	tier, err := tenant.New(specs, tenant.Options{Shards: *shards, Seed: *seed})
 	if err != nil {
 		log.Fatal(err)
 	}
-	objs := workload.New(b.Space, *seed).Objects(*objects)
-	st.SetObjects(objs)
-	srv, err := server.NewFromState(st)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if *snap != "" {
-		srv.SetSnapshotPath(*snap)
-		// SIGHUP = reload the artifact and publish it atomically; queries in
-		// flight finish on the state they started with.
-		hup := make(chan os.Signal, 1)
-		signal.Notify(hup, syscall.SIGHUP)
-		go func() {
-			for range hup {
-				start := time.Now()
-				if _, err := srv.Reload(); err != nil {
-					log.Printf("SIGHUP reload failed (still serving epoch %d): %v", srv.Epoch(), err)
-					continue
-				}
-				log.Printf("SIGHUP reload: serving epoch %d after %v", srv.Epoch(), time.Since(start).Round(time.Millisecond))
+	log.Printf("booted %d venues across %d shards in %v",
+		len(tier.VenueIDs()), tier.NumShards(), time.Since(start).Round(time.Millisecond))
+	for _, id := range tier.VenueIDs() {
+		v, _ := tier.Venue(id)
+		if pin != "" {
+			if err := v.Router().Pin("", pin); err != nil {
+				log.Fatalf("venue %s: %v", id, err)
 			}
-		}()
+		}
+		log.Printf("venue %s on shard %d (origin %s, %d POIs, engines %v)",
+			id, tier.ShardOf(id), v.Origin, len(v.Objects), v.EngineList())
 	}
+	if pin != "" {
+		log.Printf("routing pinned to %s for every venue and query class", pin)
+	}
+
+	srv := server.NewTenantServer(tier)
 	if *queryTimeout > 0 {
-		for _, ep := range []string{"range", "knn", "route"} {
+		for _, ep := range []string{"range", "knn", "spd"} {
 			srv.SetTimeout(ep, *queryTimeout)
 		}
 		log.Printf("query timeout: %v", *queryTimeout)
@@ -268,11 +248,38 @@ func main() {
 		log.Printf("admission budget: maxVisitedDoors=%d maxWorkBytes=%d", bud.MaxVisitedDoors, bud.MaxWorkBytes)
 	}
 
+	// SIGHUP = reload every venue's snapshot artifact and publish it
+	// atomically; queries in flight finish on the generation they loaded.
+	hup := make(chan os.Signal, 1)
+	signal.Notify(hup, syscall.SIGHUP)
+	go func() {
+		for range hup {
+			for _, id := range tier.VenueIDs() {
+				start := time.Now()
+				v, err := tier.SwapSnapshot(id, "")
+				if err != nil {
+					log.Printf("SIGHUP reload of %s failed: %v", id, err)
+					continue
+				}
+				log.Printf("SIGHUP reload: %s serving epoch %d after %v",
+					id, v.Epoch(), time.Since(start).Round(time.Millisecond))
+			}
+		}
+	}()
+
 	if *debugAddr != "" {
 		// The debug listener is opt-in and meant to stay private: pprof
 		// exposes heap contents and expvar exposes command lines. It gets
 		// its own mux so none of this leaks onto the public handler.
-		expvar.Publish("isq", expvar.Func(func() any { return srv.Registry().Snapshot() }))
+		expvar.Publish("isq", expvar.Func(func() any {
+			out := make(map[string]any)
+			for _, id := range tier.VenueIDs() {
+				if v, ok := tier.Venue(id); ok {
+					out[id] = v.Registry().Snapshot()
+				}
+			}
+			return out
+		}))
 		dmux := http.NewServeMux()
 		dmux.HandleFunc("/debug/pprof/", pprof.Index)
 		dmux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -293,6 +300,6 @@ func main() {
 		ReadHeaderTimeout: *readHeaderTimeout,
 		IdleTimeout:       *idleTimeout,
 	}
-	log.Printf("serving %s (origin %s) with %d POIs on %s", b.Name, b.Origin, len(objs), *addr)
+	log.Printf("serving %d venues on %s", len(tier.VenueIDs()), *addr)
 	log.Fatal(hs.ListenAndServe())
 }

@@ -46,6 +46,7 @@ import (
 	"indoorsq/internal/server"
 	"indoorsq/internal/snapshot/bundle"
 	"indoorsq/internal/spacegen"
+	"indoorsq/internal/tenant"
 	"indoorsq/internal/workload"
 )
 
@@ -256,19 +257,24 @@ func runFull(out string) {
 	fmt.Println("wrote", out)
 }
 
-// measureSwap times POST /v1/swap on a server answering concurrent queries.
+// measureSwap times POST /v1/swap on a one-venue tier answering concurrent
+// queries, pinned to the artifact's first engine.
 func measureSwap(snap string, swaps int) map[string]any {
 	b, err := bundle.LoadFile(snap)
 	if err != nil {
 		die(err)
 	}
-	names := b.EngineList()
-	srv, err := server.NewFromBundle(b, names[0])
+	tier, err := tenant.New([]tenant.VenueSpec{{
+		ID: b.Name, Bundle: b, ObjectList: workload.New(b.Space, 1).Objects(256),
+	}}, tenant.Options{})
 	if err != nil {
 		die(err)
 	}
-	srv.State().SetObjects(workload.New(b.Space, 1).Objects(256))
-	handler := srv.Handler()
+	venue := func() *tenant.Venue { v, _ := tier.Venue(b.Name); return v }
+	if err := venue().Router().Pin("", b.EngineList()[0]); err != nil {
+		die(err)
+	}
+	handler := server.NewTenantServer(tier).Handler()
 	pts := workload.New(b.Space, 2).Points(8)
 
 	done := make(chan struct{})
@@ -330,7 +336,7 @@ func measureSwap(snap string, swaps int) map[string]any {
 		"failed_queries":   failed,
 		"p50_ms":           lat[len(lat)/2],
 		"max_ms":           lat[len(lat)-1],
-		"final_epoch":      srv.Epoch(),
+		"final_epoch":      venue().Epoch(),
 	}
 	fmt.Printf("[swap] %d swaps under load: p50 %.1f ms, max %.1f ms, 0 failed queries\n",
 		swaps, lat[len(lat)/2], lat[len(lat)-1])

@@ -735,6 +735,13 @@ func (s *Stream) Close() {
 	s.partQ = make([][]*stQuery, len(s.partQ))
 }
 
+// Closed reports whether Close has run.
+func (s *Stream) Closed() bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.closed
+}
+
 // Sub is one subscription to a monitor's event deltas. Events are pushed
 // non-blocking into a buffered channel: a subscriber that falls behind loses
 // events (counted by Dropped) rather than stalling ingestion. The channel is

@@ -287,7 +287,13 @@ func TestStreamSubscriptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if st.Closed() {
+		t.Fatal("Closed before Close")
+	}
 	st.Close()
+	if !st.Closed() {
+		t.Fatal("Closed false after Close")
+	}
 	if _, open := <-sub2.Events(); open {
 		t.Fatal("Close left a subscription channel open")
 	}

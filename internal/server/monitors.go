@@ -1,10 +1,11 @@
 // Continuous-query monitor endpoints: standing range / kNN monitors over
-// the moving-objects stream (internal/moving.Stream), exposed on both the
-// single-venue Server (/v1/monitors, /v1/updates) and the TenantServer
-// (/v1/venues/{id}/monitors, /v1/venues/{id}/updates). Monitors are
-// generation-scoped serving state, not venue data: a snapshot swap closes
-// the venue's stream (cached door-distance fields are topology-dependent),
-// and clients re-register against the new generation.
+// the moving-objects stream (internal/moving.Stream) of one venue
+// generation, under /v1/venues/{id}/monitors and /v1/venues/{id}/updates.
+// Monitors are generation-scoped serving state, not venue data: a snapshot
+// swap closes the generation's stream (cached door-distance fields are
+// topology-dependent), and clients re-register against the new generation.
+// A request that loaded the retired generation answers 409, never touching
+// the new generation's stream.
 package server
 
 import (
@@ -63,20 +64,17 @@ type updateRequest struct {
 	Updates []updateJSON `json:"updates"`
 }
 
-// monitorErrStatus maps registration errors onto HTTP statuses: duplicate
-// ids conflict (409), outdoor query points are unprocessable (422), a
-// closed stream means a swap raced the request (409); everything else
-// falls through to the standard query mapping (504 deadline, 499 gone).
-func monitorErrStatus(err error) int {
+// monitorErrStatus maps stream errors onto HTTP statuses: duplicate ids
+// and a stream a swap has retired conflict (409), outdoor points are
+// unprocessable (422), anything else gets fallback.
+func monitorErrStatus(err error, fallback int) int {
 	switch {
-	case errors.Is(err, moving.ErrDuplicateQuery):
+	case errors.Is(err, moving.ErrDuplicateQuery), errors.Is(err, moving.ErrStreamClosed):
 		return http.StatusConflict
 	case errors.Is(err, moving.ErrNotIndoors):
 		return http.StatusUnprocessableEntity
-	case errors.Is(err, moving.ErrStreamClosed):
-		return http.StatusConflict
 	default:
-		return errStatus(err)
+		return fallback
 	}
 }
 
@@ -117,10 +115,10 @@ func decodeUpdates(sp *indoor.Space, req updateRequest) ([]moving.Update, error)
 }
 
 // monitorID parses the {mid} path segment.
-func monitorID(r *http.Request, seg string) (int32, error) {
-	v, err := strconv.ParseInt(r.PathValue(seg), 10, 32)
+func monitorID(r *http.Request) (int32, error) {
+	v, err := strconv.ParseInt(r.PathValue("mid"), 10, 32)
 	if err != nil {
-		return 0, fmt.Errorf("bad monitor id %q", r.PathValue(seg))
+		return 0, fmt.Errorf("bad monitor id %q", r.PathValue("mid"))
 	}
 	return int32(v), nil
 }
@@ -132,6 +130,9 @@ func monitorID(r *http.Request, seg string) (int32, error) {
 // stalling ingestion.
 func serveMonitorStream(w http.ResponseWriter, r *http.Request, mov *moving.Stream, qid int32) (int, error) {
 	sub, err := mov.Subscribe(qid, 256)
+	if errors.Is(err, moving.ErrStreamClosed) {
+		return http.StatusConflict, err
+	}
 	if err != nil {
 		return http.StatusNotFound, err
 	}
@@ -162,234 +163,94 @@ func serveMonitorStream(w http.ResponseWriter, r *http.Request, mov *moving.Stre
 	}
 }
 
-// ---- single-venue Server ----
-
-// Moving returns the server's live moving-object stream (for isqserve
-// wiring and tests). It is replaced — and the old one closed — on swap.
-func (s *Server) Moving() *moving.Stream { return s.mov.Load() }
-
-func (s *Server) handleMonitorList(w http.ResponseWriter, r *http.Request) {
-	mov := s.mov.Load()
-	s.writeJSON(w, http.StatusOK, map[string]any{
-		"monitors": mov.Monitors(),
-		"objects":  mov.NumObjects(),
-	})
+// failMissingMonitor answers a lookup that found no monitor qid: 409 when a
+// swap has retired the stream the request loaded, 404 otherwise.
+func (s *TenantServer) failMissingMonitor(w http.ResponseWriter, mov *moving.Stream, qid int32) {
+	if mov.Closed() {
+		s.fail(w, http.StatusConflict, "%v", moving.ErrStreamClosed)
+		return
+	}
+	s.fail(w, http.StatusNotFound, "unknown monitor %d", qid)
 }
 
-func (s *Server) handleMonitorCreate(w http.ResponseWriter, r *http.Request) {
-	var req monitorRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, "bad request body: %v", err)
+func (s *TenantServer) handleMonitorList(w http.ResponseWriter, r *http.Request, v *tenant.Venue) {
+	mov := v.Stream()
+	monitors := mov.Monitors()
+	if mov.Closed() { // read after the listing: a retired stream lists nothing
+		s.fail(w, http.StatusConflict, "%v", moving.ErrStreamClosed)
 		return
 	}
-	evs, err := registerMonitor(s.mov.Load(), req)
-	if err != nil {
-		if errors.Is(err, moving.ErrDuplicateQuery) || errors.Is(err, moving.ErrNotIndoors) || errors.Is(err, moving.ErrStreamClosed) {
-			s.fail(w, monitorErrStatus(err), "%v", err)
-		} else {
-			s.fail(w, http.StatusBadRequest, "%v", err)
-		}
-		return
-	}
-	s.writeJSON(w, http.StatusCreated, map[string]any{
-		"id":     req.ID,
-		"events": toEventJSON(evs),
-	})
-}
-
-func (s *Server) handleMonitorDelete(w http.ResponseWriter, r *http.Request) {
-	qid, err := monitorID(r, "id")
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if !s.mov.Load().Unregister(qid) {
-		s.fail(w, http.StatusNotFound, "unknown monitor %d", qid)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, map[string]any{"id": qid, "removed": true})
-}
-
-func (s *Server) handleMonitorResult(w http.ResponseWriter, r *http.Request) {
-	qid, err := monitorID(r, "id")
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	mov := s.mov.Load()
-	ids := mov.Result(qid)
-	if ids == nil {
-		s.fail(w, http.StatusNotFound, "unknown monitor %d", qid)
-		return
-	}
-	resp := map[string]any{"id": qid, "objects": ids}
-	if nn := mov.Neighbors(qid); nn != nil {
-		resp["neighbors"] = nn
-	}
-	s.writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleMonitorStream(w http.ResponseWriter, r *http.Request) {
-	qid, err := monitorID(r, "id")
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if code, err := serveMonitorStream(w, r, s.mov.Load(), qid); err != nil {
-		s.fail(w, code, "%v", err)
-	}
-}
-
-func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
-	var req updateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	mov := s.mov.Load()
-	us, err := decodeUpdates(s.state.Load().Space, req)
-	if err != nil {
-		s.fail(w, http.StatusUnprocessableEntity, "%v", err)
-		return
-	}
-	evs, err := mov.ApplyBatch(us)
-	if err != nil {
-		s.fail(w, monitorErrStatus(err), "%v", err)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, map[string]any{
-		"applied": len(us),
-		"events":  toEventJSON(evs),
-	})
-}
-
-// ---- TenantServer ----
-
-// tenantStream caches one venue's moving stream, keyed by the venue's
-// space pointer: a swap publishes a new Space, which invalidates every
-// cached door-distance field, so the stream is closed and rebuilt.
-type tenantStream struct {
-	space *indoor.Space
-	mov   *moving.Stream
-}
-
-// streamFor returns the venue's current-generation stream, creating it
-// lazily and retiring the previous generation's on swap. Monitors do not
-// survive a swap — same contract as the single-venue server.
-func (s *TenantServer) streamFor(v *tenant.Venue) *moving.Stream {
-	s.movMu.Lock()
-	defer s.movMu.Unlock()
-	if e := s.movs[v.ID]; e != nil {
-		if e.space == v.Space {
-			return e.mov
-		}
-		e.mov.Close() // venue swapped: retire the old generation's monitors
-	}
-	mov := moving.NewStream(v.Space, moving.StreamOptions{})
-	s.movs[v.ID] = &tenantStream{space: v.Space, mov: mov}
-	return mov
-}
-
-func (s *TenantServer) handleVenueMonitorList(w http.ResponseWriter, r *http.Request) {
-	v, ok := s.venue(w, r)
-	if !ok {
-		return
-	}
-	mov := s.streamFor(v)
 	s.writeJSON(w, http.StatusOK, map[string]any{
 		"venue":    v.ID,
 		"epoch":    v.Epoch(),
-		"monitors": mov.Monitors(),
+		"monitors": monitors,
 		"objects":  mov.NumObjects(),
 	})
 }
 
-func (s *TenantServer) handleVenueMonitorCreate(w http.ResponseWriter, r *http.Request) {
-	v, ok := s.venue(w, r)
-	if !ok {
-		return
-	}
+func (s *TenantServer) handleMonitorCreate(w http.ResponseWriter, r *http.Request, v *tenant.Venue) {
 	var req monitorRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		s.fail(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	evs, err := registerMonitor(s.streamFor(v), req)
+	evs, err := registerMonitor(v.Stream(), req)
 	if err != nil {
-		if errors.Is(err, moving.ErrDuplicateQuery) || errors.Is(err, moving.ErrNotIndoors) || errors.Is(err, moving.ErrStreamClosed) {
-			s.fail(w, monitorErrStatus(err), "%v", err)
-		} else {
-			s.fail(w, http.StatusBadRequest, "%v", err)
-		}
+		s.fail(w, monitorErrStatus(err, http.StatusBadRequest), "%v", err) // bad kind, radius or k
 		return
 	}
 	s.writeJSON(w, http.StatusCreated, map[string]any{
 		"venue":  v.ID,
+		"epoch":  v.Epoch(),
 		"id":     req.ID,
 		"events": toEventJSON(evs),
 	})
 }
 
-func (s *TenantServer) handleVenueMonitorDelete(w http.ResponseWriter, r *http.Request) {
-	v, ok := s.venue(w, r)
-	if !ok {
-		return
-	}
-	qid, err := monitorID(r, "mid")
+func (s *TenantServer) handleMonitorDelete(w http.ResponseWriter, r *http.Request, v *tenant.Venue) {
+	qid, err := monitorID(r)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if !s.streamFor(v).Unregister(qid) {
-		s.fail(w, http.StatusNotFound, "unknown monitor %d", qid)
+	if !v.Stream().Unregister(qid) {
+		s.failMissingMonitor(w, v.Stream(), qid)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, map[string]any{"venue": v.ID, "id": qid, "removed": true})
+	s.writeJSON(w, http.StatusOK, map[string]any{"venue": v.ID, "epoch": v.Epoch(), "id": qid, "removed": true})
 }
 
-func (s *TenantServer) handleVenueMonitorResult(w http.ResponseWriter, r *http.Request) {
-	v, ok := s.venue(w, r)
-	if !ok {
-		return
-	}
-	qid, err := monitorID(r, "mid")
+func (s *TenantServer) handleMonitorResult(w http.ResponseWriter, r *http.Request, v *tenant.Venue) {
+	qid, err := monitorID(r)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	mov := s.streamFor(v)
+	mov := v.Stream()
 	ids := mov.Result(qid)
 	if ids == nil {
-		s.fail(w, http.StatusNotFound, "unknown monitor %d", qid)
+		s.failMissingMonitor(w, mov, qid)
 		return
 	}
-	resp := map[string]any{"venue": v.ID, "id": qid, "objects": ids}
+	resp := map[string]any{"venue": v.ID, "epoch": v.Epoch(), "id": qid, "objects": ids}
 	if nn := mov.Neighbors(qid); nn != nil {
 		resp["neighbors"] = nn
 	}
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-func (s *TenantServer) handleVenueMonitorStream(w http.ResponseWriter, r *http.Request) {
-	v, ok := s.venue(w, r)
-	if !ok {
-		return
-	}
-	qid, err := monitorID(r, "mid")
+func (s *TenantServer) handleMonitorStream(w http.ResponseWriter, r *http.Request, v *tenant.Venue) {
+	qid, err := monitorID(r)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if code, err := serveMonitorStream(w, r, s.streamFor(v), qid); err != nil {
+	if code, err := serveMonitorStream(w, r, v.Stream(), qid); err != nil {
 		s.fail(w, code, "%v", err)
 	}
 }
 
-func (s *TenantServer) handleVenueUpdates(w http.ResponseWriter, r *http.Request) {
-	v, ok := s.venue(w, r)
-	if !ok {
-		return
-	}
+func (s *TenantServer) handleUpdates(w http.ResponseWriter, r *http.Request, v *tenant.Venue) {
 	var req updateRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		s.fail(w, http.StatusBadRequest, "bad request body: %v", err)
@@ -400,13 +261,16 @@ func (s *TenantServer) handleVenueUpdates(w http.ResponseWriter, r *http.Request
 		s.fail(w, http.StatusUnprocessableEntity, "%v", err)
 		return
 	}
-	evs, err := s.streamFor(v).ApplyBatch(us)
+	evs, err := v.Stream().ApplyBatch(us)
 	if err != nil {
-		s.fail(w, monitorErrStatus(err), "%v", err)
+		// Anything but a retired stream is a position its explicit
+		// partition does not host.
+		s.fail(w, monitorErrStatus(err, http.StatusUnprocessableEntity), "%v", err)
 		return
 	}
 	s.writeJSON(w, http.StatusOK, map[string]any{
 		"venue":   v.ID,
+		"epoch":   v.Epoch(),
 		"applied": len(us),
 		"events":  toEventJSON(evs),
 	})

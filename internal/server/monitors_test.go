@@ -6,13 +6,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 
-	"indoorsq/internal/idmodel"
 	"indoorsq/internal/moving"
 	"indoorsq/internal/query"
 	"indoorsq/internal/server"
+	"indoorsq/internal/snapshot/bundle"
 	"indoorsq/internal/testspaces"
 	"indoorsq/internal/workload"
 )
@@ -237,12 +238,8 @@ func TestMonitorStreamNDJSON(t *testing.T) {
 // against the old topology) and the ids become free on the new generation.
 func TestMonitorSwapResets(t *testing.T) {
 	f := testspaces.NewStrip()
-	engines := map[string]query.Engine{"IDModel": idmodel.New(f.Space)}
-	srv, err := server.New("strip", f.Space, engines, "IDModel", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
+	tier := newStripTier(t, f, nil, "IDModel")
+	ts := httptest.NewServer(server.NewTenantServer(tier).Handler())
 	t.Cleanup(ts.Close)
 
 	if code := postJSON(t, ts.URL+"/v1/monitors",
@@ -255,11 +252,15 @@ func TestMonitorSwapResets(t *testing.T) {
 	}
 
 	f2 := testspaces.NewStrip()
-	st := &server.ServingState{
-		Name: "strip-v2", Space: f2.Space, Default: "IDModel", Gamma: 4,
-		Engines: map[string]query.Engine{"IDModel": idmodel.New(f2.Space)},
+	b2, err := bundle.Build("strip-v2", f2.Space, bundle.Options{Engines: []string{"IDModel"}, Gamma: 4})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := srv.Swap(st); err != nil {
+	path := filepath.Join(t.TempDir(), "strip-v2.isq")
+	if err := b2.WriteFile(path, false); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tier.SwapSnapshot("strip", path); err != nil {
 		t.Fatal(err)
 	}
 

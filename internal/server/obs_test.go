@@ -7,31 +7,16 @@ import (
 	"strings"
 	"testing"
 
-	"indoorsq/internal/idmodel"
-	"indoorsq/internal/indoor"
-	"indoorsq/internal/query"
 	"indoorsq/internal/server"
 	"indoorsq/internal/testspaces"
 )
 
-// newObsServer is newTestServer but keeps the *server.Server so tests can
-// reach the registry.
-func newObsServer(t *testing.T) (*httptest.Server, *server.Server) {
+// newObsServer is newTestServer with the model engine only, keeping the
+// server so tests can reach it.
+func newObsServer(t *testing.T) (*httptest.Server, *server.TenantServer) {
 	t.Helper()
 	f := testspaces.NewStrip()
-	objs := []query.Object{
-		{ID: 1, Loc: indoor.At(2.5, 9, 0), Part: f.R1},
-		{ID: 2, Loc: indoor.At(7.5, 9, 0), Part: f.R2},
-		{ID: 3, Loc: indoor.At(1, 5, 0), Part: f.Hall},
-	}
-	engines := map[string]query.Engine{"IDModel": idmodel.New(f.Space)}
-	for _, e := range engines {
-		e.SetObjects(objs)
-	}
-	srv, err := server.New("strip", f.Space, engines, "IDModel", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := server.NewTenantServer(newStripTier(t, f, stripObjects(f), "IDModel"))
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return ts, srv

@@ -1,24 +1,29 @@
 // Package server exposes indoor spatial queries over HTTP/JSON — the thin
 // LBS backend the paper's introduction motivates (POI search and routing
-// services built on top of the four query types). One server wraps a single
-// venue with any subset of the five engines; engines answer concurrent
-// requests safely since query processing is read-only.
+// services built on top of the four query types). TenantServer is the one
+// serving surface: it mounts a tenant.Tier of one or more venues, each with
+// any subset of the five engines behind its cost-based router (?engine= is
+// the per-query deterministic override).
 //
-// The venue and its engines live in an immutable ServingState behind an
-// atomic pointer. Every request loads the pointer exactly once and runs
-// entirely against that state, so POST /v1/swap (or a SIGHUP in isqserve)
-// can publish a freshly loaded snapshot mid-flight: in-progress queries
-// finish on the state they started with, new requests see the new one, and
-// no request ever observes a mix. Each successful swap advances the
-// monotonic serving epoch (isq_serving_epoch in /metrics).
+// Every request resolves its venue to the immutable *tenant.Venue
+// generation published at that moment and reads everything from it — the
+// space, the engines, the router, the continuous-query stream and the
+// epoch — so a swap (POST .../swap, or SIGHUP in isqserve) can publish the
+// next generation mid-flight without any response mixing two generations.
+//
+// Per-venue endpoints live under /v1/venues/{id}/. The unprefixed paths
+// (/v1/info, /v1/range, /v1/knn, /v1/route = SPD, /v1/partitions,
+// /v1/trace, /v1/swap, /metrics, /v1/monitors..., /v1/updates) are aliases
+// that resolve to the tier's sole venue; on a multi-venue tier they answer
+// 404 naming the per-venue path.
 //
 // Every query runs under a context derived from the request: client
 // disconnects cancel the traversal, per-endpoint timeouts (SetTimeout)
 // bound it, and an admission budget (SetBudget) caps its work. The error
-// mapping is uniform: invalid parameters are 400, unanswerable queries
-// (no host partition, unreachable target, exhausted budget) are 422 with a
-// partial-progress payload, deadline expiry is 504, and a client that went
-// away is 499.
+// mapping is uniform: invalid parameters are 400, an unknown venue or
+// engine is 404, unanswerable queries (no host partition, unreachable
+// target, exhausted budget) are 422 with a partial-progress payload,
+// deadline expiry is 504, and a client that went away is 499.
 package server
 
 import (
@@ -30,285 +35,50 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"indoorsq/internal/doorgraph"
 	"indoorsq/internal/indoor"
-	"indoorsq/internal/moving"
 	"indoorsq/internal/obs"
 	"indoorsq/internal/query"
 	"indoorsq/internal/reach"
-	"indoorsq/internal/snapshot"
-	"indoorsq/internal/snapshot/bundle"
+	"indoorsq/internal/tenant"
 )
 
 // StatusClientClosedRequest is the non-standard (nginx-convention) status
 // reported when the client cancelled the request mid-query.
 const StatusClientClosedRequest = 499
 
-// ServingState is one immutable generation of everything a request needs:
-// the venue, its engines, and the provenance of how they came to be. States
-// are built complete, published atomically, and never mutated afterwards —
-// a handler that loaded one keeps a consistent view for its whole request
-// even while a swap publishes the next generation.
-type ServingState struct {
-	Name    string
-	Space   *indoor.Space
-	Engines map[string]query.Engine
-	Default string
-	Gamma   int
-
-	// Objects is the POI set the engines currently index; carried on the
-	// state so a swap can re-seed the incoming engines with the serving set.
-	Objects []query.Object
-
-	// Provenance: Origin is "build" (engines constructed in this process) or
-	// "snapshot" (loaded from an artifact); Fingerprint is the space topology
-	// hash; FormatVersion the snapshot format that carried a loaded state.
-	Origin        string
-	Fingerprint   uint64
-	FormatVersion uint32
-}
-
-// SetObjects installs the POI set on every engine and records it on the
-// state. Call only on a state that has not been published yet (engines
-// index objects without locking).
-func (st *ServingState) SetObjects(objs []query.Object) {
-	st.Objects = objs
-	for _, e := range st.Engines {
-		e.SetObjects(objs)
-	}
-}
-
-func (st *ServingState) validate() error {
-	if st.Space == nil {
-		return errors.New("server: state has no space")
-	}
-	if len(st.Engines) == 0 {
-		return errors.New("server: no engines")
-	}
-	if _, ok := st.Engines[st.Default]; !ok {
-		return fmt.Errorf("server: default engine %q not provided", st.Default)
-	}
-	return nil
-}
-
-// StateFromBundle adapts a loaded (or built) bundle into a serving state.
-// def selects the default engine; empty keeps the bundle's canonical first.
-func StateFromBundle(b *bundle.Bundle, def string) (*ServingState, error) {
-	if def == "" {
-		if names := b.EngineList(); len(names) > 0 {
-			def = names[0]
-		}
-	}
-	st := &ServingState{
-		Name:          b.Name,
-		Space:         b.Space,
-		Engines:       b.Engines,
-		Default:       def,
-		Gamma:         b.Gamma,
-		Origin:        b.Origin,
-		Fingerprint:   b.Fingerprint,
-		FormatVersion: b.FormatVersion,
-	}
-	return st, st.validate()
-}
-
-// Server serves indoor spatial queries for one venue generation at a time.
-type Server struct {
-	// state is the serving generation. Handlers load it exactly once per
-	// request; Swap publishes a replacement with a single Store.
-	state atomic.Pointer[ServingState]
-	// epoch counts published generations, starting at 1 for the initial
-	// state; it only ever increases, and /metrics exports it so a fleet
-	// rollout can watch every replica adopt a new snapshot.
-	epoch atomic.Uint64
-	// swapMu serializes swaps (never taken on the query path).
-	swapMu sync.Mutex
-	// snapPath is the default artifact for path-less swap requests and
-	// SIGHUP reloads (SetSnapshotPath).
-	snapPath atomic.Value // string
-
+// TenantServer serves the venues of one tier.
+type TenantServer struct {
+	tier *tenant.Tier
+	// sole is the venue the unprefixed aliases resolve to ("" when the tier
+	// serves several; venue ids are fixed at boot).
+	sole string
 	// timeouts holds per-endpoint query deadlines (SetTimeout).
 	timeouts map[string]time.Duration
-	// budget, when non-zero, is attached to every query context
-	// (SetBudget) as the admission-control work cap.
+	// budget, when non-zero, is attached to every query context as the
+	// admission-control work cap.
 	budget query.Budget
 	// encodeErrs counts responses whose body failed to encode; the client
-	// receives a 500 instead (the body is buffered before any byte or the
-	// status line goes out) and /v1/info surfaces the counter.
+	// receives a 500 instead and /info surfaces the counter.
 	encodeErrs atomic.Int64
-	// obs is the server's metrics registry: every query emits into it via
-	// the context binding, and GET /metrics scrapes it.
-	obs *obs.Registry
-	// mov is the continuous-query stream for the serving generation. Like
-	// the engines it is topology-bound (monitors cache door-distance
-	// fields), so a swap closes it and publishes a fresh one: standing
-	// monitors do not survive a swap and clients re-register.
-	mov atomic.Pointer[moving.Stream]
 }
 
-// New wires a server around pre-built engines keyed by name; def is the
-// engine used when a request omits ?engine=. The resulting state carries
-// "build" provenance; use NewFromBundle to boot from a snapshot artifact.
-func New(name string, sp *indoor.Space, engines map[string]query.Engine, def string, gamma int) (*Server, error) {
-	st := &ServingState{
-		Name: name, Space: sp, Engines: engines, Default: def, Gamma: gamma,
-		Origin:        "build",
-		Fingerprint:   indoor.Fingerprint(sp),
-		FormatVersion: snapshot.Version,
+// NewTenantServer wires the HTTP surface around a booted tier.
+func NewTenantServer(tier *tenant.Tier) *TenantServer {
+	s := &TenantServer{tier: tier, timeouts: make(map[string]time.Duration)}
+	if ids := tier.VenueIDs(); len(ids) == 1 {
+		s.sole = ids[0]
 	}
-	return NewFromState(st)
+	return s
 }
 
-// NewFromBundle wires a server around a bundle (built or snapshot-loaded).
-func NewFromBundle(b *bundle.Bundle, def string) (*Server, error) {
-	st, err := StateFromBundle(b, def)
-	if err != nil {
-		return nil, err
-	}
-	return NewFromState(st)
-}
-
-// NewFromState wires a server around an explicit initial state.
-func NewFromState(st *ServingState) (*Server, error) {
-	if err := st.validate(); err != nil {
-		return nil, err
-	}
-	srv := &Server{
-		timeouts: make(map[string]time.Duration),
-		obs:      obs.NewRegistry(),
-	}
-	srv.state.Store(st)
-	srv.epoch.Store(1)
-	srv.mov.Store(moving.NewStream(st.Space, moving.StreamOptions{}))
-	// Layer gauges read through the atomic pointer so a swap retargets them
-	// to the incoming state's space: distance-cache effectiveness and
-	// footprint, the process-wide door-graph and reach counters, and the
-	// serving epoch itself, scraped next to the per-query series so /metrics
-	// shows every layer of a query's cost.
-	srv.obs.RegisterGauge("isq_serving_epoch", func() float64 { return float64(srv.epoch.Load()) })
-	dcGauge := func(get func(dc *indoor.DistCache) float64) func() float64 {
-		return func() float64 {
-			if dc := srv.state.Load().Space.DistCache(); dc != nil {
-				return get(dc)
-			}
-			return 0
-		}
-	}
-	srv.obs.RegisterGauge("isq_distcache_hits_total", dcGauge(func(dc *indoor.DistCache) float64 { return float64(dc.Stats().Hits) }))
-	srv.obs.RegisterGauge("isq_distcache_misses_total", dcGauge(func(dc *indoor.DistCache) float64 { return float64(dc.Stats().Misses) }))
-	srv.obs.RegisterGauge("isq_distcache_fills_total", dcGauge(func(dc *indoor.DistCache) float64 { return float64(dc.Stats().Fills) }))
-	srv.obs.RegisterGauge("isq_distcache_size_bytes", dcGauge(func(dc *indoor.DistCache) float64 { return float64(dc.SizeBytes()) }))
-	srv.obs.RegisterGauge("isq_doorgraph_sweeps_total", func() float64 { return float64(doorgraph.Metrics.Sweeps.Load()) })
-	srv.obs.RegisterGauge("isq_doorgraph_settled_total", func() float64 { return float64(doorgraph.Metrics.Settled.Load()) })
-	srv.obs.RegisterGauge("isq_doorgraph_doors", func() float64 { return float64(doorgraph.Metrics.Doors.Load()) })
-	srv.obs.RegisterGauge("isq_doorgraph_edges", func() float64 { return float64(doorgraph.Metrics.Edges.Load()) })
-	srv.obs.RegisterGauge("isq_doorgraph_size_bytes", func() float64 { return float64(doorgraph.Metrics.Bytes.Load()) })
-	srv.obs.RegisterGauge("isq_reach_sccs", func() float64 { return float64(reach.Metrics.SCCs.Load()) })
-	srv.obs.RegisterGauge("isq_reach_summary_bytes", func() float64 { return float64(reach.Metrics.SummaryBytes.Load()) })
-	srv.obs.RegisterGauge("isq_reach_prune_hits", func() float64 { return float64(reach.Metrics.PruneHits.Load()) })
-	srv.obs.RegisterGauge("isq_reach_prune_skips", func() float64 { return float64(reach.Metrics.PruneSkips.Load()) })
-	// Continuous-query layer: process-wide ingestion counters from
-	// internal/moving plus live per-server monitor/object population. The
-	// touched quantiles summarize the inverted index's selectivity — how
-	// many monitors each update actually reached.
-	srv.obs.RegisterGauge("isq_moving_updates_total", func() float64 { return float64(moving.Metrics.Updates.Load()) })
-	srv.obs.RegisterGauge("isq_moving_batches_total", func() float64 { return float64(moving.Metrics.Batches.Load()) })
-	srv.obs.RegisterGauge("isq_moving_events_total", func() float64 { return float64(moving.Metrics.Events.Load()) })
-	srv.obs.RegisterGauge("isq_moving_shard_inflight", func() float64 { return float64(moving.Metrics.ShardInFlight.Load()) })
-	srv.obs.RegisterGauge("isq_moving_touched_p50", func() float64 { return float64(moving.Metrics.Touched.Quantile(0.50)) })
-	srv.obs.RegisterGauge("isq_moving_touched_p95", func() float64 { return float64(moving.Metrics.Touched.Quantile(0.95)) })
-	srv.obs.RegisterGauge("isq_moving_monitors", func() float64 { return float64(srv.mov.Load().NumQueries()) })
-	srv.obs.RegisterGauge("isq_moving_objects", func() float64 { return float64(srv.mov.Load().NumObjects()) })
-	return srv, nil
-}
-
-// State returns the currently published serving state.
-func (s *Server) State() *ServingState { return s.state.Load() }
-
-// Epoch returns the serving epoch: 1 for the initial state, +1 per swap.
-func (s *Server) Epoch() uint64 { return s.epoch.Load() }
-
-// SetSnapshotPath sets the artifact used by path-less POST /v1/swap
-// requests and by Reload (the SIGHUP handler in isqserve).
-func (s *Server) SetSnapshotPath(path string) { s.snapPath.Store(path) }
-
-// Swap validates and publishes a new serving state, advancing the epoch.
-// In-flight requests complete against the state they loaded at entry.
-func (s *Server) Swap(st *ServingState) error {
-	if err := st.validate(); err != nil {
-		return err
-	}
-	s.swapMu.Lock()
-	defer s.swapMu.Unlock()
-	s.state.Store(st)
-	s.epoch.Add(1)
-	s.resetMoving(st.Space)
-	return nil
-}
-
-// resetMoving retires the previous generation's continuous-query stream and
-// publishes a fresh one bound to the incoming space. Open subscriptions see
-// their channels close; registered monitors are gone (their cached
-// door-distance fields were computed against the old topology). Called only
-// under swapMu.
-func (s *Server) resetMoving(sp *indoor.Space) {
-	if old := s.mov.Swap(moving.NewStream(sp, moving.StreamOptions{})); old != nil {
-		old.Close()
-	}
-}
-
-// SwapFromSnapshot loads a snapshot artifact and publishes it as the new
-// serving state, carrying the current POI set and default engine over to
-// the incoming engines. The load happens outside the query path; queries
-// keep answering on the old state until the single atomic publish. Used by
-// both POST /v1/swap and the SIGHUP reload loop.
-func (s *Server) SwapFromSnapshot(path string) (*ServingState, error) {
-	if path == "" {
-		path, _ = s.snapPath.Load().(string)
-	}
-	if path == "" {
-		return nil, errors.New("server: no snapshot path configured")
-	}
-	// Serialize whole reloads, not just the publish: concurrent swaps would
-	// race their carried-over object sets.
-	s.swapMu.Lock()
-	defer s.swapMu.Unlock()
-	b, err := bundle.LoadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	cur := s.state.Load()
-	def := cur.Default
-	if _, ok := b.Engines[def]; !ok {
-		return nil, fmt.Errorf("server: snapshot %s lacks serving default engine %q (has %v)",
-			path, def, b.EngineList())
-	}
-	st, err := StateFromBundle(b, def)
-	if err != nil {
-		return nil, err
-	}
-	st.SetObjects(cur.Objects)
-	s.state.Store(st)
-	s.epoch.Add(1)
-	s.resetMoving(st.Space)
-	return st, nil
-}
-
-// Reload re-loads the configured snapshot path (the SIGHUP semantics).
-func (s *Server) Reload() (*ServingState, error) { return s.SwapFromSnapshot("") }
-
-// Registry exposes the server's metrics registry (for the isqserve debug
-// listener's expvar export and for tests).
-func (s *Server) Registry() *obs.Registry { return s.obs }
-
-// SetTimeout bounds queries of one endpoint ("range", "knn", "route") with
-// a per-request deadline; d <= 0 removes the bound. Call before the handler
-// starts serving.
-func (s *Server) SetTimeout(endpoint string, d time.Duration) {
+// SetTimeout bounds queries of one endpoint ("range", "knn", "spd") with a
+// per-request deadline; d <= 0 removes the bound. Call before serving
+// starts.
+func (s *TenantServer) SetTimeout(endpoint string, d time.Duration) {
 	if d <= 0 {
 		delete(s.timeouts, endpoint)
 		return
@@ -317,47 +87,76 @@ func (s *Server) SetTimeout(endpoint string, d time.Duration) {
 }
 
 // SetBudget attaches a work budget to every query context — the admission
-// cap of a shared deployment. The zero budget disables it. Call before the
-// handler starts serving.
-func (s *Server) SetBudget(b query.Budget) { s.budget = b }
+// cap of a shared deployment. The zero budget disables it. Call before
+// serving starts.
+func (s *TenantServer) SetBudget(b query.Budget) { s.budget = b }
 
 // EncodeErrors returns how many response bodies failed to encode.
-func (s *Server) EncodeErrors() int64 { return s.encodeErrs.Load() }
+func (s *TenantServer) EncodeErrors() int64 { return s.encodeErrs.Load() }
 
-// queryCtx derives the context one query runs under: the request context
-// (so client disconnects cancel the traversal), the endpoint timeout, and
-// the admission budget.
-func (s *Server) queryCtx(r *http.Request, endpoint string) (context.Context, context.CancelFunc) {
-	ctx := r.Context()
-	cancel := context.CancelFunc(func() {})
-	if d, ok := s.timeouts[endpoint]; ok {
-		ctx, cancel = context.WithTimeout(ctx, d)
+// venueHandler serves one request against the generation it loaded.
+type venueHandler func(w http.ResponseWriter, r *http.Request, v *tenant.Venue)
+
+// Handler returns the HTTP handler with every endpoint mounted.
+func (s *TenantServer) Handler() http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/venues", s.handleVenues)
+	routes := []struct {
+		method, path string
+		alias        string // unprefixed single-venue path ("" = none)
+		h            venueHandler
+	}{
+		{"GET", "/info", "/v1/info", s.handleInfo},
+		{"GET", "/range", "/v1/range", s.handleRange},
+		{"GET", "/knn", "/v1/knn", s.handleKNN},
+		{"GET", "/spd", "/v1/route", s.handleSPD},
+		{"GET", "/partitions", "/v1/partitions", s.handlePartitions},
+		{"GET", "/trace", "/v1/trace", s.handleTrace},
+		{"GET", "/route", "", s.handleRouteTable},
+		{"POST", "/route", "", s.handlePin},
+		{"POST", "/swap", "/v1/swap", s.handleSwap},
+		{"GET", "/metrics", "/metrics", s.handleMetrics},
+		{"GET", "/monitors", "/v1/monitors", s.handleMonitorList},
+		{"POST", "/monitors", "/v1/monitors", s.handleMonitorCreate},
+		{"DELETE", "/monitors/{mid}", "/v1/monitors/{mid}", s.handleMonitorDelete},
+		{"GET", "/monitors/{mid}/result", "/v1/monitors/{mid}/result", s.handleMonitorResult},
+		{"GET", "/monitors/{mid}/stream", "/v1/monitors/{mid}/stream", s.handleMonitorStream},
+		{"POST", "/updates", "/v1/updates", s.handleUpdates},
 	}
-	if b := s.budget; b != (query.Budget{}) {
-		ctx = query.WithBudget(ctx, b)
+	for _, rt := range routes {
+		mux.HandleFunc(rt.method+" /v1/venues/{id}"+rt.path, s.perVenue(rt.h))
+		if rt.alias != "" {
+			mux.HandleFunc(rt.method+" "+rt.alias, s.soleVenue(rt.path, rt.h))
+		}
 	}
-	ctx = obs.WithRegistry(ctx, s.obs)
-	return ctx, cancel
+	return mux
 }
 
-// Handler returns the HTTP handler with all endpoints mounted.
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/info", s.handleInfo)
-	mux.HandleFunc("GET /v1/range", s.handleRange)
-	mux.HandleFunc("GET /v1/knn", s.handleKNN)
-	mux.HandleFunc("GET /v1/route", s.handleRoute)
-	mux.HandleFunc("GET /v1/partitions", s.handlePartitions)
-	mux.HandleFunc("GET /v1/trace", s.handleTrace)
-	mux.HandleFunc("POST /v1/swap", s.handleSwap)
-	mux.HandleFunc("GET /v1/monitors", s.handleMonitorList)
-	mux.HandleFunc("POST /v1/monitors", s.handleMonitorCreate)
-	mux.HandleFunc("DELETE /v1/monitors/{id}", s.handleMonitorDelete)
-	mux.HandleFunc("GET /v1/monitors/{id}/result", s.handleMonitorResult)
-	mux.HandleFunc("GET /v1/monitors/{id}/stream", s.handleMonitorStream)
-	mux.HandleFunc("POST /v1/updates", s.handleUpdates)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	return mux
+// perVenue resolves the {id} path segment against the tier's current shard
+// map — the one generation load of the request.
+func (s *TenantServer) perVenue(h venueHandler) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		id := r.PathValue("id")
+		v, ok := s.tier.Venue(id)
+		if !ok {
+			s.fail(w, http.StatusNotFound, "unknown venue %q", id)
+			return
+		}
+		h(w, r, v)
+	}
+}
+
+// soleVenue serves an unprefixed alias against the tier's only venue.
+func (s *TenantServer) soleVenue(path string, h venueHandler) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		v, ok := s.tier.Venue(s.sole)
+		if !ok {
+			s.fail(w, http.StatusNotFound, "tier serves %d venues: use /v1/venues/{id}%s",
+				len(s.tier.VenueIDs()), path)
+			return
+		}
+		h(w, r, v)
+	}
 }
 
 // httpError is the uniform error payload. Interrupted queries additionally
@@ -389,21 +188,24 @@ func encodeJSON(w http.ResponseWriter, code int, v any) error {
 	return nil
 }
 
-func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
+func (s *TenantServer) writeJSON(w http.ResponseWriter, code int, v any) {
 	if encodeJSON(w, code, v) != nil {
 		s.encodeErrs.Add(1)
 	}
 }
 
-func (s *Server) fail(w http.ResponseWriter, code int, format string, args ...any) {
+func (s *TenantServer) fail(w http.ResponseWriter, code int, format string, args ...any) {
 	s.writeJSON(w, code, httpError{Error: fmt.Sprintf(format, args...)})
 }
 
-// errStatus maps a query error to its HTTP status: unanswerable queries are
-// the client's problem (422), an expired deadline is the backend giving up
-// (504), and a vanished client is 499.
+// errStatus maps a query error to its HTTP status: an unknown ?engine=
+// override is the caller's 404, unanswerable queries are the client's
+// problem (422), an expired deadline is the backend giving up (504), and a
+// vanished client is 499.
 func errStatus(err error) int {
 	switch {
+	case errors.Is(err, tenant.ErrUnknownEngine):
+		return http.StatusNotFound
 	case errors.Is(err, query.ErrNoHost),
 		errors.Is(err, query.ErrUnreachable),
 		errors.Is(err, query.ErrBudgetExhausted):
@@ -419,7 +221,7 @@ func errStatus(err error) int {
 
 // failQuery reports a query error with the mapped status; interrupted
 // queries (budget, deadline) attach their partial progress.
-func (s *Server) failQuery(w http.ResponseWriter, err error, st *query.Stats) {
+func (s *TenantServer) failQuery(w http.ResponseWriter, err error, st *query.Stats) {
 	he := httpError{Error: err.Error()}
 	if errors.Is(err, query.ErrBudgetExhausted) || errors.Is(err, context.DeadlineExceeded) {
 		he.VisitedDoors = &st.VisitedDoors
@@ -428,18 +230,19 @@ func (s *Server) failQuery(w http.ResponseWriter, err error, st *query.Stats) {
 	s.writeJSON(w, errStatus(err), he)
 }
 
-// engineFor resolves the ?engine= parameter against one loaded state.
-func (s *Server) engineFor(st *ServingState, w http.ResponseWriter, r *http.Request) (query.EngineCtx, bool) {
-	name := r.URL.Query().Get("engine")
-	if name == "" {
-		name = st.Default
+// queryCtx derives one query's context: request cancellation, the endpoint
+// timeout, and the admission budget. The venue registry is bound inside the
+// venue's query methods, so the router's evidence is fed automatically.
+func (s *TenantServer) queryCtx(r *http.Request, endpoint string) (context.Context, context.CancelFunc) {
+	ctx := r.Context()
+	cancel := context.CancelFunc(func() {})
+	if d, ok := s.timeouts[endpoint]; ok {
+		ctx, cancel = context.WithTimeout(ctx, d)
 	}
-	eng, ok := st.Engines[name]
-	if !ok {
-		s.fail(w, http.StatusNotFound, "unknown engine %q", name)
-		return nil, false
+	if b := s.budget; b != (query.Budget{}) {
+		ctx = query.WithBudget(ctx, b)
 	}
-	return query.AsCtx(eng), true
+	return ctx, cancel
 }
 
 // floatParam parses a required float query parameter.
@@ -476,30 +279,72 @@ func pointParam(r *http.Request, suffix string) (indoor.Point, error) {
 	return indoor.At(x, y, int16(floor)), nil
 }
 
-func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
-	st := s.state.Load()
-	stats := st.Space.SpaceStats(st.Gamma)
-	engines := make([]string, 0, len(st.Engines))
-	for name := range st.Engines {
-		engines = append(engines, name)
+// kParam parses the optional k (default 5).
+func kParam(r *http.Request) (int, error) {
+	raw := r.URL.Query().Get("k")
+	if raw == "" {
+		return 5, nil
+	}
+	k, err := strconv.Atoi(raw)
+	if err != nil || k < 0 {
+		return 0, errors.New("bad k")
+	}
+	return k, nil
+}
+
+func (s *TenantServer) handleVenues(w http.ResponseWriter, r *http.Request) {
+	type venueJSON struct {
+		ID      string   `json:"id"`
+		Shard   int      `json:"shard"`
+		Epoch   uint64   `json:"epoch"`
+		Engines []string `json:"engines"`
+		Objects int      `json:"objects"`
+		Origin  string   `json:"origin"`
+	}
+	out := make([]venueJSON, 0, len(s.tier.VenueIDs()))
+	for _, id := range s.tier.VenueIDs() {
+		v, ok := s.tier.Venue(id)
+		if !ok {
+			continue
+		}
+		out = append(out, venueJSON{
+			ID:      id,
+			Shard:   s.tier.ShardOf(id),
+			Epoch:   v.Epoch(),
+			Engines: v.EngineList(),
+			Objects: len(v.Objects),
+			Origin:  v.Origin,
+		})
 	}
 	s.writeJSON(w, http.StatusOK, map[string]any{
-		"venue":        st.Name,
-		"floors":       stats.Floors,
-		"partitions":   stats.Partitions,
-		"doors":        stats.Doors,
-		"engines":      engines,
-		"default":      st.Default,
+		"shards": s.tier.NumShards(),
+		"venues": out,
+	})
+}
+
+func (s *TenantServer) handleInfo(w http.ResponseWriter, r *http.Request, v *tenant.Venue) {
+	stats := v.Space.SpaceStats(v.Gamma)
+	s.writeJSON(w, http.StatusOK, map[string]any{
+		"venue":      v.ID,
+		"shard":      s.tier.ShardOf(v.ID),
+		"floors":     stats.Floors,
+		"partitions": stats.Partitions,
+		"doors":      stats.Doors,
+		"engines":    v.EngineList(),
+		// default is the engine every query class is pinned to ("" while
+		// the router decides).
+		"default":      v.Router().Default(),
+		"objects":      len(v.Objects),
 		"encodeErrors": s.encodeErrs.Load(),
-		// Serving-state provenance: which generation is live (epoch advances
-		// on every successful swap), whether its engines were built in this
-		// process or loaded from a snapshot artifact, and the snapshot
-		// format + space-topology fingerprint identifying the artifact.
-		"epoch": s.epoch.Load(),
+		// Generation provenance: which generation is live (the epoch
+		// advances on every successful swap), whether its engines were built
+		// in this process or loaded from a snapshot artifact, and the
+		// snapshot format + space-topology fingerprint identifying it.
+		"epoch": v.Epoch(),
 		"snapshot": map[string]any{
-			"origin":        st.Origin,
-			"fingerprint":   fmt.Sprintf("%016x", st.Fingerprint),
-			"formatVersion": st.FormatVersion,
+			"origin":        v.Origin,
+			"fingerprint":   fmt.Sprintf("%016x", v.Fingerprint),
+			"formatVersion": v.FormatVersion,
 		},
 		// Footprint of the last door graph built in this process (CSR
 		// layout): node and directed-edge counts plus the exact byte size
@@ -521,59 +366,16 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// swapRequest is the optional POST /v1/swap body.
-type swapRequest struct {
-	// Path of the snapshot artifact to load; empty uses the path configured
-	// at startup (-snapshot in isqserve).
-	Path string `json:"path"`
-}
-
-// handleSwap loads a snapshot artifact and atomically publishes it as the
-// new serving state. The response reports the adopted generation; queries
-// in flight during the load keep answering on the previous state.
-func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request) {
-	var req swapRequest
-	// An empty body means "reload the configured artifact".
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-		s.fail(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	start := time.Now()
-	st, err := s.SwapFromSnapshot(req.Path)
-	if err != nil {
-		s.fail(w, http.StatusUnprocessableEntity, "swap: %v", err)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, map[string]any{
-		"epoch":         s.epoch.Load(),
-		"origin":        st.Origin,
-		"fingerprint":   fmt.Sprintf("%016x", st.Fingerprint),
-		"formatVersion": st.FormatVersion,
-		"engines":       engineNames(st),
-		"default":       st.Default,
-		"loadMs":        time.Since(start).Milliseconds(),
-	})
-}
-
-func engineNames(st *ServingState) []string {
-	out := make([]string, 0, len(st.Engines))
-	for n := range st.Engines {
-		out = append(out, n)
-	}
-	return out
-}
-
+// rangeResponse, knnResponse and spdResponse carry the answer plus who
+// served it and which generation answered.
 type rangeResponse struct {
 	Objects      []int32 `json:"objects"`
 	VisitedDoors int     `json:"visitedDoors"`
+	Engine       string  `json:"engine"`
+	Epoch        uint64  `json:"epoch"`
 }
 
-func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
-	st := s.state.Load()
-	eng, ok := s.engineFor(st, w, r)
-	if !ok {
-		return
-	}
+func (s *TenantServer) handleRange(w http.ResponseWriter, r *http.Request, v *tenant.Venue) {
 	p, err := pointParam(r, "")
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, "%v", err)
@@ -584,10 +386,10 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "bad radius")
 		return
 	}
-	ctx, cancel := s.queryCtx(r, "range")
+	ctx, cancel := s.queryCtx(r, obs.OpRange)
 	defer cancel()
 	var qst query.Stats
-	ids, err := eng.RangeCtx(ctx, p, radius, &qst)
+	ids, engine, err := v.Range(ctx, p, radius, &qst, r.URL.Query().Get("engine"))
 	if err != nil {
 		s.failQuery(w, err, &qst)
 		return
@@ -595,37 +397,33 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 	if ids == nil {
 		ids = []int32{}
 	}
-	s.writeJSON(w, http.StatusOK, rangeResponse{Objects: ids, VisitedDoors: qst.VisitedDoors})
+	s.writeJSON(w, http.StatusOK, rangeResponse{
+		Objects: ids, VisitedDoors: qst.VisitedDoors, Engine: engine, Epoch: v.Epoch(),
+	})
 }
 
 type knnResponse struct {
 	Neighbors    []query.Neighbor `json:"neighbors"`
 	VisitedDoors int              `json:"visitedDoors"`
+	Engine       string           `json:"engine"`
+	Epoch        uint64           `json:"epoch"`
 }
 
-func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
-	st := s.state.Load()
-	eng, ok := s.engineFor(st, w, r)
-	if !ok {
-		return
-	}
+func (s *TenantServer) handleKNN(w http.ResponseWriter, r *http.Request, v *tenant.Venue) {
 	p, err := pointParam(r, "")
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	k := 5
-	if raw := r.URL.Query().Get("k"); raw != "" {
-		k, err = strconv.Atoi(raw)
-		if err != nil || k < 0 {
-			s.fail(w, http.StatusBadRequest, "bad k")
-			return
-		}
+	k, err := kParam(r)
+	if err != nil {
+		s.fail(w, http.StatusBadRequest, "%v", err)
+		return
 	}
-	ctx, cancel := s.queryCtx(r, "knn")
+	ctx, cancel := s.queryCtx(r, obs.OpKNN)
 	defer cancel()
 	var qst query.Stats
-	nn, err := eng.KNNCtx(ctx, p, k, &qst)
+	nn, engine, err := v.KNN(ctx, p, k, &qst, r.URL.Query().Get("engine"))
 	if err != nil {
 		s.failQuery(w, err, &qst)
 		return
@@ -633,22 +431,21 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 	if nn == nil {
 		nn = []query.Neighbor{}
 	}
-	s.writeJSON(w, http.StatusOK, knnResponse{Neighbors: nn, VisitedDoors: qst.VisitedDoors})
+	s.writeJSON(w, http.StatusOK, knnResponse{
+		Neighbors: nn, VisitedDoors: qst.VisitedDoors, Engine: engine, Epoch: v.Epoch(),
+	})
 }
 
-type routeResponse struct {
+type spdResponse struct {
 	Dist         float64      `json:"dist"`
 	Doors        []int32      `json:"doors"`
 	Geom         [][3]float64 `json:"geometry"` // (x, y, floor) polyline via door points
 	VisitedDoors int          `json:"visitedDoors"`
+	Engine       string       `json:"engine"`
+	Epoch        uint64       `json:"epoch"`
 }
 
-func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
-	st := s.state.Load()
-	eng, ok := s.engineFor(st, w, r)
-	if !ok {
-		return
-	}
+func (s *TenantServer) handleSPD(w http.ResponseWriter, r *http.Request, v *tenant.Venue) {
 	p, err := pointParam(r, "")
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, "%v", err)
@@ -659,19 +456,22 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	ctx, cancel := s.queryCtx(r, "route")
+	ctx, cancel := s.queryCtx(r, obs.OpSPD)
 	defer cancel()
 	var qst query.Stats
-	path, err := eng.SPDCtx(ctx, p, q, &qst)
+	path, engine, err := v.SPD(ctx, p, q, &qst, r.URL.Query().Get("engine"))
 	if err != nil {
 		s.failQuery(w, err, &qst)
 		return
 	}
-	resp := routeResponse{Dist: path.Dist, Doors: make([]int32, 0, len(path.Doors)), VisitedDoors: qst.VisitedDoors}
+	resp := spdResponse{
+		Dist: path.Dist, Doors: make([]int32, 0, len(path.Doors)),
+		VisitedDoors: qst.VisitedDoors, Engine: engine, Epoch: v.Epoch(),
+	}
 	resp.Geom = append(resp.Geom, [3]float64{p.X, p.Y, float64(p.Floor)})
 	for _, d := range path.Doors {
 		resp.Doors = append(resp.Doors, int32(d))
-		dp := st.Space.DoorPoint(d)
+		dp := v.Space.DoorPoint(d)
 		resp.Geom = append(resp.Geom, [3]float64{dp.X, dp.Y, float64(dp.Floor)})
 	}
 	resp.Geom = append(resp.Geom, [3]float64{q.X, q.Y, float64(q.Floor)})
@@ -685,18 +485,26 @@ type partitionJSON struct {
 	Poly  [][2]float64 `json:"poly"`
 }
 
-// handleMetrics scrapes the registry in plain-text format: per-engine ×
-// per-query-type counters and p50/p95/p99 latency quantiles, followed by
-// the layer gauges.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var buf bytes.Buffer
-	if err := s.obs.WriteText(&buf); err != nil {
-		s.fail(w, http.StatusInternalServerError, "metrics: %v", err)
-		return
+func (s *TenantServer) handlePartitions(w http.ResponseWriter, r *http.Request, v *tenant.Venue) {
+	floor := 0
+	if raw := r.URL.Query().Get("floor"); raw != "" {
+		var err error
+		if floor, err = strconv.Atoi(raw); err != nil {
+			s.fail(w, http.StatusBadRequest, "bad floor")
+			return
+		}
 	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(buf.Bytes())
+	ids := v.Space.OnFloor(int16(floor))
+	out := make([]partitionJSON, 0, len(ids))
+	for _, id := range ids {
+		part := v.Space.Partition(id)
+		pj := partitionJSON{ID: int32(id), Kind: part.Kind.String(), Floor: part.Floor}
+		for _, pt := range part.Poly {
+			pj.Poly = append(pj.Poly, [2]float64{pt.X, pt.Y})
+		}
+		out = append(out, pj)
+	}
+	s.writeJSON(w, http.StatusOK, out)
 }
 
 type traceSpan struct {
@@ -715,23 +523,23 @@ type traceResponse struct {
 	PeakWorkBytes int64       `json:"peakWorkBytes"`
 	CacheHits     int64       `json:"cacheHits"`
 	CacheMisses   int64       `json:"cacheMisses"`
+	Epoch         uint64      `json:"epoch"`
 	Spans         []traceSpan `json:"spans"`
 	Result        any         `json:"result,omitempty"`
 }
 
 // handleTrace runs one query with per-stage tracing and returns the span
-// breakdown instead of the full result: GET /v1/trace?op=range|knn|route
-// plus the target endpoint's usual parameters. Query-level failures (no
-// host, unreachable, budget) still produce a 200 — the trace of a failed
-// query is the point of the endpoint — with the error recorded in the
-// payload; only parameter errors are 4xx.
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	st := s.state.Load()
-	eng, ok := s.engineFor(st, w, r)
-	if !ok {
-		return
-	}
+// breakdown instead of the full result: ?op=range|knn|spd (route is an
+// alias of spd) plus the target endpoint's usual parameters, routed like
+// the endpoint itself. Query-level failures (no host, unreachable, budget)
+// still produce a 200 — the trace of a failed query is the point of the
+// endpoint — with the error recorded in the payload; only parameter errors
+// and unknown engines are 4xx.
+func (s *TenantServer) handleTrace(w http.ResponseWriter, r *http.Request, v *tenant.Venue) {
 	op := r.URL.Query().Get("op")
+	if op == "route" {
+		op = obs.OpSPD
+	}
 	p, err := pointParam(r, "")
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, "%v", err)
@@ -741,41 +549,44 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.queryCtx(r, op)
 	defer cancel()
 	ctx = obs.WithTrace(ctx, tr)
+	override := r.URL.Query().Get("engine")
 	var qst query.Stats
 	var qerr error
 	var result any
 	switch op {
-	case "range":
-		var radius float64
-		if radius, err = floatParam(r, "r"); err != nil || radius < 0 {
+	case obs.OpRange:
+		radius, err := floatParam(r, "r")
+		if err != nil || radius < 0 {
 			s.fail(w, http.StatusBadRequest, "bad radius")
 			return
 		}
 		var ids []int32
-		ids, qerr = eng.RangeCtx(ctx, p, radius, &qst)
+		ids, _, qerr = v.Range(ctx, p, radius, &qst, override)
 		result = map[string]any{"objects": len(ids)}
-	case "knn":
-		k := 5
-		if raw := r.URL.Query().Get("k"); raw != "" {
-			if k, err = strconv.Atoi(raw); err != nil || k < 0 {
-				s.fail(w, http.StatusBadRequest, "bad k")
-				return
-			}
+	case obs.OpKNN:
+		k, err := kParam(r)
+		if err != nil {
+			s.fail(w, http.StatusBadRequest, "%v", err)
+			return
 		}
 		var nn []query.Neighbor
-		nn, qerr = eng.KNNCtx(ctx, p, k, &qst)
+		nn, _, qerr = v.KNN(ctx, p, k, &qst, override)
 		result = map[string]any{"neighbors": len(nn)}
-	case "route":
-		var q indoor.Point
-		if q, err = pointParam(r, "2"); err != nil {
+	case obs.OpSPD:
+		q, err := pointParam(r, "2")
+		if err != nil {
 			s.fail(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		var path query.Path
-		path, qerr = eng.SPDCtx(ctx, p, q, &qst)
+		path, _, qerr = v.SPD(ctx, p, q, &qst, override)
 		result = map[string]any{"dist": path.Dist, "doors": len(path.Doors)}
 	default:
-		s.fail(w, http.StatusBadRequest, "bad op %q (want range, knn, or route)", op)
+		s.fail(w, http.StatusBadRequest, "bad op %q (want range, knn, or spd)", op)
+		return
+	}
+	if errors.Is(qerr, tenant.ErrUnknownEngine) {
+		s.fail(w, http.StatusNotFound, "%v", qerr)
 		return
 	}
 	queries := tr.Queries()
@@ -794,6 +605,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		PeakWorkBytes: q0.PeakWorkBytes,
 		CacheHits:     q0.CacheHits,
 		CacheMisses:   q0.CacheMisses,
+		Epoch:         v.Epoch(),
 		Spans:         make([]traceSpan, 0, len(tr.Spans())),
 	}
 	if qerr == nil {
@@ -809,26 +621,83 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-func (s *Server) handlePartitions(w http.ResponseWriter, r *http.Request) {
-	st := s.state.Load()
-	floor := 0
-	if raw := r.URL.Query().Get("floor"); raw != "" {
-		var err error
-		floor, err = strconv.Atoi(raw)
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, "bad floor")
-			return
-		}
+// handleRouteTable is the routing introspection endpoint: the decision
+// table per query class with the evidence (decayed p50/p95 per engine,
+// cumulative counts) behind each decision.
+func (s *TenantServer) handleRouteTable(w http.ResponseWriter, r *http.Request, v *tenant.Venue) {
+	s.writeJSON(w, http.StatusOK, map[string]any{
+		"venue":     v.ID,
+		"epoch":     v.Epoch(),
+		"engines":   v.EngineList(),
+		"decisions": v.Router().Decisions(),
+	})
+}
+
+// pinRequest is the POST /v1/venues/{id}/route body: the deterministic
+// override knob. An empty op applies to every query class; an empty engine
+// removes the pin.
+type pinRequest struct {
+	Op     string `json:"op"`
+	Engine string `json:"engine"`
+}
+
+func (s *TenantServer) handlePin(w http.ResponseWriter, r *http.Request, v *tenant.Venue) {
+	var req pinRequest
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		s.fail(w, http.StatusBadRequest, "bad request body: %v", err)
+		return
 	}
-	ids := st.Space.OnFloor(int16(floor))
-	out := make([]partitionJSON, 0, len(ids))
-	for _, id := range ids {
-		v := st.Space.Partition(id)
-		pj := partitionJSON{ID: int32(id), Kind: v.Kind.String(), Floor: v.Floor}
-		for _, pt := range v.Poly {
-			pj.Poly = append(pj.Poly, [2]float64{pt.X, pt.Y})
-		}
-		out = append(out, pj)
+	if req.Engine == "" {
+		v.Router().Unpin(req.Op)
+	} else if err := v.Router().Pin(req.Op, req.Engine); err != nil {
+		s.fail(w, http.StatusUnprocessableEntity, "%v", err)
+		return
 	}
-	s.writeJSON(w, http.StatusOK, out)
+	s.writeJSON(w, http.StatusOK, map[string]any{
+		"venue":     v.ID,
+		"decisions": v.Router().Decisions(),
+	})
+}
+
+// swapRequest is the optional POST .../swap body.
+type swapRequest struct {
+	// Path of the snapshot artifact to load; empty reloads the venue's own
+	// snapshot (-snapshot in isqserve).
+	Path string `json:"path"`
+}
+
+// handleSwap loads a snapshot artifact and publishes it as the venue's next
+// generation. The response reports the adopted generation; queries in
+// flight during the load keep answering on the previous one.
+func (s *TenantServer) handleSwap(w http.ResponseWriter, r *http.Request, v *tenant.Venue) {
+	var req swapRequest
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
+		s.fail(w, http.StatusBadRequest, "bad request body: %v", err)
+		return
+	}
+	start := time.Now()
+	nv, err := s.tier.SwapSnapshot(v.ID, req.Path)
+	if err != nil {
+		s.fail(w, http.StatusUnprocessableEntity, "swap: %v", err)
+		return
+	}
+	s.writeJSON(w, http.StatusOK, map[string]any{
+		"venue":         nv.ID,
+		"epoch":         nv.Epoch(),
+		"origin":        nv.Origin,
+		"fingerprint":   fmt.Sprintf("%016x", nv.Fingerprint),
+		"formatVersion": nv.FormatVersion,
+		"engines":       nv.EngineList(),
+		"default":       nv.Router().Default(),
+		"loadMs":        time.Since(start).Milliseconds(),
+	})
+}
+
+// handleMetrics scrapes one venue's registry in plain-text format: per
+// engine × query class counters and p50/p95/p99 latency quantiles (the
+// evidence the router reads), followed by the layer gauges.
+func (s *TenantServer) handleMetrics(w http.ResponseWriter, r *http.Request, v *tenant.Venue) {
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	w.WriteHeader(http.StatusOK)
+	_ = v.Registry().WriteText(w)
 }

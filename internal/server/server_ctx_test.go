@@ -5,28 +5,17 @@ import (
 	"testing"
 	"time"
 
-	"indoorsq/internal/idmodel"
-	"indoorsq/internal/indoor"
 	"indoorsq/internal/query"
 	"indoorsq/internal/server"
 	"indoorsq/internal/testspaces"
 )
 
-// newCtxServer builds a strip-venue server and returns it unstarted, so
-// tests can set timeouts and budgets before mounting the handler.
-func newCtxServer(t *testing.T) (*server.Server, *httptest.Server) {
+// newCtxServer builds a strip-venue server and returns it with its test
+// listener, so tests can set timeouts and budgets.
+func newCtxServer(t *testing.T) (*server.TenantServer, *httptest.Server) {
 	t.Helper()
 	f := testspaces.NewStrip()
-	eng := idmodel.New(f.Space)
-	eng.SetObjects([]query.Object{
-		{ID: 1, Loc: indoor.At(2.5, 9, 0), Part: f.R1},
-		{ID: 2, Loc: indoor.At(7.5, 9, 0), Part: f.R2},
-		{ID: 3, Loc: indoor.At(1, 5, 0), Part: f.Hall},
-	})
-	srv, err := server.New("strip", f.Space, map[string]query.Engine{"IDModel": eng}, "IDModel", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := server.NewTenantServer(newStripTier(t, f, stripObjects(f), "IDModel"))
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return srv, ts
@@ -36,7 +25,7 @@ func newCtxServer(t *testing.T) (*server.Server, *httptest.Server) {
 // answers 504 with the partial-progress payload.
 func TestEndpointTimeout504(t *testing.T) {
 	srv, ts := newCtxServer(t)
-	srv.SetTimeout("route", time.Nanosecond)
+	srv.SetTimeout("spd", time.Nanosecond)
 
 	var e struct {
 		Error        string `json:"error"`
@@ -58,7 +47,7 @@ func TestEndpointTimeout504(t *testing.T) {
 	}
 
 	// Removing the timeout restores the endpoint.
-	srv.SetTimeout("route", 0)
+	srv.SetTimeout("spd", 0)
 	var ok map[string]any
 	if code := getJSON(t, ts.URL+"/v1/route?x=2.5&y=8&x2=7.5&y2=9", &ok); code != 200 {
 		t.Fatalf("route status %d after timeout removal, want 200", code)
@@ -68,7 +57,7 @@ func TestEndpointTimeout504(t *testing.T) {
 // TestGenerousTimeoutAnswers asserts a sane deadline leaves answers intact.
 func TestGenerousTimeoutAnswers(t *testing.T) {
 	srv, ts := newCtxServer(t)
-	for _, ep := range []string{"range", "knn", "route"} {
+	for _, ep := range []string{"range", "knn", "spd"} {
 		srv.SetTimeout(ep, time.Minute)
 	}
 	var rr struct {

@@ -7,33 +7,40 @@ import (
 	"net/http/httptest"
 	"testing"
 
-	"indoorsq/internal/idmodel"
 	"indoorsq/internal/indoor"
-	"indoorsq/internal/iptree"
 	"indoorsq/internal/query"
 	"indoorsq/internal/server"
+	"indoorsq/internal/snapshot/bundle"
+	"indoorsq/internal/tenant"
 	"indoorsq/internal/testspaces"
 )
 
-func newTestServer(t *testing.T) (*httptest.Server, *testspaces.Strip) {
-	t.Helper()
-	f := testspaces.NewStrip()
-	objs := []query.Object{
+// stripObjects are the strip fixture's hand-placed POIs.
+func stripObjects(f *testspaces.Strip) []query.Object {
+	return []query.Object{
 		{ID: 1, Loc: indoor.At(2.5, 9, 0), Part: f.R1},
 		{ID: 2, Loc: indoor.At(7.5, 9, 0), Part: f.R2},
 		{ID: 3, Loc: indoor.At(1, 5, 0), Part: f.Hall},
 	}
-	engines := map[string]query.Engine{
-		"IDModel": idmodel.New(f.Space),
-		"VIPTree": iptree.New(f.Space, iptree.Options{VIP: true}),
-	}
-	for _, e := range engines {
-		e.SetObjects(objs)
-	}
-	srv, err := server.New("strip", f.Space, engines, "IDModel", 4)
+}
+
+// newStripTier boots a one-venue tier "strip" over the fixture serving the
+// given engines and objects, with every query class pinned to the first
+// engine (the single-venue default).
+func newStripTier(t *testing.T, f *testspaces.Strip, objs []query.Object, engines ...string) *tenant.Tier {
+	t.Helper()
+	b, err := bundle.Build("strip", f.Space, bundle.Options{Engines: engines, Gamma: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tier, _ := newBundleTier(t, b, engines[0], objs)
+	return tier
+}
+
+func newTestServer(t *testing.T) (*httptest.Server, *testspaces.Strip) {
+	t.Helper()
+	f := testspaces.NewStrip()
+	srv := server.NewTenantServer(newStripTier(t, f, stripObjects(f), "IDModel", "VIPTree"))
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return ts, f
@@ -183,11 +190,12 @@ func TestErrorStatuses(t *testing.T) {
 
 func TestServerValidation(t *testing.T) {
 	f := testspaces.NewStrip()
-	if _, err := server.New("x", f.Space, nil, "IDModel", 4); err == nil {
+	empty := &bundle.Bundle{Name: "x", Space: f.Space, Gamma: 4}
+	if _, err := tenant.New([]tenant.VenueSpec{{ID: "x", Bundle: empty}}, tenant.Options{}); err == nil {
 		t.Fatal("no engines must fail")
 	}
-	engines := map[string]query.Engine{"A": idmodel.New(f.Space)}
-	if _, err := server.New("x", f.Space, engines, "B", 4); err == nil {
+	v, _ := newStripTier(t, f, nil, "IDModel").Venue("strip")
+	if err := v.Router().Pin("", "B"); err == nil {
 		t.Fatal("bad default must fail")
 	}
 }

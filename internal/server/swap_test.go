@@ -10,11 +10,28 @@ import (
 	"sync"
 	"testing"
 
+	"indoorsq/internal/query"
 	"indoorsq/internal/server"
 	"indoorsq/internal/snapshot/bundle"
 	"indoorsq/internal/spacegen"
+	"indoorsq/internal/tenant"
 	"indoorsq/internal/workload"
 )
+
+// newBundleTier boots a one-venue tier from a prebuilt bundle (venue id =
+// bundle name) with every query class pinned to def.
+func newBundleTier(t *testing.T, b *bundle.Bundle, def string, objs []query.Object) (*tenant.Tier, *tenant.Venue) {
+	t.Helper()
+	tier, err := tenant.New([]tenant.VenueSpec{{ID: b.Name, Bundle: b, ObjectList: objs}}, tenant.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, _ := tier.Venue(b.Name)
+	if err := v.Router().Pin("", def); err != nil {
+		t.Fatal(err)
+	}
+	return tier, v
+}
 
 // TestHotSwapUnderLoad hammers the query endpoints from several goroutines
 // while the main goroutine publishes 100 snapshot swaps through POST
@@ -51,13 +68,11 @@ func TestHotSwapUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv, err := server.NewFromBundle(b, "CIndex")
-	if err != nil {
-		t.Fatal(err)
-	}
 	objs := spacegen.Objects(sp, 7, 16)
-	srv.State().SetObjects(objs)
+	tier, _ := newBundleTier(t, b, "CIndex", objs)
+	srv := server.NewTenantServer(tier)
 	handler := srv.Handler()
+	serving := func() *tenant.Venue { v, _ := tier.Venue(b.Name); return v }
 	pts := workload.New(sp, 99).Points(4)
 
 	const swaps = 100
@@ -133,7 +148,7 @@ func TestHotSwapUnderLoad(t *testing.T) {
 		}(g)
 	}
 
-	initial := srv.Epoch()
+	initial := serving().Epoch()
 	for i := 0; i < swaps; i++ {
 		path := pathA
 		if i%2 == 0 {
@@ -165,15 +180,15 @@ func TestHotSwapUnderLoad(t *testing.T) {
 	if len(failures) > 0 {
 		t.Fatalf("%d query failures during swaps, first: %s", len(failures), failures[0])
 	}
-	if got := srv.Epoch(); got != initial+swaps {
+	if got := serving().Epoch(); got != initial+swaps {
 		t.Fatalf("final epoch %d, want %d", got, initial+swaps)
 	}
 	if n := srv.EncodeErrors(); n != 0 {
 		t.Fatalf("%d encode errors", n)
 	}
 	// The swapped-in state carried the serving POI set over.
-	if len(srv.State().Objects) != len(objs) {
-		t.Fatalf("objects not carried across swap: %d, want %d", len(srv.State().Objects), len(objs))
+	if len(serving().Objects) != len(objs) {
+		t.Fatalf("objects not carried across swap: %d, want %d", len(serving().Objects), len(objs))
 	}
 }
 
@@ -189,11 +204,8 @@ func TestSwapRejectsBadArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := server.NewFromBundle(b, "CIndex")
-	if err != nil {
-		t.Fatal(err)
-	}
-	handler := srv.Handler()
+	tier, v0 := newBundleTier(t, b, "CIndex", nil)
+	handler := server.NewTenantServer(tier).Handler()
 	post := func(body string) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
 		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/swap", strings.NewReader(body)))
@@ -218,10 +230,11 @@ func TestSwapRejectsBadArtifacts(t *testing.T) {
 	if rec := post(fmt.Sprintf(`{"path":%q}`, p)); rec.Code != http.StatusUnprocessableEntity {
 		t.Fatalf("missing default engine: %d", rec.Code)
 	}
-	if srv.Epoch() != 1 {
-		t.Fatalf("failed swaps advanced the epoch to %d", srv.Epoch())
+	cur, _ := tier.Venue("v")
+	if cur.Epoch() != 1 {
+		t.Fatalf("failed swaps advanced the epoch to %d", cur.Epoch())
 	}
-	if srv.State().Name != "v" {
-		t.Fatalf("failed swap replaced the state with %q", srv.State().Name)
+	if cur != v0 {
+		t.Fatalf("failed swap replaced the state with %q", cur.Origin)
 	}
 }

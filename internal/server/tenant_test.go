@@ -5,13 +5,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 
 	"indoorsq/internal/server"
-	"indoorsq/internal/snapshot/bundle"
 	"indoorsq/internal/spacegen"
 	"indoorsq/internal/tenant"
 	"indoorsq/internal/workload"
@@ -167,176 +164,6 @@ func TestTenantEndpoints(t *testing.T) {
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/venues/north/metrics", nil))
 	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `op="range"`) {
 		t.Fatalf("metrics: %d: %.200s", rec.Code, rec.Body.String())
-	}
-	if srv.EncodeErrors() != 0 {
-		t.Fatalf("%d encode errors", srv.EncodeErrors())
-	}
-}
-
-// TestTenantHotSwapTwoVenuesUnderLoad is the PR 8 hammer test lifted to two
-// venues: workers hammer both venues' routed query endpoints while the main
-// goroutine swaps both venues' snapshots concurrently. Zero failed and zero
-// mixed-generation responses allowed: every query answers 200/422 with an
-// engine from the serving set, per-venue infos always report that venue's
-// own door count (a cross-venue mix would mismatch), and per-venue epochs
-// never go backwards.
-func TestTenantHotSwapTwoVenuesUnderLoad(t *testing.T) {
-	tier := newTenantTier(t)
-	srv := server.NewTenantServer(tier)
-	h := srv.Handler()
-
-	dir := t.TempDir()
-	venueIDs := tier.VenueIDs()
-	doors := map[string]int{}
-	paths := map[string]string{}
-	points := map[string][]struct {
-		x, y  float64
-		floor int16
-	}{}
-	engineSet := map[string]bool{}
-	for _, n := range tenantTestEngines {
-		engineSet[n] = true
-	}
-	for _, id := range venueIDs {
-		v, _ := tier.Venue(id)
-		doors[id] = v.Space.NumDoors()
-		b, err := bundle.Build(id, v.Space, bundle.Options{Engines: tenantTestEngines, Gamma: v.Gamma})
-		if err != nil {
-			t.Fatal(err)
-		}
-		paths[id] = filepath.Join(dir, id+".isq")
-		if err := b.WriteFile(paths[id], true); err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range workload.New(v.Space, 3).Points(4) {
-			points[id] = append(points[id], struct {
-				x, y  float64
-				floor int16
-			}{p.X, p.Y, p.Floor})
-		}
-	}
-	if doors[venueIDs[0]] == doors[venueIDs[1]] {
-		t.Fatalf("venues share a door count (%d); the mix detector needs them distinct", doors[venueIDs[0]])
-	}
-
-	const swapsPerVenue = 40
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var failures []string
-	report := func(format string, args ...any) {
-		mu.Lock()
-		failures = append(failures, fmt.Sprintf(format, args...))
-		mu.Unlock()
-	}
-
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			lastEpoch := map[string]uint64{}
-			for i := 0; ; i++ {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				id := venueIDs[(g+i)%len(venueIDs)]
-				pts := points[id]
-				p := pts[i%len(pts)]
-				q := pts[(i+1)%len(pts)]
-				var url string
-				switch i % 4 {
-				case 0:
-					url = fmt.Sprintf("/v1/venues/%s/range?x=%g&y=%g&floor=%d&r=7", id, p.x, p.y, p.floor)
-				case 1:
-					url = fmt.Sprintf("/v1/venues/%s/knn?x=%g&y=%g&floor=%d&k=2", id, p.x, p.y, p.floor)
-				case 2:
-					url = fmt.Sprintf("/v1/venues/%s/spd?x=%g&y=%g&floor=%d&x2=%g&y2=%g&floor2=%d",
-						id, p.x, p.y, p.floor, q.x, q.y, q.floor)
-				case 3:
-					url = fmt.Sprintf("/v1/venues/%s/info", id)
-				}
-				rec := httptest.NewRecorder()
-				h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, url, nil))
-				if rec.Code != http.StatusOK && rec.Code != http.StatusUnprocessableEntity {
-					report("worker %d: %s -> %d: %s", g, url, rec.Code, rec.Body.String())
-					return
-				}
-				if rec.Code != http.StatusOK {
-					continue
-				}
-				if i%4 == 3 {
-					var info struct {
-						Venue string `json:"venue"`
-						Doors int    `json:"doors"`
-						Epoch uint64 `json:"epoch"`
-					}
-					if err := json.NewDecoder(rec.Body).Decode(&info); err != nil {
-						report("worker %d: info decode: %v", g, err)
-						return
-					}
-					if info.Venue != id || info.Doors != doors[id] {
-						report("worker %d: mixed state: asked %s (%d doors), got %s (%d doors)",
-							g, id, doors[id], info.Venue, info.Doors)
-						return
-					}
-					if info.Epoch < lastEpoch[id] {
-						report("worker %d: venue %s epoch went backwards %d -> %d", g, id, lastEpoch[id], info.Epoch)
-						return
-					}
-					lastEpoch[id] = info.Epoch
-				} else {
-					var resp struct {
-						Engine string `json:"engine"`
-					}
-					if err := json.NewDecoder(rec.Body).Decode(&resp); err != nil {
-						report("worker %d: %s decode: %v", g, url, err)
-						return
-					}
-					if !engineSet[resp.Engine] {
-						report("worker %d: %s served by unknown engine %q", g, url, resp.Engine)
-						return
-					}
-				}
-			}
-		}(g)
-	}
-
-	for i := 0; i < swapsPerVenue; i++ {
-		for _, id := range venueIDs {
-			body := strings.NewReader(fmt.Sprintf(`{"path":%q}`, paths[id]))
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/venues/"+id+"/swap", body))
-			if rec.Code != http.StatusOK {
-				t.Fatalf("swap %d of %s: %d: %s", i, id, rec.Code, rec.Body.String())
-			}
-			var resp struct {
-				Epoch  uint64 `json:"epoch"`
-				Origin string `json:"origin"`
-			}
-			if err := json.NewDecoder(rec.Body).Decode(&resp); err != nil {
-				t.Fatalf("swap %d of %s: decode: %v", i, id, err)
-			}
-			if resp.Epoch != uint64(i)+2 || resp.Origin != "snapshot" {
-				t.Fatalf("swap %d of %s: epoch %d origin %q", i, id, resp.Epoch, resp.Origin)
-			}
-		}
-	}
-	close(done)
-	wg.Wait()
-
-	if len(failures) > 0 {
-		t.Fatalf("%d failures during two-venue swaps, first: %s", len(failures), failures[0])
-	}
-	for _, id := range venueIDs {
-		v, _ := tier.Venue(id)
-		if v.Epoch() != swapsPerVenue+1 {
-			t.Fatalf("venue %s final epoch %d, want %d", id, v.Epoch(), swapsPerVenue+1)
-		}
-		if len(v.Objects) != 16 {
-			t.Fatalf("venue %s lost its objects across swaps: %d", id, len(v.Objects))
-		}
 	}
 	if srv.EncodeErrors() != 0 {
 		t.Fatalf("%d encode errors", srv.EncodeErrors())

@@ -13,7 +13,7 @@ import (
 // +Inf) must produce a clean 500 with a JSON error body — not a truncated
 // 200 whose WriteHeader already went out with the first encoded bytes.
 func TestWriteJSONUnencodablePayload(t *testing.T) {
-	s := &Server{}
+	s := &TenantServer{}
 	rec := httptest.NewRecorder()
 	s.writeJSON(rec, http.StatusOK, map[string]any{
 		"pad": make([]int, 4096), // force the old streaming path past its first flush
@@ -37,7 +37,7 @@ func TestWriteJSONUnencodablePayload(t *testing.T) {
 // TestWriteJSONSuccessAtomic pins the happy path: the requested status and
 // the complete body arrive together.
 func TestWriteJSONSuccessAtomic(t *testing.T) {
-	s := &Server{}
+	s := &TenantServer{}
 	rec := httptest.NewRecorder()
 	s.writeJSON(rec, http.StatusTeapot, map[string]any{"ok": true})
 	if rec.Code != http.StatusTeapot {

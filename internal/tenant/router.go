@@ -192,6 +192,29 @@ func (r *Router) Unpin(op string) {
 	}
 }
 
+// Pins returns a copy of the override table (op -> engine).
+func (r *Router) Pins() map[string]string {
+	cur := *r.pins.Load()
+	out := make(map[string]string, len(cur))
+	for k, v := range cur {
+		out[k] = v
+	}
+	return out
+}
+
+// Default returns the engine every query class is pinned to — the
+// single-venue default engine — or "" when any class routes by cost.
+func (r *Router) Default() string {
+	pins := *r.pins.Load()
+	def := pins[RoutedOps[0]]
+	for _, op := range RoutedOps[1:] {
+		if pins[op] != def {
+			return ""
+		}
+	}
+	return def
+}
+
 // PrimeBaseline marks the registry's current counts as already seen, so the
 // first evidence window folds only traffic arriving after the call. Used
 // when a swap replaces a venue's router over its persistent registry.

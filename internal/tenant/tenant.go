@@ -1,12 +1,15 @@
-// Package tenant is the multi-venue serving tier: N venues hashed across M
-// shards, each shard holding an immutable generation of its venues behind an
-// atomic pointer (the PR 8 hot-swap discipline, lifted from one venue to a
-// shard map) plus one bounded exec.Pool for batch work. Venues boot from any
-// of the three sources the repo knows — a benchmark dataset, a spacegen
-// seed, or a snapshot bundle — and each carries a persistent control block
-// (metrics registry, cost-based Router, epoch counter) that survives
-// generation swaps, so routing evidence accumulated before a swap keeps
-// steering traffic after it.
+// Package tenant is the serving tier: N venues (one, for a single-venue
+// deployment) hashed across M shards, each shard holding an immutable
+// generation of its venues behind an atomic pointer plus one bounded
+// exec.Pool for batch work. Venues boot from a prebuilt bundle, a snapshot
+// artifact, a benchmark dataset, or a spacegen seed.
+//
+// A generation is one atomic unit: the space, its engines, the POI set, the
+// cost-based Router, the continuous-query stream and the epoch are all
+// fields of the one *Venue a request loads, so no response can pair one
+// generation's answer with another's epoch or stream. The per-venue control
+// block (metrics registry, reload path) outlives swaps, so routing evidence
+// accumulated before a swap keeps steering traffic after it.
 package tenant
 
 import (
@@ -20,10 +23,13 @@ import (
 	"time"
 
 	"indoorsq/internal/dataset"
+	"indoorsq/internal/doorgraph"
 	"indoorsq/internal/exec"
 	"indoorsq/internal/indoor"
+	"indoorsq/internal/moving"
 	"indoorsq/internal/obs"
 	"indoorsq/internal/query"
+	"indoorsq/internal/reach"
 	"indoorsq/internal/snapshot/bundle"
 	"indoorsq/internal/spacegen"
 )
@@ -34,10 +40,14 @@ import (
 var ErrUnknownEngine = errors.New("tenant: unknown engine")
 
 // VenueSpec describes one venue to boot. Exactly one source wins, checked in
-// order: Snapshot (a bundle artifact path), Dataset (a benchmark dataset
-// name), else GenSeed/GenParams (a generated venue).
+// order: Bundle (prebuilt or already loaded; the tier takes ownership and
+// installs the venue's objects on its engines), Snapshot (a bundle artifact
+// path), Dataset (a benchmark dataset name), else GenSeed/GenParams (a
+// generated venue). Snapshot is also the artifact a path-less swap reloads,
+// whichever source booted the venue.
 type VenueSpec struct {
 	ID        string
+	Bundle    *bundle.Bundle
 	Snapshot  string
 	Dataset   string
 	GenSeed   int64
@@ -53,6 +63,8 @@ type VenueSpec struct {
 	// from GenSeed) into every engine at boot. 0 boots empty.
 	Objects    int
 	ObjectSeed int64
+	// ObjectList, when non-nil, is the POI set to serve instead.
+	ObjectList []query.Object
 }
 
 // Options configures the tier.
@@ -80,24 +92,32 @@ type Venue struct {
 	Gamma   int
 	Objects []query.Object
 
-	// Provenance, as on server.ServingState.
+	// Provenance: Origin is "build" or "snapshot"; Fingerprint the space's
+	// topology hash; FormatVersion the snapshot format of the artifact.
 	Origin        string
 	Fingerprint   uint64
 	FormatVersion uint32
 
 	engineList []string // canonical order
-	ctl        *venueCtl
+	// router is shared with the previous generation unless the swap
+	// changed the engine set.
+	router *Router
+	// stream is this generation's continuous-query stream. Monitors cache
+	// topology-bound door-distance fields, so a swap closes it and the next
+	// generation starts empty.
+	stream *moving.Stream
+	// epoch is 1 at boot and the previous generation's epoch + 1 after.
+	epoch uint64
+	ctl   *venueCtl
 }
 
 // venueCtl is the per-venue state that persists across generation swaps:
-// the metrics registry the routing evidence lives in, the router itself
-// (replaced only when a swap changes the engine set), and the venue epoch.
+// the metrics registry the routing evidence lives in, the router seed, and
+// the artifact a path-less swap reloads.
 type venueCtl struct {
-	id     string
-	seed   int64
-	reg    *obs.Registry
-	router atomic.Pointer[Router]
-	epoch  atomic.Uint64
+	seed     int64
+	reg      *obs.Registry
+	snapshot string
 }
 
 // Shard owns a disjoint subset of the venues: an atomically published
@@ -110,7 +130,7 @@ type Shard struct {
 	gen atomic.Pointer[map[string]*Venue]
 }
 
-// Tier is the multi-venue serving tier.
+// Tier is the serving tier: one or more venues across shards.
 type Tier struct {
 	opts   Options
 	shards []*Shard
@@ -173,7 +193,6 @@ func New(specs []VenueSpec, opts Options) (*Tier, error) {
 	for _, v := range venues {
 		maps[shardIndex(v.ID, opts.Shards)][v.ID] = v
 		t.ids = append(t.ids, v.ID)
-		v.ctl.epoch.Store(1)
 	}
 	sort.Strings(t.ids)
 	for i := range t.shards {
@@ -185,10 +204,11 @@ func New(specs []VenueSpec, opts Options) (*Tier, error) {
 
 // buildVenue constructs one venue generation plus its control block.
 func (t *Tier) buildVenue(spec VenueSpec) (*Venue, error) {
-	var b *bundle.Bundle
+	b := spec.Bundle
 	var err error
 	gamma := spec.Gamma
 	switch {
+	case b != nil:
 	case spec.Snapshot != "":
 		b, err = bundle.LoadFile(spec.Snapshot)
 	case spec.Dataset != "":
@@ -213,8 +233,11 @@ func (t *Tier) buildVenue(spec VenueSpec) (*Venue, error) {
 	if err != nil {
 		return nil, err
 	}
-	var objs []query.Object
-	if spec.Objects > 0 {
+	if b.Space == nil || len(b.Engines) == 0 {
+		return nil, errors.New("bundle has no space or no engines")
+	}
+	objs := spec.ObjectList
+	if objs == nil && spec.Objects > 0 {
 		objSeed := spec.ObjectSeed
 		if objSeed == 0 {
 			objSeed = spec.GenSeed*31 + 7
@@ -222,13 +245,69 @@ func (t *Tier) buildVenue(spec VenueSpec) (*Venue, error) {
 		objs = spacegen.Objects(b.Space, objSeed, spec.Objects)
 	}
 	ctl := &venueCtl{
-		id:   spec.ID,
-		seed: t.opts.Seed ^ int64(fnvHash(spec.ID)),
-		reg:  obs.NewRegistry(),
+		seed:     t.opts.Seed ^ int64(fnvHash(spec.ID)),
+		reg:      obs.NewRegistry(),
+		snapshot: spec.Snapshot,
 	}
 	v := adoptBundle(spec.ID, b, objs, ctl)
-	ctl.router.Store(NewRouter(v.engineList, ctl.reg, ctl.seed, t.opts.Router))
+	v.router = NewRouter(v.engineList, ctl.reg, ctl.seed, t.opts.Router)
+	v.epoch = 1
+	t.registerGauges(spec.ID, ctl.reg)
 	return v, nil
+}
+
+// registerGauges publishes the layer gauges on a venue's registry next to
+// its per-query series, so one scrape shows every layer of a query's cost:
+// the serving epoch, the distance cache and monitor population of whatever
+// generation is published at scrape time, and the process-wide door-graph,
+// reach and moving-object counters.
+func (t *Tier) registerGauges(id string, reg *obs.Registry) {
+	cur := func(get func(v *Venue) float64) func() float64 {
+		return func() float64 {
+			if v, ok := t.Venue(id); ok {
+				return get(v)
+			}
+			return 0
+		}
+	}
+	dc := func(get func(dc *indoor.DistCache) float64) func() float64 {
+		return cur(func(v *Venue) float64 {
+			if dc := v.Space.DistCache(); dc != nil {
+				return get(dc)
+			}
+			return 0
+		})
+	}
+	i64 := func(get func() int64) func() float64 { return func() float64 { return float64(get()) } }
+	dm, rm, mm := &doorgraph.Metrics, &reach.Metrics, &moving.Metrics
+	for name, fn := range map[string]func() float64{
+		"isq_serving_epoch":           cur(func(v *Venue) float64 { return float64(v.epoch) }),
+		"isq_distcache_hits_total":    dc(func(dc *indoor.DistCache) float64 { return float64(dc.Stats().Hits) }),
+		"isq_distcache_misses_total":  dc(func(dc *indoor.DistCache) float64 { return float64(dc.Stats().Misses) }),
+		"isq_distcache_fills_total":   dc(func(dc *indoor.DistCache) float64 { return float64(dc.Stats().Fills) }),
+		"isq_distcache_size_bytes":    dc(func(dc *indoor.DistCache) float64 { return float64(dc.SizeBytes()) }),
+		"isq_doorgraph_sweeps_total":  i64(dm.Sweeps.Load),
+		"isq_doorgraph_settled_total": i64(dm.Settled.Load),
+		"isq_doorgraph_doors":         i64(dm.Doors.Load),
+		"isq_doorgraph_edges":         i64(dm.Edges.Load),
+		"isq_doorgraph_size_bytes":    i64(dm.Bytes.Load),
+		"isq_reach_sccs":              i64(rm.SCCs.Load),
+		"isq_reach_summary_bytes":     i64(rm.SummaryBytes.Load),
+		"isq_reach_prune_hits":        i64(rm.PruneHits.Load),
+		"isq_reach_prune_skips":       i64(rm.PruneSkips.Load),
+		// The touched quantiles summarize the inverted index's selectivity:
+		// how many monitors each update actually reached.
+		"isq_moving_updates_total":  i64(mm.Updates.Load),
+		"isq_moving_batches_total":  i64(mm.Batches.Load),
+		"isq_moving_events_total":   i64(mm.Events.Load),
+		"isq_moving_shard_inflight": i64(mm.ShardInFlight.Load),
+		"isq_moving_touched_p50":    func() float64 { return float64(mm.Touched.Quantile(0.50)) },
+		"isq_moving_touched_p95":    func() float64 { return float64(mm.Touched.Quantile(0.95)) },
+		"isq_moving_monitors":       cur(func(v *Venue) float64 { return float64(v.stream.NumQueries()) }),
+		"isq_moving_objects":        cur(func(v *Venue) float64 { return float64(v.stream.NumObjects()) }),
+	} {
+		reg.RegisterGauge(name, fn)
+	}
 }
 
 func fnvHash(s string) uint64 {
@@ -238,7 +317,9 @@ func fnvHash(s string) uint64 {
 }
 
 // adoptBundle turns a bundle into a venue generation: objects are installed
-// on the (not yet published) engines, provenance is carried over.
+// on the (not yet published) engines, provenance is carried over, and the
+// generation gets a fresh continuous-query stream over its space. The
+// caller sets the router and the epoch.
 func adoptBundle(id string, b *bundle.Bundle, objs []query.Object, ctl *venueCtl) *Venue {
 	for _, e := range b.Engines {
 		e.SetObjects(objs)
@@ -253,6 +334,7 @@ func adoptBundle(id string, b *bundle.Bundle, objs []query.Object, ctl *venueCtl
 		Fingerprint:   b.Fingerprint,
 		FormatVersion: b.FormatVersion,
 		engineList:    b.EngineList(),
+		stream:        moving.NewStream(b.Space, moving.StreamOptions{}),
 		ctl:           ctl,
 	}
 }
@@ -273,13 +355,18 @@ func (t *Tier) Venue(id string) (*Venue, bool) {
 	return v, ok
 }
 
-// SwapSnapshot loads a bundle artifact and publishes it as the venue's next
-// generation: the serving object set is carried over, the control block
-// (registry, router, epoch) persists, and only the shard map pointer moves —
-// requests in flight finish on the generation they loaded. If the artifact
-// changes the venue's engine set the router is replaced (its evidence keyed
-// the old set) and primed so pre-swap traffic doesn't leak into the first
-// window of the new one.
+// SwapSnapshot loads a bundle artifact (path "" reloads the venue's
+// VenueSpec.Snapshot) and publishes it as the venue's next generation: the
+// serving object set and the control block carry over, the epoch advances
+// by one, and one shard-map store publishes the whole generation. Requests
+// in flight finish on the generation they loaded. The previous generation's
+// stream is closed after the publish, so a request still holding it fails
+// with moving.ErrStreamClosed instead of touching the new one.
+//
+// Pins are part of the serving contract: an artifact lacking a pinned
+// engine is refused. If the artifact changes the engine set the router is
+// replaced (its evidence keyed the old set), primed so pre-swap traffic
+// doesn't leak into its first window, and given the old router's pins.
 func (t *Tier) SwapSnapshot(id, path string) (*Venue, error) {
 	sh := t.shards[shardIndex(id, len(t.shards))]
 	sh.mu.Lock()
@@ -289,15 +376,34 @@ func (t *Tier) SwapSnapshot(id, path string) (*Venue, error) {
 	if !ok {
 		return nil, fmt.Errorf("tenant: unknown venue %q", id)
 	}
+	if path == "" {
+		path = v.ctl.snapshot
+	}
+	if path == "" {
+		return nil, fmt.Errorf("tenant: venue %q has no snapshot path to reload", id)
+	}
 	b, err := bundle.LoadFile(path)
 	if err != nil {
 		return nil, err
 	}
+	pins := v.router.Pins()
+	for op, eng := range pins {
+		if _, ok := b.Engines[eng]; !ok {
+			return nil, fmt.Errorf("tenant: snapshot %s lacks engine %q pinned for %s (has %v)",
+				path, eng, op, b.EngineList())
+		}
+	}
 	nv := adoptBundle(id, b, v.Objects, v.ctl)
+	nv.epoch = v.epoch + 1
+	nv.router = v.router
 	if !equalStrings(v.engineList, nv.engineList) {
-		r := NewRouter(nv.engineList, v.ctl.reg, v.ctl.seed, t.opts.Router)
-		r.PrimeBaseline()
-		v.ctl.router.Store(r)
+		nv.router = NewRouter(nv.engineList, v.ctl.reg, v.ctl.seed, t.opts.Router)
+		nv.router.PrimeBaseline()
+		for op, eng := range pins {
+			if err := nv.router.Pin(op, eng); err != nil {
+				return nil, err
+			}
+		}
 	}
 	next := make(map[string]*Venue, len(cur))
 	for k, vv := range cur {
@@ -305,7 +411,7 @@ func (t *Tier) SwapSnapshot(id, path string) (*Venue, error) {
 	}
 	next[id] = nv
 	sh.gen.Store(&next)
-	v.ctl.epoch.Add(1)
+	v.stream.Close()
 	return nv, nil
 }
 
@@ -324,14 +430,18 @@ func equalStrings(a, b []string) bool {
 // EngineList returns the venue's engine names in canonical order.
 func (v *Venue) EngineList() []string { return append([]string(nil), v.engineList...) }
 
-// Router returns the venue's current router.
-func (v *Venue) Router() *Router { return v.ctl.router.Load() }
+// Router returns the generation's router.
+func (v *Venue) Router() *Router { return v.router }
+
+// Stream returns the generation's continuous-query stream (closed once a
+// swap has published the next generation).
+func (v *Venue) Stream() *moving.Stream { return v.stream }
 
 // Registry returns the venue's metrics registry (persists across swaps).
 func (v *Venue) Registry() *obs.Registry { return v.ctl.reg }
 
-// Epoch returns the venue's serving epoch: 1 at boot, +1 per swap.
-func (v *Venue) Epoch() uint64 { return v.ctl.epoch.Load() }
+// Epoch returns the generation's serving epoch: 1 at boot, +1 per swap.
+func (v *Venue) Epoch() uint64 { return v.epoch }
 
 // resolve picks the serving engine for one query of class op: an explicit
 // override wins (the deterministic knob), otherwise the router decides.

@@ -328,3 +328,63 @@ func TestTierConcurrentSwap(t *testing.T) {
 		t.Fatalf("expected epoch 6 after 5 swaps, got %d", cur.Epoch())
 	}
 }
+
+// TestTierSwapPins pins the swap contract for routing overrides: an
+// artifact lacking a pinned engine is refused without advancing the epoch,
+// and a swap that changes the engine set replaces the router but carries
+// every pin over. A path-less swap reloads the venue's own snapshot, and a
+// venue without one cannot reload.
+func TestTierSwapPins(t *testing.T) {
+	tier := newTestTier(t)
+	old, _ := tier.Venue("mall-a")
+	dir := t.TempDir()
+	write := func(name string, engines []string) string {
+		b, err := bundle.Build("mall-a", old.Space, bundle.Options{Engines: engines, Gamma: old.Gamma})
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := b.WriteFile(path, false); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	narrow := write("narrow.isnap", []string{"IDModel", "CIndex"})
+	noCIndex := write("no-cindex.isnap", []string{"IDModel", "IDIndex"})
+
+	if _, err := tier.SwapSnapshot("mall-a", ""); err == nil {
+		t.Fatal("path-less swap of a venue booted without a snapshot succeeded")
+	}
+	if err := old.Router().Pin(obs.OpRange, "CIndex"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tier.SwapSnapshot("mall-a", noCIndex); err == nil {
+		t.Fatal("swap to an artifact lacking the pinned engine succeeded")
+	}
+	if cur, _ := tier.Venue("mall-a"); cur != old || cur.Epoch() != 1 {
+		t.Fatalf("refused swap published epoch %d", cur.Epoch())
+	}
+
+	nv, err := tier.SwapSnapshot("mall-a", narrow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nv.Router() == old.Router() {
+		t.Fatal("engine-set change kept the old router")
+	}
+	if pins := nv.Router().Pins(); len(pins) != 1 || pins[obs.OpRange] != "CIndex" {
+		t.Fatalf("pins after router replacement: %v", pins)
+	}
+	if !old.Stream().Closed() || nv.Stream().Closed() {
+		t.Fatal("swap must close the retired generation's stream and only that one")
+	}
+
+	// A venue booted from a snapshot reloads it on a path-less swap.
+	snapTier, err := New([]VenueSpec{{ID: "mall-a", Snapshot: narrow}}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nv, err := snapTier.SwapSnapshot("mall-a", ""); err != nil || nv.Epoch() != 2 {
+		t.Fatalf("path-less reload: %v", err)
+	}
+}
