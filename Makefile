@@ -1,6 +1,7 @@
 # Development workflow. `make verify` is the tier-1 gate: build, vet,
-# formatting, the full test suite, and the race subset that hammers the
-# engines and the batch executor concurrently. `make verify-full` adds
+# formatting, the full test suite, the race subset that hammers the
+# engines and the batch executor concurrently, and the nested perfbench
+# module (which the root ./... patterns do not reach). `make verify-full` adds
 # the per-package coverage report and a fuzz smoke pass over every
 # native fuzz target.
 
@@ -16,9 +17,9 @@ FUZZ_TARGETS = \
 	./internal/enginetest:FuzzDifferentialEngines \
 	./internal/moving:FuzzMonitorStream
 
-.PHONY: verify verify-full build vet fmt-check test race cover fuzz-smoke bench-smoke bench-pr2 bench-pr3 bench-pr4 bench-pr6 bench-pr7 bench-pr7-smoke bench-pr8 bench-pr8-smoke bench-pr9 bench-pr9-smoke bench-pr10 bench-pr10-smoke
+.PHONY: verify verify-full build vet fmt-check test race perfbench-check cover fuzz-smoke bench-smoke bench-pr2 bench-pr3 bench-pr4 bench-pr6 bench-pr7 bench-pr7-smoke bench-pr8 bench-pr8-smoke bench-pr9 bench-pr9-smoke bench-pr10 bench-pr10-smoke
 
-verify: build vet fmt-check test race
+verify: build vet fmt-check test race perfbench-check
 
 verify-full: verify cover fuzz-smoke bench-smoke bench-pr7-smoke bench-pr8-smoke bench-pr9-smoke bench-pr10-smoke
 
@@ -39,6 +40,11 @@ test:
 
 race:
 	$(GO) test -race ./internal/enginetest/ ./internal/exec/ ./internal/obs/ ./internal/server/ ./internal/spacegen/ ./internal/oracle/ ./internal/doorgraph/ ./internal/reach/ ./internal/temporal/ ./internal/moving/ ./internal/tenant/
+
+# perfbench is its own module (perfbench/go.mod), so build/vet/test above
+# never compile it; it imports internal/query, the oracle and the server.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test -count=1 ./...
 
 # Per-package coverage, teed to COVER_REPORT.txt for review. The moving
 # package (the continuous-query engine) carries a hard floor: its harness

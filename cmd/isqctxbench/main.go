@@ -4,7 +4,7 @@
 //
 // "Untracked" runs the plain query entry points (SPD/Range/KNN), where
 // query.Track is a no-op and the amortized probe in Stats.Door is a single
-// nil check. "Tracked" runs the same queries through SPDCtx/RangeCtx/KNNCtx
+// nil check. "Tracked" runs the same queries through query.SPD/Range/KNN
 // under a live cancellable context (never cancelled), so every
 // query.CheckInterval door expansions pay a ctx.Err poll. A third SPD
 // variant additionally arms a generous work budget. The acceptance
@@ -114,7 +114,6 @@ func main() {
 
 	eng := cindex.New(sp)
 	eng.SetObjects(objs)
-	ec := query.AsCtx(eng)
 
 	// A live, never-cancelled context with a cancellable Done channel: the
 	// tracked side arms and pays the amortized ctx.Err probes.
@@ -146,7 +145,7 @@ func main() {
 			var st query.Stats
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := ec.SPDCtx(ctx, pts[i%len(pts)], pts[(i+1)%len(pts)], &st); err != nil && err != query.ErrUnreachable {
+				if _, err := query.SPD(ctx, eng, pts[i%len(pts)], pts[(i+1)%len(pts)], &st); err != nil && err != query.ErrUnreachable {
 					b.Fatal(err)
 				}
 			}
@@ -165,7 +164,7 @@ func main() {
 		var st query.Stats
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := ec.RangeCtx(liveCtx, pts[i%len(pts)], 40, &st); err != nil {
+			if _, err := query.Range(liveCtx, eng, pts[i%len(pts)], 40, &st); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -183,7 +182,7 @@ func main() {
 		var st query.Stats
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := ec.KNNCtx(liveCtx, pts[i%len(pts)], 10, &st); err != nil {
+			if _, err := query.KNN(liveCtx, eng, pts[i%len(pts)], 10, &st); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -241,7 +240,7 @@ func main() {
 		"runner": map[string]any{
 			"cpu":   cpuModel(),
 			"nproc": runtime.NumCPU(),
-			"note":  "untracked = plain SPD/Range/KNN entry points (Track no-op); tracked = SPDCtx/RangeCtx/KNNCtx under a live cancellable context, paying one ctx.Err poll per query.CheckInterval door expansions. spd_budget additionally arms generous MaxVisitedDoors/MaxWorkBytes limits. Space: RandomGridConcave grid, lazy distance cache pre-warmed on both sides.",
+			"note":  "untracked = plain SPD/Range/KNN entry points (Track no-op); tracked = query.SPD/Range/KNN under a live cancellable context, paying one ctx.Err poll per query.CheckInterval door expansions. spd_budget additionally arms generous MaxVisitedDoors/MaxWorkBytes limits. Space: RandomGridConcave grid, lazy distance cache pre-warmed on both sides.",
 		},
 		"space": map[string]any{
 			"rows": *rows, "cols": *cols, "floors": *floors,

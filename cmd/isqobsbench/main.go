@@ -2,7 +2,7 @@
 // layer on the hot query paths and writes the comparison to a JSON report
 // (BENCH_PR4.json).
 //
-// "Disabled" runs SPDCtx/RangeCtx/KNNCtx under a live context with no obs
+// "Disabled" runs query.SPD/Range/KNN under a live context with no obs
 // binding: query.Begin finds nothing and the per-query accounting is a
 // single context lookup. "Enabled" binds a live metrics registry to the
 // same context, so every query pays the series lookup, the counter deltas,
@@ -92,7 +92,6 @@ func main() {
 
 	eng := cindex.New(sp)
 	eng.SetObjects(objs)
-	ec := query.AsCtx(eng)
 
 	// A live, never-cancelled context: both sides pay the same amortized
 	// ctx.Err probes, isolating the obs delta from the PR3 tracking cost.
@@ -125,7 +124,7 @@ func main() {
 			var st query.Stats
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := ec.SPDCtx(ctx, pts[i%len(pts)], pts[(i+1)%len(pts)], &st); err != nil && err != query.ErrUnreachable {
+				if _, err := query.SPD(ctx, eng, pts[i%len(pts)], pts[(i+1)%len(pts)], &st); err != nil && err != query.ErrUnreachable {
 					b.Fatal(err)
 				}
 			}
@@ -138,7 +137,7 @@ func main() {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			ctx := obs.WithTrace(obsCtx, obs.NewTrace())
-			if _, err := ec.SPDCtx(ctx, pts[i%len(pts)], pts[(i+1)%len(pts)], &st); err != nil && err != query.ErrUnreachable {
+			if _, err := query.SPD(ctx, eng, pts[i%len(pts)], pts[(i+1)%len(pts)], &st); err != nil && err != query.ErrUnreachable {
 				b.Fatal(err)
 			}
 		}
@@ -148,7 +147,7 @@ func main() {
 			var st query.Stats
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := ec.RangeCtx(ctx, pts[i%len(pts)], 40, &st); err != nil {
+				if _, err := query.Range(ctx, eng, pts[i%len(pts)], 40, &st); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -159,7 +158,7 @@ func main() {
 			var st query.Stats
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := ec.KNNCtx(ctx, pts[i%len(pts)], 10, &st); err != nil {
+				if _, err := query.KNN(ctx, eng, pts[i%len(pts)], 10, &st); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -217,7 +216,7 @@ func main() {
 		"runner": map[string]any{
 			"cpu":   cpuModel(),
 			"nproc": runtime.NumCPU(),
-			"note":  "disabled = Ctx entry points under a live context with no obs binding (query.Begin finds nothing); enabled = same context with a live obs.Registry bound, paying the series lookup, counter deltas, and one histogram observation per query. spd_traced additionally binds a fresh obs.Trace per query (the /v1/trace shape). Space: RandomGridConcave grid, lazy distance cache pre-warmed on all sides.",
+			"note":  "disabled = query.SPD/Range/KNN under a live context with no obs binding (query.Begin finds nothing); enabled = same context with a live obs.Registry bound, paying the series lookup, counter deltas, and one histogram observation per query. spd_traced additionally binds a fresh obs.Trace per query (the /v1/trace shape). Space: RandomGridConcave grid, lazy distance cache pre-warmed on all sides.",
 		},
 		"space": map[string]any{
 			"rows": *rows, "cols": *cols, "floors": *floors,

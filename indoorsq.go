@@ -111,9 +111,6 @@ type (
 	Path = query.Path
 	// Stats carries per-query cost counters.
 	Stats = query.Stats
-	// EngineCtx is the context-aware query interface: cancellation,
-	// deadlines and work budgets honoured inside the traversal loops.
-	EngineCtx = query.EngineCtx
 	// Budget bounds a single query's work (doors, bytes, wall clock).
 	Budget = query.Budget
 	// DatasetInfo is a benchmark dataset with its tuned parameters.
@@ -139,9 +136,22 @@ var (
 // trips. A zero Budget constrains nothing.
 func WithBudget(ctx context.Context, b Budget) context.Context { return query.WithBudget(ctx, b) }
 
-// AsCtx returns e's native context-aware interface, or an entry-checked
-// adapter for engines that predate EngineCtx.
-func AsCtx(e Engine) EngineCtx { return query.AsCtx(e) }
+// Range runs e.Range under ctx: cancellation, deadlines and any WithBudget
+// budget are honoured inside the traversal loops, and an aborted query
+// returns the context's error or ErrBudgetExhausted.
+func Range(ctx context.Context, e Engine, p Point, r float64, st *Stats) ([]int32, error) {
+	return query.Range(ctx, e, p, r, st)
+}
+
+// KNN runs e.KNN under ctx, like Range.
+func KNN(ctx context.Context, e Engine, p Point, k int, st *Stats) ([]Neighbor, error) {
+	return query.KNN(ctx, e, p, k, st)
+}
+
+// SPD runs e.SPD under ctx, like Range.
+func SPD(ctx context.Context, e Engine, p, q Point, st *Stats) (Path, error) {
+	return query.SPD(ctx, e, p, q, st)
+}
 
 // NewBuilder starts assembling a space with the given floor count.
 func NewBuilder(name string, floors int) *Builder { return indoor.NewBuilder(name, floors) }
@@ -208,13 +218,6 @@ func NewTemporalCIndex(ix *CIndex, sch *Schedule, hour float64) *TemporalEngine 
 
 // EncodeSpace writes a JSON representation of a space.
 func EncodeSpace(w io.Writer, sp *Space) error { return indoor.EncodeSpace(w, sp) }
-
-// SaveIDIndex persists an IDIndex's precomputed matrices so a later process
-// can skip its (expensive) construction.
-func SaveIDIndex(w io.Writer, ix *IDIndex) error { return ix.Save(w) }
-
-// LoadIDIndex restores an IDIndex saved by SaveIDIndex over the same space.
-func LoadIDIndex(r io.Reader, sp *Space) (*IDIndex, error) { return idindex.Load(r, sp) }
 
 // DecodeSpace rebuilds a space from its JSON representation.
 func DecodeSpace(r io.Reader) (*Space, error) { return indoor.DecodeSpace(r) }

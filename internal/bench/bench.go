@@ -229,27 +229,24 @@ func (s *Suite) measure(eng query.Engine, n int, fn func(ctx context.Context, i 
 
 // MeasureRQ runs the range query over all points.
 func (s *Suite) MeasureRQ(eng query.Engine, pts []indoor.Point, r float64) (Measure, error) {
-	ec := query.AsCtx(eng)
 	return s.measure(eng, len(pts), func(ctx context.Context, i int, st *query.Stats) error {
-		_, err := ec.RangeCtx(ctx, pts[i], r, st)
+		_, err := query.Range(ctx, eng, pts[i], r, st)
 		return err
 	})
 }
 
 // MeasureKNN runs the kNN query over all points.
 func (s *Suite) MeasureKNN(eng query.Engine, pts []indoor.Point, k int) (Measure, error) {
-	ec := query.AsCtx(eng)
 	return s.measure(eng, len(pts), func(ctx context.Context, i int, st *query.Stats) error {
-		_, err := ec.KNNCtx(ctx, pts[i], k, st)
+		_, err := query.KNN(ctx, eng, pts[i], k, st)
 		return err
 	})
 }
 
 // MeasureSPD runs the fused shortest path/distance query over all pairs.
 func (s *Suite) MeasureSPD(eng query.Engine, pairs []workload.Pair) (Measure, error) {
-	ec := query.AsCtx(eng)
 	return s.measure(eng, len(pairs), func(ctx context.Context, i int, st *query.Stats) error {
-		_, err := ec.SPDCtx(ctx, pairs[i].P, pairs[i].Q, st)
+		_, err := query.SPD(ctx, eng, pairs[i].P, pairs[i].Q, st)
 		return err
 	})
 }

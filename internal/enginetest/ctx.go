@@ -17,7 +17,7 @@ import (
 // ctxFixture builds the engine over a multi-floor random grid with a
 // cross-floor SPDQ pair, so every query type must expand doors (and thus
 // pass the amortized cancellation probes) before it can answer.
-func ctxFixture(t *testing.T, build BuildFunc) (query.EngineCtx, indoor.Point, indoor.Point) {
+func ctxFixture(t *testing.T, build BuildFunc) (query.Engine, indoor.Point, indoor.Point) {
 	t.Helper()
 	sp := testspaces.RandomGrid(19, 5, 6, 2, 8, 0.1)
 	e := build(sp)
@@ -29,22 +29,22 @@ func ctxFixture(t *testing.T, build BuildFunc) (query.EngineCtx, indoor.Point, i
 		p = gen.Point()
 		q = gen.Point()
 	}
-	return query.AsCtx(e), p, q
+	return e, p, q
 }
 
 func cancellation(t *testing.T, build BuildFunc) {
-	ec, p, q := ctxFixture(t, build)
+	e, p, q := ctxFixture(t, build)
 
 	t.Run("BackgroundEquivalence", func(t *testing.T) {
 		// An uncancellable, budget-free context must not change answers.
 		var st1, st2 query.Stats
-		plain, err1 := ec.SPD(p, q, &st1)
-		ctxed, err2 := ec.SPDCtx(context.Background(), p, q, &st2)
+		plain, err1 := e.SPD(p, q, &st1)
+		ctxed, err2 := query.SPD(context.Background(), e, p, q, &st2)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("SPD errs: %v, %v", err1, err2)
 		}
 		if math.Abs(plain.Dist-ctxed.Dist) > tol {
-			t.Fatalf("SPDCtx(Background) = %g, SPD = %g", ctxed.Dist, plain.Dist)
+			t.Fatalf("query.SPD(Background) = %g, SPD = %g", ctxed.Dist, plain.Dist)
 		}
 		// Cache hit/miss counters legitimately differ (the first query warms
 		// the lazy distance cache); the traversal counters must not.
@@ -57,41 +57,41 @@ func cancellation(t *testing.T, build BuildFunc) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		var st query.Stats
-		if _, err := ec.RangeCtx(ctx, p, 1000, &st); !errors.Is(err, context.Canceled) {
-			t.Errorf("RangeCtx on cancelled ctx: err = %v, want Canceled", err)
+		if _, err := query.Range(ctx, e, p, 1000, &st); !errors.Is(err, context.Canceled) {
+			t.Errorf("query.Range on cancelled ctx: err = %v, want Canceled", err)
 		}
-		if _, err := ec.KNNCtx(ctx, p, 10, &st); !errors.Is(err, context.Canceled) {
-			t.Errorf("KNNCtx on cancelled ctx: err = %v, want Canceled", err)
+		if _, err := query.KNN(ctx, e, p, 10, &st); !errors.Is(err, context.Canceled) {
+			t.Errorf("query.KNN on cancelled ctx: err = %v, want Canceled", err)
 		}
-		if _, err := ec.SPDCtx(ctx, p, q, &st); !errors.Is(err, context.Canceled) {
-			t.Errorf("SPDCtx on cancelled ctx: err = %v, want Canceled", err)
+		if _, err := query.SPD(ctx, e, p, q, &st); !errors.Is(err, context.Canceled) {
+			t.Errorf("query.SPD on cancelled ctx: err = %v, want Canceled", err)
 		}
 	})
 
 	t.Run("ExpiredDeadline", func(t *testing.T) {
 		ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Millisecond))
 		defer cancel()
-		if _, err := ec.SPDCtx(ctx, p, q, nil); !errors.Is(err, context.DeadlineExceeded) {
-			t.Errorf("SPDCtx past deadline: err = %v, want DeadlineExceeded", err)
+		if _, err := query.SPD(ctx, e, p, q, nil); !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("query.SPD past deadline: err = %v, want DeadlineExceeded", err)
 		}
 	})
 
 	t.Run("DoorBudget", func(t *testing.T) {
 		ctx := query.WithBudget(context.Background(), query.Budget{MaxVisitedDoors: 1})
 		var st query.Stats
-		if _, err := ec.SPDCtx(ctx, p, q, &st); !errors.Is(err, query.ErrBudgetExhausted) {
-			t.Errorf("SPDCtx over door budget: err = %v, want ErrBudgetExhausted", err)
+		if _, err := query.SPD(ctx, e, p, q, &st); !errors.Is(err, query.ErrBudgetExhausted) {
+			t.Errorf("query.SPD over door budget: err = %v, want ErrBudgetExhausted", err)
 		}
 		if st.VisitedDoors < 1 {
 			t.Errorf("partial stats lost: VisitedDoors = %d, want >= 1", st.VisitedDoors)
 		}
 		st.Reset()
-		if _, err := ec.RangeCtx(ctx, p, 1000, &st); !errors.Is(err, query.ErrBudgetExhausted) {
-			t.Errorf("RangeCtx over door budget: err = %v, want ErrBudgetExhausted", err)
+		if _, err := query.Range(ctx, e, p, 1000, &st); !errors.Is(err, query.ErrBudgetExhausted) {
+			t.Errorf("query.Range over door budget: err = %v, want ErrBudgetExhausted", err)
 		}
 		st.Reset()
-		if _, err := ec.KNNCtx(ctx, p, 200, &st); !errors.Is(err, query.ErrBudgetExhausted) {
-			t.Errorf("KNNCtx over door budget: err = %v, want ErrBudgetExhausted", err)
+		if _, err := query.KNN(ctx, e, p, 200, &st); !errors.Is(err, query.ErrBudgetExhausted) {
+			t.Errorf("query.KNN over door budget: err = %v, want ErrBudgetExhausted", err)
 		}
 	})
 
@@ -99,8 +99,8 @@ func cancellation(t *testing.T, build BuildFunc) {
 		// The budget's own wall-clock cutoff works without a context deadline.
 		ctx := query.WithBudget(context.Background(),
 			query.Budget{Deadline: time.Now().Add(-time.Millisecond)})
-		if _, err := ec.SPDCtx(ctx, p, q, nil); !errors.Is(err, context.DeadlineExceeded) {
-			t.Errorf("SPDCtx past budget deadline: err = %v, want DeadlineExceeded", err)
+		if _, err := query.SPD(ctx, e, p, q, nil); !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("query.SPD past budget deadline: err = %v, want DeadlineExceeded", err)
 		}
 	})
 
@@ -111,8 +111,8 @@ func cancellation(t *testing.T, build BuildFunc) {
 			time.Hour)
 		defer cancel()
 		var st1, st2 query.Stats
-		plain, err1 := ec.SPD(p, q, &st1)
-		bounded, err2 := ec.SPDCtx(ctx, p, q, &st2)
+		plain, err1 := e.SPD(p, q, &st1)
+		bounded, err2 := query.SPD(ctx, e, p, q, &st2)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("SPD errs: %v, %v", err1, err2)
 		}
@@ -130,8 +130,8 @@ func cancellation(t *testing.T, build BuildFunc) {
 		for i := 0; i < 64; i++ {
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
-			_, _ = ec.SPDCtx(ctx, p, q, nil)
-			_, _ = ec.RangeCtx(ctx, p, 100, nil)
+			_, _ = query.SPD(ctx, e, p, q, nil)
+			_, _ = query.Range(ctx, e, p, 100, nil)
 		}
 		runtime.GC()
 		if after := runtime.NumGoroutine(); after > before+4 {

@@ -41,7 +41,7 @@ func diffParams(seed int64) spacegen.Params {
 
 // TestDifferentialVsOracle is the tentpole harness: for hundreds of
 // generated (seed, space, query) triples, all five engines — driven both
-// directly and through query.AsCtx — must match the brute-force oracle
+// directly and through query.Range/KNN/SPD — must match the brute-force oracle
 // exactly on every query type. It runs in short mode too; any divergence
 // prints the failing seed and generator parameters.
 func TestDifferentialVsOracle(t *testing.T) {
@@ -70,10 +70,8 @@ func runDifferential(t *testing.T, seed int64, params spacegen.Params, trials in
 	ref := oracle.New(sp)
 	ref.SetObjects(objs)
 	engines := allEngines(sp)
-	ctxEngines := make([]query.EngineCtx, len(engines))
-	for i, e := range engines {
+	for _, e := range engines {
 		e.SetObjects(objs)
-		ctxEngines[i] = query.AsCtx(e)
 	}
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(seed * 7919))
@@ -85,15 +83,15 @@ func runDifferential(t *testing.T, seed int64, params spacegen.Params, trials in
 	if _, err := ref.Range(out, 1, nil); !errors.Is(err, query.ErrNoHost) {
 		fail("oracle outdoor Range err = %v", err)
 	}
-	for i, e := range engines {
+	for _, e := range engines {
 		if _, err := e.Range(out, 1, &st); !errors.Is(err, query.ErrNoHost) {
 			fail("%s outdoor Range err = %v, want ErrNoHost", e.Name(), err)
 		}
 		if _, err := e.KNN(out, 1, &st); !errors.Is(err, query.ErrNoHost) {
 			fail("%s outdoor KNN err = %v, want ErrNoHost", e.Name(), err)
 		}
-		if _, err := ctxEngines[i].SPDCtx(ctx, out, out, &st); !errors.Is(err, query.ErrNoHost) {
-			fail("%s outdoor SPDCtx err = %v, want ErrNoHost", e.Name(), err)
+		if _, err := query.SPD(ctx, e, out, out, &st); !errors.Is(err, query.ErrNoHost) {
+			fail("%s outdoor query.SPD err = %v, want ErrNoHost", e.Name(), err)
 		}
 	}
 
@@ -114,7 +112,7 @@ func runDifferential(t *testing.T, seed int64, params spacegen.Params, trials in
 			if err != nil {
 				fail("trial %d: oracle Range(r=%g): %v", trial, r, err)
 			}
-			for i, e := range engines {
+			for _, e := range engines {
 				gotIDs, err := e.Range(p, r, &st)
 				if err != nil {
 					fail("trial %d: %s Range(r=%g): %v", trial, e.Name(), r, err)
@@ -123,9 +121,9 @@ func runDifferential(t *testing.T, seed int64, params spacegen.Params, trials in
 					fail("trial %d: %s Range(%v, r=%g) = %v, oracle %v",
 						trial, e.Name(), p, r, gotIDs, wantIDs)
 				}
-				gotCtx, err := ctxEngines[i].RangeCtx(ctx, p, r, &st)
+				gotCtx, err := query.Range(ctx, e, p, r, &st)
 				if err != nil || !sameIDs(gotCtx, wantIDs) {
-					fail("trial %d: %s RangeCtx(r=%g) = %v (%v), oracle %v",
+					fail("trial %d: %s query.Range(r=%g) = %v (%v), oracle %v",
 						trial, e.Name(), r, gotCtx, err, wantIDs)
 				}
 			}
@@ -137,15 +135,15 @@ func runDifferential(t *testing.T, seed int64, params spacegen.Params, trials in
 			if err != nil {
 				fail("trial %d: oracle KNN(k=%d): %v", trial, k, err)
 			}
-			for i, e := range engines {
+			for _, e := range engines {
 				gotKNN, err := e.KNN(p, k, &st)
 				if err != nil {
 					fail("trial %d: %s KNN(k=%d): %v", trial, e.Name(), k, err)
 				}
 				compareKNN(fail, trial, e.Name(), k, gotKNN, wantKNN)
-				gotCtx, err := ctxEngines[i].KNNCtx(ctx, p, k, &st)
+				gotCtx, err := query.KNN(ctx, e, p, k, &st)
 				if err != nil {
-					fail("trial %d: %s KNNCtx(k=%d): %v", trial, e.Name(), k, err)
+					fail("trial %d: %s query.KNN(k=%d): %v", trial, e.Name(), k, err)
 				}
 				compareKNN(fail, trial, e.Name()+"Ctx", k, gotCtx, wantKNN)
 			}
@@ -162,10 +160,10 @@ func runDifferential(t *testing.T, seed int64, params spacegen.Params, trials in
 		} else if !errors.Is(wantErr, query.ErrUnreachable) {
 			fail("trial %d: oracle SPD(%v -> %v): %v", trial, p, q, wantErr)
 		}
-		for i, e := range engines {
+		for _, e := range engines {
 			gotPath, err := e.SPD(p, q, &st)
 			comparePath(fail, sp, trial, e.Name(), gotPath, err, wantPath, wantErr)
-			gotCtx, err := ctxEngines[i].SPDCtx(ctx, p, q, &st)
+			gotCtx, err := query.SPD(ctx, e, p, q, &st)
 			comparePath(fail, sp, trial, e.Name()+"Ctx", gotCtx, err, wantPath, wantErr)
 		}
 	}

@@ -81,7 +81,7 @@ type Pool struct {
 	// from the batch context.
 	OpTimeout time.Duration
 	// Obs, when non-nil, is the metrics registry every op of a batch emits
-	// into (per engine × query type, via the engines' Ctx entry points). It
+	// into (per engine × query type, via query.Range/KNN/SPD). It
 	// composes with any obs binding already on the batch context: an
 	// incoming trace is kept, the registry is overridden.
 	Obs *obs.Registry
@@ -150,7 +150,6 @@ func (p *Pool) RunCtx(ctx context.Context, eng query.Engine, ops []Op) ([]Result
 		batchCtx, abort = context.WithCancel(ctx)
 		defer abort()
 	}
-	ec := query.AsCtx(eng)
 	results := make([]Result, len(ops))
 	start := time.Now()
 	merged, _ := p.MapCtx(batchCtx, len(ops), func(opCtx context.Context, i int, st *query.Stats) error {
@@ -170,11 +169,11 @@ func (p *Pool) RunCtx(ctx context.Context, eng query.Engine, ops []Op) ([]Result
 		t0 := time.Now()
 		switch ops[i].Kind {
 		case RangeQ:
-			r.IDs, r.Err = ec.RangeCtx(opCtx, ops[i].P, ops[i].R, &own)
+			r.IDs, r.Err = query.Range(opCtx, eng, ops[i].P, ops[i].R, &own)
 		case KNNQ:
-			r.Neighbors, r.Err = ec.KNNCtx(opCtx, ops[i].P, ops[i].K, &own)
+			r.Neighbors, r.Err = query.KNN(opCtx, eng, ops[i].P, ops[i].K, &own)
 		case SPDQ:
-			r.Path, r.Err = ec.SPDCtx(opCtx, ops[i].P, ops[i].Q, &own)
+			r.Path, r.Err = query.SPD(opCtx, eng, ops[i].P, ops[i].Q, &own)
 		}
 		done()
 		r.Elapsed = time.Since(t0)
@@ -253,7 +252,7 @@ func (p *Pool) Map(n int, fn func(i int, st *query.Stats) error) (query.Stats, e
 
 // MapCtx is Map with a context threaded to every invocation. It does not
 // skip items itself: once ctx is cancelled each remaining fn call is
-// expected to notice (engine ...Ctx entry points fail immediately on a
+// expected to notice (query.Range/KNN/SPD fail immediately on a
 // cancelled context), which keeps Map's contract — every index runs, the
 // lowest-index error wins — while the batch drains in microseconds.
 func (p *Pool) MapCtx(ctx context.Context, n int, fn func(ctx context.Context, i int, st *query.Stats) error) (query.Stats, error) {

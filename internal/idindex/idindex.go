@@ -11,7 +11,6 @@
 package idindex
 
 import (
-	"context"
 	"math"
 	"sort"
 
@@ -289,7 +288,7 @@ func (ix *Index) KNN(p indoor.Point, k int, st *query.Stats) ([]query.Neighbor, 
 	if !ok {
 		return nil, query.ErrNoHost
 	}
-	tk := query.NewTopK(k)
+	tk := query.NewTopK(k, ix.store.Len())
 	for _, i := range ix.store.Bucket(v0) {
 		o := ix.store.At(i)
 		tk.Offer(o.ID, ix.sp.WithinPoints(v0, p, o.Loc))
@@ -400,46 +399,6 @@ func (ix *Index) SPD(p, q indoor.Point, st *query.Stats) (query.Path, error) {
 	}
 	st.Alloc(int64(len(doors)) * 4)
 	return query.Path{Source: p, Target: q, Doors: doors, Dist: best}, nil
-}
-
-// RangeCtx implements query.EngineCtx: Range bounded by ctx and any
-// attached query.Budget, observed by any attached obs binding.
-func (ix *Index) RangeCtx(ctx context.Context, p indoor.Point, r float64, st *query.Stats) (ids []int32, err error) {
-	st, done := query.Begin(ctx, ix.Name(), obs.OpRange, st)
-	if done != nil {
-		defer func() { done(err) }()
-	}
-	if err = st.Interrupted(); err != nil {
-		return nil, err
-	}
-	ids, err = ix.Range(p, r, st)
-	return ids, err
-}
-
-// KNNCtx implements query.EngineCtx.
-func (ix *Index) KNNCtx(ctx context.Context, p indoor.Point, k int, st *query.Stats) (nn []query.Neighbor, err error) {
-	st, done := query.Begin(ctx, ix.Name(), obs.OpKNN, st)
-	if done != nil {
-		defer func() { done(err) }()
-	}
-	if err = st.Interrupted(); err != nil {
-		return nil, err
-	}
-	nn, err = ix.KNN(p, k, st)
-	return nn, err
-}
-
-// SPDCtx implements query.EngineCtx.
-func (ix *Index) SPDCtx(ctx context.Context, p, q indoor.Point, st *query.Stats) (path query.Path, err error) {
-	st, done := query.Begin(ctx, ix.Name(), obs.OpSPD, st)
-	if done != nil {
-		defer func() { done(err) }()
-	}
-	if err = st.Interrupted(); err != nil {
-		return query.Path{}, err
-	}
-	path, err = ix.SPD(p, q, st)
-	return path, err
 }
 
 // ensureStore lazily creates an empty object store.

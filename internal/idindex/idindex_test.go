@@ -1,7 +1,6 @@
 package idindex_test
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -192,24 +191,5 @@ func TestCompactHalvesMatrixMemory(t *testing.T) {
 				t.Fatalf("distance mismatch at (%d,%d): %g vs %g", d1, d2, a, b)
 			}
 		}
-	}
-}
-
-func TestCompactSaveLoad(t *testing.T) {
-	f := testspaces.NewStrip()
-	built := idindex.NewCompact(f.Space)
-	var buf bytes.Buffer
-	if err := built.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := idindex.Load(&buf, f.Space)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.SizeBytes() != built.SizeBytes() {
-		t.Fatalf("size differs after load: %d vs %d", loaded.SizeBytes(), built.SizeBytes())
-	}
-	if loaded.DoorDist(f.D1, f.D4) != built.DoorDist(f.D1, f.D4) {
-		t.Fatal("distances differ after load")
 	}
 }

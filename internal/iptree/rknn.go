@@ -460,7 +460,7 @@ func (t *Tree) KNN(p indoor.Point, k int, st *query.Stats) ([]query.Neighbor, er
 	if k <= 0 {
 		return nil, nil
 	}
-	tk := query.NewTopK(k)
+	tk := query.NewTopK(k, t.store.Len())
 	err := t.forEachLeafByBound(p, st,
 		tk.Bound,
 		func(id int32, dist float64) { tk.Offer(id, dist) })

@@ -300,7 +300,7 @@ func (s *Stream) initialEval(q *stQuery, t float64) []Event {
 		}
 		return events
 	}
-	tk := query.NewTopK(q.k)
+	tk := query.NewTopK(q.k, len(cands))
 	for _, c := range cands {
 		q.dists[c.id] = c.d
 		tk.Offer(c.id, c.d)
@@ -681,7 +681,7 @@ func (q *stQuery) foldKNN(evs []Event, d *delta) []Event {
 			}
 		}
 	}
-	tk := query.NewTopK(q.k)
+	tk := query.NewTopK(q.k, len(q.dists))
 	for id, dd := range q.dists {
 		tk.Offer(id, dd)
 	}

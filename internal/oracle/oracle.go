@@ -12,7 +12,7 @@
 // agreement between an engine and the oracle is strong evidence the
 // engine's shortcuts are sound. It implements query.Engine, so the
 // differential harness drives it exactly like the engines, including
-// through the query.AsCtx adapter.
+// through query.Range/KNN/SPD.
 package oracle
 
 import (

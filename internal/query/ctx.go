@@ -44,8 +44,8 @@ func (b Budget) zero() bool {
 // budgetKey is the context key under which a Budget travels.
 type budgetKey struct{}
 
-// WithBudget returns a context carrying the work budget b. Engines honor it
-// on their ...Ctx entry points; exceeding it surfaces as ErrBudgetExhausted.
+// WithBudget returns a context carrying the work budget b. Range, KNN and
+// SPD honor it; exceeding it surfaces as ErrBudgetExhausted.
 func WithBudget(ctx context.Context, b Budget) context.Context {
 	return context.WithValue(ctx, budgetKey{}, b)
 }
@@ -222,67 +222,43 @@ func Begin(ctx context.Context, engine, op string, st *Stats) (*Stats, func(err 
 	}
 }
 
-// EngineCtx extends Engine with context-aware entry points. All five engines
-// implement it natively; AsCtx adapts anything else. The contract: the
-// query observes ctx cancellation, ctx deadline, and any WithBudget budget
-// within ~CheckInterval door expansions, returning the context's error or
-// ErrBudgetExhausted with whatever partial Stats accumulated.
-type EngineCtx interface {
-	Engine
-	// RangeCtx is Range bounded by ctx.
-	RangeCtx(ctx context.Context, p indoor.Point, r float64, st *Stats) ([]int32, error)
-	// KNNCtx is KNN bounded by ctx.
-	KNNCtx(ctx context.Context, p indoor.Point, k int, st *Stats) ([]Neighbor, error)
-	// SPDCtx is SPD bounded by ctx.
-	SPDCtx(ctx context.Context, p, q indoor.Point, st *Stats) (Path, error)
-}
-
-// AsCtx returns e's native EngineCtx implementation when it has one, or a
-// generic shim otherwise. The shim works for any engine that threads st
-// through its traversal (all of ours do): Track rides the Stats pointer into
-// the hot loops, so cancellation needs no engine-specific code.
-func AsCtx(e Engine) EngineCtx {
-	if ec, ok := e.(EngineCtx); ok {
-		return ec
-	}
-	return ctxShim{e}
-}
-
-// ctxShim adapts a plain Engine to EngineCtx via Track.
-type ctxShim struct{ Engine }
-
-func (s ctxShim) RangeCtx(ctx context.Context, p indoor.Point, r float64, st *Stats) (ids []int32, err error) {
-	st, done := Begin(ctx, s.Engine.Name(), obs.OpRange, st)
+// Range is e.Range bounded by ctx and observed: the query stops with the
+// context's error or ErrBudgetExhausted (keeping whatever partial Stats
+// accumulated) within ~CheckInterval door expansions of ctx being cancelled,
+// its deadline passing, or a WithBudget budget running out, and any obs
+// binding on ctx records it under e.Name(). Cancellation rides st into the
+// engine's traversal, so this one wrapper serves every engine.
+func Range(ctx context.Context, e Engine, p indoor.Point, r float64, st *Stats) (ids []int32, err error) {
+	st, done := Begin(ctx, e.Name(), obs.OpRange, st)
 	if done != nil {
 		defer func() { done(err) }()
 	}
 	if err = st.Interrupted(); err != nil {
 		return nil, err
 	}
-	ids, err = s.Engine.Range(p, r, st)
-	return ids, err
+	return e.Range(p, r, st)
 }
 
-func (s ctxShim) KNNCtx(ctx context.Context, p indoor.Point, k int, st *Stats) (nn []Neighbor, err error) {
-	st, done := Begin(ctx, s.Engine.Name(), obs.OpKNN, st)
+// KNN is e.KNN bounded by ctx and observed, like Range.
+func KNN(ctx context.Context, e Engine, p indoor.Point, k int, st *Stats) (nn []Neighbor, err error) {
+	st, done := Begin(ctx, e.Name(), obs.OpKNN, st)
 	if done != nil {
 		defer func() { done(err) }()
 	}
 	if err = st.Interrupted(); err != nil {
 		return nil, err
 	}
-	nn, err = s.Engine.KNN(p, k, st)
-	return nn, err
+	return e.KNN(p, k, st)
 }
 
-func (s ctxShim) SPDCtx(ctx context.Context, p, q indoor.Point, st *Stats) (path Path, err error) {
-	st, done := Begin(ctx, s.Engine.Name(), obs.OpSPD, st)
+// SPD is e.SPD bounded by ctx and observed, like Range.
+func SPD(ctx context.Context, e Engine, p, q indoor.Point, st *Stats) (path Path, err error) {
+	st, done := Begin(ctx, e.Name(), obs.OpSPD, st)
 	if done != nil {
 		defer func() { done(err) }()
 	}
 	if err = st.Interrupted(); err != nil {
 		return Path{}, err
 	}
-	path, err = s.Engine.SPD(p, q, st)
-	return path, err
+	return e.SPD(p, q, st)
 }

@@ -14,7 +14,7 @@ func FuzzTopK(f *testing.F) {
 	f.Add(uint8(5), []byte{9, 1, 9, 2, 9, 3})
 	f.Fuzz(func(t *testing.T, kRaw uint8, ops []byte) {
 		k := int(kRaw%8) + 1
-		tk := NewTopK(k)
+		tk := NewTopK(k, k)
 		best := map[int32]float64{}
 		for i := 0; i+1 < len(ops); i += 2 {
 			id := int32(ops[i] % 16)

@@ -66,7 +66,7 @@ func TestRangeScan(t *testing.T) {
 }
 
 func TestTopKBasic(t *testing.T) {
-	tk := NewTopK(2)
+	tk := NewTopK(2, 2)
 	if !math.IsInf(tk.Bound(), 1) {
 		t.Fatal("empty TopK bound should be +Inf")
 	}
@@ -83,7 +83,7 @@ func TestTopKBasic(t *testing.T) {
 }
 
 func TestTopKImprovesExisting(t *testing.T) {
-	tk := NewTopK(2)
+	tk := NewTopK(2, 2)
 	tk.Offer(1, 10)
 	tk.Offer(2, 20)
 	if !tk.Offer(2, 5) {
@@ -105,7 +105,7 @@ func TestTopKMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 100; trial++ {
 		k := 1 + rng.Intn(10)
-		tk := NewTopK(k)
+		tk := NewTopK(k, k)
 		n := 1 + rng.Intn(50)
 		best := map[int32]float64{}
 		for i := 0; i < n; i++ {

@@ -37,8 +37,13 @@ func NewObjectStore(sp *indoor.Space, objs []Object) *ObjectStore {
 	return s
 }
 
-// Len returns the number of stored objects.
-func (s *ObjectStore) Len() int { return len(s.objs) }
+// Len returns the number of stored objects (0 for a nil store).
+func (s *ObjectStore) Len() int {
+	if s == nil {
+		return 0
+	}
+	return len(s.objs)
+}
 
 // Bucket returns the indexes (into the store) of the objects hosted by
 // partition v. Callers must not modify the returned slice.

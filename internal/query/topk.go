@@ -20,9 +20,12 @@ type TopK struct {
 	h    tkHeap
 }
 
-// NewTopK returns a collector for the k nearest objects. k must be >= 1.
-func NewTopK(k int) *TopK {
-	return &TopK{k: k, best: make(map[int32]float64, k)}
+// NewTopK returns a collector for the k nearest objects. k must be >= 1. n
+// is the number of objects the caller can offer (its store size); only
+// min(k, n) sizes the initial allocation, so a request-supplied k far
+// beyond the object count costs nothing extra.
+func NewTopK(k, n int) *TopK {
+	return &TopK{k: k, best: make(map[int32]float64, min(k, n))}
 }
 
 // Offer considers object id at distance d. It returns true when the

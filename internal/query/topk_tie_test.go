@@ -12,7 +12,7 @@ func TestTopKTieBreaksByID(t *testing.T) {
 		{1, 2, 3}, {1, 3, 2}, {2, 1, 3}, {2, 3, 1}, {3, 1, 2}, {3, 2, 1},
 	}
 	for _, order := range orders {
-		tk := NewTopK(2)
+		tk := NewTopK(2, 2)
 		for _, id := range order {
 			tk.Offer(id, 5)
 		}
@@ -26,7 +26,7 @@ func TestTopKTieBreaksByID(t *testing.T) {
 // TestTopKTieReplacesLargerID pins the single-slot case: a candidate at
 // exactly the bound evicts the incumbent only when its id is smaller.
 func TestTopKTieReplacesLargerID(t *testing.T) {
-	tk := NewTopK(1)
+	tk := NewTopK(1, 1)
 	tk.Offer(10, 5)
 	if !tk.Offer(3, 5) {
 		t.Fatal("equal distance with smaller id should enter")

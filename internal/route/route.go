@@ -95,10 +95,9 @@ func (pl *Planner) Optimized(p indoor.Point, stops []indoor.Point, q indoor.Poin
 // cancelling ctx interrupts the whole fan-out promptly. A query.Budget
 // carried by ctx bounds each leg individually (shards track independently).
 func (pl *Planner) OptimizedCtx(ctx context.Context, p indoor.Point, stops []indoor.Point, q indoor.Point, st *query.Stats) (query.Path, []int, error) {
-	ec := query.AsCtx(pl.eng)
 	n := len(stops)
 	if n == 0 {
-		walk, err := ec.SPDCtx(ctx, p, q, st)
+		walk, err := query.SPD(ctx, pl.eng, p, q, st)
 		return walk, nil, err
 	}
 	if n > MaxStops {
@@ -133,7 +132,7 @@ func (pl *Planner) OptimizedCtx(ctx context.Context, p indoor.Point, stops []ind
 		}
 	}
 	merged, err := pl.pool.MapCtx(ctx, len(jobs), func(ctx context.Context, i int, shard *query.Stats) error {
-		leg, err := ec.SPDCtx(ctx, jobs[i].src, jobs[i].dst, shard)
+		leg, err := query.SPD(ctx, pl.eng, jobs[i].src, jobs[i].dst, shard)
 		if err != nil {
 			return fmt.Errorf("route: %s: %w", jobs[i].what, err)
 		}

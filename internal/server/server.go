@@ -259,7 +259,7 @@ func floatParam(r *http.Request, key string) (float64, error) {
 }
 
 // pointParam parses x/y/floor (floor optional, default 0) with a suffix
-// ("" or "2").
+// ("" or "2"). A floor outside int16 is an error, not a wrapped floor.
 func pointParam(r *http.Request, suffix string) (indoor.Point, error) {
 	x, err := floatParam(r, "x"+suffix)
 	if err != nil {
@@ -269,9 +269,9 @@ func pointParam(r *http.Request, suffix string) (indoor.Point, error) {
 	if err != nil {
 		return indoor.Point{}, err
 	}
-	floor := 0
+	var floor int64
 	if raw := r.URL.Query().Get("floor" + suffix); raw != "" {
-		floor, err = strconv.Atoi(raw)
+		floor, err = strconv.ParseInt(raw, 10, 16)
 		if err != nil {
 			return indoor.Point{}, fmt.Errorf("bad parameter floor%s: %v", suffix, err)
 		}
@@ -382,7 +382,7 @@ func (s *TenantServer) handleRange(w http.ResponseWriter, r *http.Request, v *te
 		return
 	}
 	radius, err := floatParam(r, "r")
-	if err != nil || radius < 0 {
+	if err != nil || !(radius >= 0) { // NaN fails too; +Inf means unbounded
 		s.fail(w, http.StatusBadRequest, "bad radius")
 		return
 	}
@@ -486,10 +486,10 @@ type partitionJSON struct {
 }
 
 func (s *TenantServer) handlePartitions(w http.ResponseWriter, r *http.Request, v *tenant.Venue) {
-	floor := 0
+	var floor int64
 	if raw := r.URL.Query().Get("floor"); raw != "" {
 		var err error
-		if floor, err = strconv.Atoi(raw); err != nil {
+		if floor, err = strconv.ParseInt(raw, 10, 16); err != nil {
 			s.fail(w, http.StatusBadRequest, "bad floor")
 			return
 		}
@@ -556,7 +556,7 @@ func (s *TenantServer) handleTrace(w http.ResponseWriter, r *http.Request, v *te
 	switch op {
 	case obs.OpRange:
 		radius, err := floatParam(r, "r")
-		if err != nil || radius < 0 {
+		if err != nil || !(radius >= 0) { // NaN fails too; +Inf means unbounded
 			s.fail(w, http.StatusBadRequest, "bad radius")
 			return
 		}

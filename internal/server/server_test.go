@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 
 	"indoorsq/internal/indoor"
@@ -179,11 +180,60 @@ func TestErrorStatuses(t *testing.T) {
 		{"/v1/route?x=2.5&y=8", 400},
 		{"/v1/route?x=2.5&y=8&x2=-99&y2=-99", 422},
 		{"/v1/partitions?floor=zzz", 400},
+		// A NaN radius passes a plain `r < 0` check; it must be a 400.
+		{"/v1/range?x=2.5&y=8&r=NaN", 400},
+		{"/v1/trace?op=range&x=2.5&y=8&r=NaN", 400},
+		// Floors outside int16 are rejected, not wrapped onto floor 0.
+		{"/v1/range?x=2.5&y=8&r=4&floor=65536", 400},
+		{"/v1/route?x=2.5&y=8&x2=7.5&y2=9&floor2=-32769", 400},
+		{"/v1/partitions?floor=65536", 400},
 	}
 	for _, c := range cases {
 		var e map[string]any
 		if code := getJSON(t, ts.URL+c.url, &e); code != c.want {
 			t.Errorf("%s: status %d, want %d (%v)", c.url, code, c.want, e)
+		}
+	}
+}
+
+// TestRangeInfiniteRadius pins r=Inf as "every reachable object".
+func TestRangeInfiniteRadius(t *testing.T) {
+	ts, _ := newTestServer(t)
+	var resp struct {
+		Objects []int32 `json:"objects"`
+	}
+	if code := getJSON(t, ts.URL+"/v1/range?x=2.5&y=8&r=Inf", &resp); code != 200 {
+		t.Fatalf("status %d", code)
+	}
+	if fmt.Sprint(resp.Objects) != "[1 2 3]" {
+		t.Fatalf("objects = %v, want all three", resp.Objects)
+	}
+}
+
+// TestKNNHugeKAllocatesByObjects asks every engine for k far beyond the
+// object count: the answer is all three objects, and the request must not
+// allocate in proportion to k.
+func TestKNNHugeKAllocatesByObjects(t *testing.T) {
+	f := testspaces.NewStrip()
+	engines := []string{"IDModel", "IDIndex", "CIndex", "IPTree", "VIPTree"}
+	srv := server.NewTenantServer(newStripTier(t, f, stripObjects(f), engines...))
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	var resp struct {
+		Neighbors []query.Neighbor `json:"neighbors"`
+	}
+	for _, name := range engines {
+		url := ts.URL + "/v1/knn?x=2.5&y=8&k=50000000&engine=" + name
+		getJSON(t, url, &resp) // warm lazy caches and connections
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		code := getJSON(t, url, &resp)
+		runtime.ReadMemStats(&after)
+		if code != 200 || len(resp.Neighbors) != 3 {
+			t.Fatalf("%s: status %d, %d neighbors, want 200 with 3", name, code, len(resp.Neighbors))
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+			t.Fatalf("%s: k=50000000 allocated %d bytes, want < 1 MiB", name, d)
 		}
 	}
 }

@@ -39,7 +39,8 @@ func corpusParams(seed int64) spacegen.Params {
 // save → load must reproduce every engine bit-identically — same Range ids,
 // same KNN neighbors with Float64bits-equal distances, same SPD door
 // sequences and Float64bits-equal path lengths, same size accounting, and a
-// Float64bits-equal IDINDEX distance matrix.
+// Float64bits-equal IDINDEX distance matrix. Even seeds build the compact
+// (float32) IDINDEX so both matrix encodings round-trip.
 func TestRoundTripBitIdentical(t *testing.T) {
 	dir := t.TempDir()
 	for seed := int64(1); seed <= 12; seed++ {
@@ -48,7 +49,7 @@ func TestRoundTripBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed=%d: generate: %v", seed, err)
 		}
-		fresh, err := bundle.Build("corpus", sp, bundle.Options{Gamma: 4})
+		fresh, err := bundle.Build("corpus", sp, bundle.Options{Gamma: 4, Compact: seed%2 == 0})
 		if err != nil {
 			t.Fatalf("seed=%d: build: %v", seed, err)
 		}

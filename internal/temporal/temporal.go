@@ -17,7 +17,6 @@
 package temporal
 
 import (
-	"context"
 	"sort"
 
 	"indoorsq/internal/cindex"
@@ -222,23 +221,6 @@ func (e *Engine) KNN(p indoor.Point, k int, st *query.Stats) ([]query.Neighbor, 
 // engine hour.
 func (e *Engine) SPD(p, q indoor.Point, st *query.Stats) (query.Path, error) {
 	return e.base.SPD(p, q, st)
-}
-
-// RangeCtx implements query.EngineCtx: the context-aware entry points of
-// the base engine's open-door view are reached through query.AsCtx, so the
-// schedule filter and cancellation compose.
-func (e *Engine) RangeCtx(ctx context.Context, p indoor.Point, r float64, st *query.Stats) ([]int32, error) {
-	return query.AsCtx(e.base).RangeCtx(ctx, p, r, st)
-}
-
-// KNNCtx implements query.EngineCtx.
-func (e *Engine) KNNCtx(ctx context.Context, p indoor.Point, k int, st *query.Stats) ([]query.Neighbor, error) {
-	return query.AsCtx(e.base).KNNCtx(ctx, p, k, st)
-}
-
-// SPDCtx implements query.EngineCtx.
-func (e *Engine) SPDCtx(ctx context.Context, p, q indoor.Point, st *query.Stats) (query.Path, error) {
-	return query.AsCtx(e.base).SPDCtx(ctx, p, q, st)
 }
 
 // SizeBytes implements query.Engine: the base engine plus the schedule

@@ -445,7 +445,7 @@ func (v *Venue) Epoch() uint64 { return v.epoch }
 
 // resolve picks the serving engine for one query of class op: an explicit
 // override wins (the deterministic knob), otherwise the router decides.
-func (v *Venue) resolve(op, override string) (query.EngineCtx, string, error) {
+func (v *Venue) resolve(op, override string) (query.Engine, string, error) {
 	name := override
 	if name == "" {
 		name = v.Router().Choose(op)
@@ -454,7 +454,7 @@ func (v *Venue) resolve(op, override string) (query.EngineCtx, string, error) {
 	if !ok {
 		return nil, name, fmt.Errorf("%w: venue %q has no engine %q", ErrUnknownEngine, v.ID, name)
 	}
-	return query.AsCtx(e), name, nil
+	return e, name, nil
 }
 
 // bind attaches the venue registry to the query context so the engine's
@@ -470,7 +470,7 @@ func (v *Venue) Range(ctx context.Context, p indoor.Point, r float64, st *query.
 	if err != nil {
 		return nil, name, err
 	}
-	ids, err := eng.RangeCtx(v.bind(ctx), p, r, st)
+	ids, err := query.Range(v.bind(ctx), eng, p, r, st)
 	return ids, name, err
 }
 
@@ -480,7 +480,7 @@ func (v *Venue) KNN(ctx context.Context, p indoor.Point, k int, st *query.Stats,
 	if err != nil {
 		return nil, name, err
 	}
-	nn, err := eng.KNNCtx(v.bind(ctx), p, k, st)
+	nn, err := query.KNN(v.bind(ctx), eng, p, k, st)
 	return nn, name, err
 }
 
@@ -490,7 +490,7 @@ func (v *Venue) SPD(ctx context.Context, p, q indoor.Point, st *query.Stats, ove
 	if err != nil {
 		return query.Path{}, name, err
 	}
-	path, err := eng.SPDCtx(v.bind(ctx), p, q, st)
+	path, err := query.SPD(v.bind(ctx), eng, p, q, st)
 	return path, name, err
 }
 

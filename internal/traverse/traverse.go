@@ -344,7 +344,7 @@ func (g *Graph) KNN(store *query.ObjectStore, p indoor.Point, k int, st *query.S
 	if !ok {
 		return nil, query.ErrNoHost
 	}
-	tk := query.NewTopK(k)
+	tk := query.NewTopK(k, store.Len())
 	for _, i := range store.Bucket(v0) {
 		o := store.At(i)
 		if !g.accept(o.ID) {

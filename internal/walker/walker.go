@@ -42,7 +42,7 @@ type agent struct {
 // Sim drives a set of agents over one venue.
 type Sim struct {
 	sp    *indoor.Space
-	eng   query.EngineCtx
+	eng   query.Engine
 	gen   *workload.Generator
 	rng   *rand.Rand
 	speed float64
@@ -58,7 +58,7 @@ func New(sp *indoor.Space, eng query.Engine, agents int, speed float64, seed int
 	}
 	s := &Sim{
 		sp:    sp,
-		eng:   query.AsCtx(eng),
+		eng:   eng,
 		gen:   workload.New(sp, seed),
 		rng:   rand.New(rand.NewSource(seed ^ 0x5deece66d)),
 		speed: speed,
@@ -79,7 +79,7 @@ func (s *Sim) Now() float64 { return s.now }
 func (s *Sim) newWalk(ctx context.Context, a *agent) error {
 	for try := 0; try < 8; try++ {
 		dest := s.gen.Point()
-		path, err := s.eng.SPDCtx(ctx, a.pos, dest, nil)
+		path, err := query.SPD(ctx, s.eng, a.pos, dest, nil)
 		if err != nil {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) ||
 				errors.Is(err, query.ErrBudgetExhausted) {
