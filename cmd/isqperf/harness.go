@@ -146,7 +146,7 @@ func loop(ctx context.Context, e query.Engine, ops []exec.Op) func(*testing.B) {
 
 // answers runs ops on e through an exec.Pool under ctx.
 func answers(ctx context.Context, p *exec.Pool, e query.Engine, ops []exec.Op) []exec.Result {
-	res, _ := p.RunCtx(ctx, e, ops)
+	res, _ := p.Run(ctx, e, ops)
 	return res
 }
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -10,6 +11,7 @@ import (
 
 	"indoorsq/internal/exec"
 	"indoorsq/internal/indoor"
+	"indoorsq/internal/query"
 	"indoorsq/internal/snapshot/bundle"
 	"indoorsq/internal/spacegen"
 	"indoorsq/internal/tenant"
@@ -61,11 +63,11 @@ func (cfg routeVenue) plan(sp *indoor.Space, n int) []exec.Op {
 }
 
 // runRoute replays the identical skewed multi-venue stream through
-// tenant.Tier.Run pinned to each engine (the ?engine= override) and then
+// tenant.Venue.Query pinned to each engine (the ?engine= override) and then
 // routed (each venue's router picks the engine per query class from its
-// observed latencies), one batch per venue per round, the arrival pattern
-// of sharded traffic. A warmup pass runs every engine over every stream
-// first, so all modes meet equally warm distance caches.
+// observed latencies), one concurrent batch per venue per round. A warmup
+// pass runs every engine over every stream first, so all modes meet
+// equally warm distance caches.
 func runRoute(sc *scenario, smoke bool) error {
 	cfgs := routeVenues(smoke)
 	engines := bundle.EngineNames
@@ -82,7 +84,7 @@ func runRoute(sc *scenario, smoke bool) error {
 		}
 	}
 	tier, err := tenant.New(specs, tenant.Options{
-		Shards: 2, Seed: 1,
+		Seed: 1,
 		// Explore briefly and shadow-sample sparsely: explore and freshness
 		// samples are routed traffic too and land in the measured stream.
 		Router: tenant.RouterConfig{ExplorePerEngine: 3, ReevalEvery: 64, SampleEvery: 64},
@@ -94,12 +96,30 @@ func runRoute(sc *scenario, smoke bool) error {
 	sc.Params["rounds"], sc.Params["batch"], sc.Params["objects_per_venue"] = rounds, batch, objects
 	sc.Gate = "routed and every pinned engine answer like the first pinned engine: range id sets, kNN distance per rank and SPD distance within 1e-6, same errors; routed mode has no errors and every venue's router decides all three query classes"
 
+	// replay runs one batch on a venue through a worker pool, as the
+	// server's concurrent requests would; an unserved engine aborts it.
+	var pool exec.Pool
+	replay := func(id string, ops []exec.Op, override string) ([]exec.Result, error) {
+		v, _ := tier.Venue(id)
+		out := make([]exec.Result, len(ops))
+		pool.Map(len(ops), func(i int, _ *query.Stats) error {
+			out[i], _ = v.Query(context.Background(), ops[i], override)
+			return nil
+		})
+		for _, r := range out {
+			if errors.Is(r.Err, tenant.ErrUnknownEngine) {
+				return nil, r.Err
+			}
+		}
+		return out, nil
+	}
+
 	plans := make(map[string][]exec.Op, len(cfgs))
 	for _, cfg := range cfgs {
 		v, _ := tier.Venue(cfg.id)
 		plans[cfg.id] = cfg.plan(v.Space, rounds*batch)
 		for _, eng := range engines {
-			if _, _, _, err := tier.Run(context.Background(), cfg.id, plans[cfg.id], eng); err != nil {
+			if _, err := replay(cfg.id, plans[cfg.id], eng); err != nil {
 				return err
 			}
 		}
@@ -113,7 +133,7 @@ func runRoute(sc *scenario, smoke bool) error {
 		for round := 0; round < rounds; round++ {
 			for _, cfg := range cfgs {
 				ops := plans[cfg.id][round*batch : (round+1)*batch]
-				out, _, _, err := tier.Run(context.Background(), cfg.id, ops, override)
+				out, err := replay(cfg.id, ops, override)
 				if err != nil {
 					return nil, nil, err
 				}

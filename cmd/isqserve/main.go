@@ -1,25 +1,22 @@
-// Command isqserve runs the indoor LBS HTTP backend: one venue (a benchmark
-// dataset or a snapshot artifact) or a tier of several, each with any subset
-// of the five engines loaded side by side behind a cost-based router.
+// Command isqserve runs the indoor LBS HTTP backend: a tier of one or more
+// venues, each with any subset of the five engines loaded side by side
+// behind a cost-based router.
 //
 // Usage:
 //
-//	isqserve [-addr :8080] [-dataset CPH] [-engines IDModel,VIPTree]
-//	         [-default VIPTree] [-objects 1000] [-seed 1]
-//	         [-snapshot file.isq] [-save-snapshot file.isq]
-//	         [-venues id=CPH,id2=gen:7,id3=snap:x.isq] [-shards 0] [-route-pin ENGINE]
+//	isqserve [-addr :8080] [-venues CPH=CPH] [-engines IDModel,VIPTree]
+//	         [-objects 1000] [-seed 1] [-route-pin ENGINE]
 //	         [-query-timeout 0] [-max-visited-doors 0] [-max-work-mb 0]
 //	         [-read-timeout 30s] [-read-header-timeout 5s] [-idle-timeout 2m]
 //	         [-debug-addr ""]
 //
-// Without -venues isqserve serves one venue: -dataset built cold (or
-// -snapshot loaded), seeded with -objects random POIs, with every query
-// class pinned to -default. -venues instead boots a tier from a
-// comma-separated list of id=source entries, where source is a dataset name
-// (CPH), gen:<seed> (a generated venue), or snap:<path> (a snapshot
-// artifact); venues hash across -shards shards and route each query class
-// by observed cost. -route-pin ENGINE pins every venue's router (the
-// deterministic override).
+// -venues is a comma-separated list of id=source entries, where source is a
+// dataset name (CPH), gen:<seed> (a generated venue), or snap:<path> (a
+// snapshot artifact built offline with isqsnap). Every venue is seeded with
+// -objects random POIs drawn from -seed and routes each query class by
+// observed cost; -route-pin ENGINE pins every venue's router instead (the
+// deterministic override). Plain isqserve serves the CPH dataset as the one
+// venue "CPH".
 //
 // Endpoints (GET unless noted, JSON unless noted), per venue:
 //
@@ -44,14 +41,11 @@
 // /v1/monitors... and POST /v1/updates are aliases for that venue; with
 // several venues they answer 404 naming the per-venue path.
 //
-// -snapshot boots the single venue from a snapshot artifact (built offline
-// with isqsnap) instead of running the expensive in-process construction;
-// -save-snapshot writes the artifact after a cold build (so the next boot
-// can skip it). Either path is then the venue's reload artifact: a
+// A snap: venue boots from its artifact instead of running the expensive
+// in-process construction, and the artifact is then its reload path: a
 // path-less POST .../swap and SIGHUP re-load it and publish it without
 // dropping a request — the fleet-rollout primitive: rebuild once offline,
-// SIGHUP every replica. SIGHUP reloads every venue that has one (snap:
-// entries under -venues).
+// SIGHUP every replica. SIGHUP reloads every snap: venue.
 //
 // -query-timeout bounds every query endpoint (an expired query answers
 // 504); -max-visited-doors / -max-work-mb set the admission budget (an
@@ -78,17 +72,15 @@ import (
 	"syscall"
 	"time"
 
-	"indoorsq/internal/dataset"
 	"indoorsq/internal/query"
 	"indoorsq/internal/server"
-	"indoorsq/internal/snapshot/bundle"
 	"indoorsq/internal/spacegen"
 	"indoorsq/internal/tenant"
-	"indoorsq/internal/workload"
 )
 
 // parseVenueSpecs parses the -venues flag: "id=CPH,id2=gen:7,id3=snap:x.isq".
-func parseVenueSpecs(raw string, engines []string, objects int) ([]tenant.VenueSpec, error) {
+// Every venue draws its POIs from seed.
+func parseVenueSpecs(raw string, engines []string, objects int, seed int64) ([]tenant.VenueSpec, error) {
 	var specs []tenant.VenueSpec
 	for _, entry := range strings.Split(raw, ",") {
 		entry = strings.TrimSpace(entry)
@@ -99,7 +91,7 @@ func parseVenueSpecs(raw string, engines []string, objects int) ([]tenant.VenueS
 		if !ok || id == "" || src == "" {
 			return nil, fmt.Errorf("bad venue entry %q (want id=dataset, id=gen:<seed>, or id=snap:<path>)", entry)
 		}
-		spec := tenant.VenueSpec{ID: id, Engines: engines, Objects: objects}
+		spec := tenant.VenueSpec{ID: id, Engines: engines, Objects: objects, ObjectSeed: seed}
 		switch {
 		case strings.HasPrefix(src, "snap:"):
 			spec.Snapshot = strings.TrimPrefix(src, "snap:")
@@ -116,69 +108,19 @@ func parseVenueSpecs(raw string, engines []string, objects int) ([]tenant.VenueS
 		specs = append(specs, spec)
 	}
 	if len(specs) == 0 {
-		return nil, fmt.Errorf("-venues given but no venue entries parsed")
+		return nil, fmt.Errorf("-venues has no venue entries")
 	}
 	return specs, nil
 }
 
-// singleVenueSpec builds (or loads) the single venue's bundle and seeds it
-// with objects random POIs.
-func singleVenueSpec(ds string, engines []string, snap, saveSnap string, objects int, seed int64) (tenant.VenueSpec, error) {
-	var b *bundle.Bundle
-	if snap != "" {
-		start := time.Now()
-		var err error
-		if b, err = bundle.LoadFile(snap); err != nil {
-			return tenant.VenueSpec{}, fmt.Errorf("load snapshot %s: %w", snap, err)
-		}
-		log.Printf("loaded snapshot %s in %v (format v%d, fingerprint %016x, engines %v)",
-			snap, time.Since(start).Round(time.Millisecond), b.FormatVersion, b.Fingerprint, b.EngineList())
-	} else {
-		info, err := dataset.Build(ds)
-		if err != nil {
-			return tenant.VenueSpec{}, err
-		}
-		start := time.Now()
-		b, err = bundle.Build(info.Name, info.Space, bundle.Options{Engines: engines, Gamma: info.Gamma})
-		if err != nil {
-			return tenant.VenueSpec{}, err
-		}
-		for _, name := range b.EngineList() {
-			log.Printf("built %s (%.1f MB)", name, float64(b.Engines[name].SizeBytes())/1e6)
-		}
-		log.Printf("cold build of %s took %v", info.Name, time.Since(start).Round(time.Millisecond))
-		if saveSnap != "" {
-			start = time.Now()
-			if err := b.WriteFile(saveSnap, true); err != nil {
-				return tenant.VenueSpec{}, fmt.Errorf("save snapshot: %w", err)
-			}
-			log.Printf("saved snapshot %s in %v", saveSnap, time.Since(start).Round(time.Millisecond))
-			snap = saveSnap
-		}
-	}
-	return tenant.VenueSpec{
-		ID:         b.Name,
-		Bundle:     b,
-		Snapshot:   snap,
-		ObjectList: workload.New(b.Space, seed).Objects(objects),
-	}, nil
-}
-
 func main() {
 	var (
-		addr    = flag.String("addr", ":8080", "listen address")
-		ds      = flag.String("dataset", "CPH", "benchmark dataset (single venue, cold-build path)")
-		names   = flag.String("engines", "IDModel,VIPTree", "engines to build")
-		def     = flag.String("default", "VIPTree", "single venue: engine every query class is pinned to (empty = route by cost)")
-		objects = flag.Int("objects", 1000, "number of random POIs per venue")
-		seed    = flag.Int64("seed", 1, "workload and router seed")
-
-		snap     = flag.String("snapshot", "", "single venue: boot from this snapshot artifact; also its SIGHUP / path-less swap reload artifact")
-		saveSnap = flag.String("save-snapshot", "", "single venue: after a cold build, write the serving bundle to this artifact")
-
-		venues   = flag.String("venues", "", "serve a tier: comma-separated id=dataset|id=gen:<seed>|id=snap:<path> entries")
-		shards   = flag.Int("shards", 0, "shard count for -venues (0 = min(4, venues))")
-		routePin = flag.String("route-pin", "", "pin every venue's router to this engine (deterministic override)")
+		addr     = flag.String("addr", ":8080", "listen address")
+		venues   = flag.String("venues", "CPH=CPH", "comma-separated id=dataset|id=gen:<seed>|id=snap:<path> entries")
+		names    = flag.String("engines", "IDModel,VIPTree", "engines to build")
+		objects  = flag.Int("objects", 1000, "number of random POIs per venue")
+		seed     = flag.Int64("seed", 1, "POI and router seed")
+		routePin = flag.String("route-pin", "", "pin every venue's router to this engine (empty = route by cost)")
 
 		queryTimeout = flag.Duration("query-timeout", 0, "per-query deadline on range/knn/spd (0 = unbounded)")
 		maxDoors     = flag.Int("max-visited-doors", 0, "per-query door-expansion budget (0 = unbounded)")
@@ -193,46 +135,27 @@ func main() {
 	flag.Parse()
 	engines := strings.Split(*names, ",")
 
-	var specs []tenant.VenueSpec
-	pin := *routePin
-	if *venues != "" {
-		if *snap != "" || *saveSnap != "" {
-			log.Fatal("-snapshot and -save-snapshot are single-venue flags; give -venues entries as id=snap:<path>")
-		}
-		var err error
-		if specs, err = parseVenueSpecs(*venues, engines, *objects); err != nil {
-			log.Fatal(err)
-		}
-	} else {
-		spec, err := singleVenueSpec(*ds, engines, *snap, *saveSnap, *objects, *seed)
-		if err != nil {
-			log.Fatal(err)
-		}
-		specs = []tenant.VenueSpec{spec}
-		if pin == "" {
-			pin = *def
-		}
-	}
-
-	start := time.Now()
-	tier, err := tenant.New(specs, tenant.Options{Shards: *shards, Seed: *seed})
+	specs, err := parseVenueSpecs(*venues, engines, *objects, *seed)
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("booted %d venues across %d shards in %v",
-		len(tier.VenueIDs()), tier.NumShards(), time.Since(start).Round(time.Millisecond))
+	start := time.Now()
+	tier, err := tenant.New(specs, tenant.Options{Seed: *seed})
+	if err != nil {
+		log.Fatal(err)
+	}
+	log.Printf("booted %d venues in %v", len(tier.VenueIDs()), time.Since(start).Round(time.Millisecond))
 	for _, id := range tier.VenueIDs() {
 		v, _ := tier.Venue(id)
-		if pin != "" {
-			if err := v.Router().Pin("", pin); err != nil {
+		if *routePin != "" {
+			if err := v.Router().Pin("", *routePin); err != nil {
 				log.Fatalf("venue %s: %v", id, err)
 			}
 		}
-		log.Printf("venue %s on shard %d (origin %s, %d POIs, engines %v)",
-			id, tier.ShardOf(id), v.Origin, len(v.Objects), v.EngineList())
+		log.Printf("venue %s (origin %s, %d POIs, engines %v)", id, v.Origin, len(v.Objects), v.EngineList())
 	}
-	if pin != "" {
-		log.Printf("routing pinned to %s for every venue and query class", pin)
+	if *routePin != "" {
+		log.Printf("routing pinned to %s for every venue and query class", *routePin)
 	}
 
 	srv := server.NewTenantServer(tier)

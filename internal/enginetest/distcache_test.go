@@ -1,6 +1,7 @@
 package enginetest
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -92,10 +93,10 @@ func TestDistCacheUnderExecWorkers(t *testing.T) {
 	}
 
 	seq := exec.Pool{Workers: 1}
-	seqRes, seqBatch := seq.Run(eng, ops)
+	seqRes, seqBatch := seq.Run(context.Background(), eng, ops)
 
 	par := exec.Pool{Workers: 8}
-	parRes, parBatch := par.Run(eng, ops)
+	parRes, parBatch := par.Run(context.Background(), eng, ops)
 
 	for i := range seqRes {
 		if (seqRes[i].Err == nil) != (parRes[i].Err == nil) {

@@ -68,18 +68,23 @@ type Batch struct {
 	Cancelled int
 }
 
+// String returns the query class label the metrics registry and the
+// router key evidence by (obs.OpRange, obs.OpKNN, obs.OpSPD).
+func (k Kind) String() string {
+	switch k {
+	case RangeQ:
+		return obs.OpRange
+	case KNNQ:
+		return obs.OpKNN
+	default:
+		return obs.OpSPD
+	}
+}
+
 // Pool runs batches with at most Workers concurrent queries (<= 0 means
 // GOMAXPROCS). The zero value is ready to use.
 type Pool struct {
 	Workers int
-	// FailFast cancels the remainder of a batch as soon as one op fails:
-	// queued ops then return immediately with context.Canceled instead of
-	// running to completion. Off by default — a batch normally answers every
-	// op and reports per-op errors in the Results.
-	FailFast bool
-	// OpTimeout, when positive, bounds each op with its own deadline derived
-	// from the batch context.
-	OpTimeout time.Duration
 	// Obs, when non-nil, is the metrics registry every op of a batch emits
 	// into (per engine × query type, via query.Range/KNN/SPD). It
 	// composes with any obs binding already on the batch context: an
@@ -126,63 +131,46 @@ func (p *Pool) workers(n int) int {
 	return w
 }
 
-// Run executes ops against eng. Results are indexed like ops regardless of
-// scheduling, so the output is deterministic for deterministic engines.
-func (p *Pool) Run(eng query.Engine, ops []Op) ([]Result, Batch) {
-	return p.RunCtx(context.Background(), eng, ops)
+// Do runs one op on eng under ctx: an invalid op fails with ErrInvalidOp
+// before any engine work, anything else is dispatched to query.Range, KNN
+// or SPD and timed. Every single query and every batch op runs through it.
+func Do(ctx context.Context, eng query.Engine, op Op) Result {
+	var r Result
+	if r.Err = validate(op); r.Err != nil {
+		return r
+	}
+	t0 := time.Now()
+	switch op.Kind {
+	case RangeQ:
+		r.IDs, r.Err = query.Range(ctx, eng, op.P, op.R, &r.Stats)
+	case KNNQ:
+		r.Neighbors, r.Err = query.KNN(ctx, eng, op.P, op.K, &r.Stats)
+	case SPDQ:
+		r.Path, r.Err = query.SPD(ctx, eng, op.P, op.Q, &r.Stats)
+	}
+	r.Elapsed = time.Since(t0)
+	return r
 }
 
-// RunCtx is Run bounded by ctx: every op runs under a context derived from
-// it (plus OpTimeout, when set), so cancelling ctx interrupts the whole
-// batch mid-traversal. Interrupted and invalid ops report their error in
-// their Result like any other per-op failure; the batch itself always
+// Run executes ops against eng under ctx, each through Do. Results are
+// indexed like ops regardless of scheduling, so the output is deterministic
+// for deterministic engines. Cancelling ctx interrupts the whole batch
+// mid-traversal; interrupted and invalid ops report their error in their
+// Result like any other per-op failure, and the batch itself always
 // completes and tallies them in Errs/Cancelled.
-func (p *Pool) RunCtx(ctx context.Context, eng query.Engine, ops []Op) ([]Result, Batch) {
+func (p *Pool) Run(ctx context.Context, eng query.Engine, ops []Op) ([]Result, Batch) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if p.Obs != nil {
 		ctx = obs.WithRegistry(ctx, p.Obs)
 	}
-	batchCtx := ctx
-	var abort context.CancelFunc
-	if p.FailFast {
-		batchCtx, abort = context.WithCancel(ctx)
-		defer abort()
-	}
 	results := make([]Result, len(ops))
 	start := time.Now()
-	merged, _ := p.MapCtx(batchCtx, len(ops), func(opCtx context.Context, i int, st *query.Stats) error {
-		r := &results[i]
-		if err := validate(ops[i]); err != nil {
-			r.Err = err
-			if abort != nil {
-				abort()
-			}
-			return nil // per-op errors live in the Result, not the batch
-		}
-		done := func() {}
-		if p.OpTimeout > 0 {
-			opCtx, done = context.WithTimeout(opCtx, p.OpTimeout)
-		}
-		var own query.Stats
-		t0 := time.Now()
-		switch ops[i].Kind {
-		case RangeQ:
-			r.IDs, r.Err = query.Range(opCtx, eng, ops[i].P, ops[i].R, &own)
-		case KNNQ:
-			r.Neighbors, r.Err = query.KNN(opCtx, eng, ops[i].P, ops[i].K, &own)
-		case SPDQ:
-			r.Path, r.Err = query.SPD(opCtx, eng, ops[i].P, ops[i].Q, &own)
-		}
-		done()
-		r.Elapsed = time.Since(t0)
-		r.Stats = own
-		st.Add(own)
-		if r.Err != nil && abort != nil {
-			abort()
-		}
-		return nil
+	merged, _ := p.MapCtx(ctx, len(ops), func(opCtx context.Context, i int, st *query.Stats) error {
+		results[i] = Do(opCtx, eng, ops[i])
+		st.Add(results[i].Stats)
+		return nil // per-op errors live in the Result, not the batch
 	})
 	b := Batch{Stats: merged, Wall: time.Since(start)}
 	for i := range results {

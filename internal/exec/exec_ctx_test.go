@@ -6,7 +6,6 @@ import (
 	"math"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"indoorsq/internal/exec"
 	"indoorsq/internal/query"
@@ -24,7 +23,7 @@ func TestValidateRejectsUpFront(t *testing.T) {
 	}, ops...)
 
 	p := exec.Pool{Workers: 2}
-	results, batch := p.Run(eng, bad)
+	results, batch := p.Run(context.Background(), eng, bad)
 	for i := 0; i < 4; i++ {
 		if !errors.Is(results[i].Err, exec.ErrInvalidOp) {
 			t.Errorf("op %d: err = %v, want exec.ErrInvalidOp", i, results[i].Err)
@@ -51,7 +50,7 @@ func TestRunCtxCancelledBatch(t *testing.T) {
 	cancel()
 
 	p := exec.Pool{Workers: 4}
-	results, batch := p.RunCtx(ctx, eng, ops)
+	results, batch := p.Run(ctx, eng, ops)
 	for i, r := range results {
 		if !errors.Is(r.Err, context.Canceled) {
 			t.Errorf("op %d: err = %v, want Canceled", i, r.Err)
@@ -60,53 +59,6 @@ func TestRunCtxCancelledBatch(t *testing.T) {
 	if batch.Errs != len(ops) || batch.Cancelled != len(ops) {
 		t.Fatalf("batch tallies = %d errs / %d cancelled, want %d / %d",
 			batch.Errs, batch.Cancelled, len(ops), len(ops))
-	}
-}
-
-// TestFailFast asserts the first failure aborts the remainder of the batch.
-func TestFailFast(t *testing.T) {
-	eng, ops := testEngineAndOps()
-	bad := append([]exec.Op{{Kind: exec.KNNQ, P: ops[0].P, K: 0}}, ops...)
-
-	// Sequential, so ops after the invalid first one deterministically see
-	// the aborted batch context.
-	p := exec.Pool{Workers: 1, FailFast: true}
-	results, batch := p.RunCtx(context.Background(), eng, bad)
-	if !errors.Is(results[0].Err, exec.ErrInvalidOp) {
-		t.Fatalf("op 0: err = %v, want exec.ErrInvalidOp", results[0].Err)
-	}
-	for i := 1; i < len(results); i++ {
-		if !errors.Is(results[i].Err, context.Canceled) {
-			t.Errorf("op %d: err = %v, want Canceled after fail-fast abort", i, results[i].Err)
-		}
-	}
-	if batch.Errs != len(bad) || batch.Cancelled != len(bad)-1 {
-		t.Fatalf("batch tallies = %d errs / %d cancelled, want %d / %d",
-			batch.Errs, batch.Cancelled, len(bad), len(bad)-1)
-	}
-
-	// Without FailFast the same batch answers everything after the reject.
-	p = exec.Pool{Workers: 1}
-	_, batch = p.RunCtx(context.Background(), eng, bad)
-	if batch.Errs != 1 || batch.Cancelled != 0 {
-		t.Fatalf("non-fail-fast tallies = %d errs / %d cancelled, want 1 / 0",
-			batch.Errs, batch.Cancelled)
-	}
-}
-
-// TestOpTimeout asserts a hopeless per-op deadline interrupts each op
-// individually while the batch still completes.
-func TestOpTimeout(t *testing.T) {
-	eng, ops := testEngineAndOps()
-	p := exec.Pool{Workers: 2, OpTimeout: time.Nanosecond}
-	results, batch := p.RunCtx(context.Background(), eng, ops)
-	for i, r := range results {
-		if !errors.Is(r.Err, context.DeadlineExceeded) {
-			t.Errorf("op %d: err = %v, want DeadlineExceeded", i, r.Err)
-		}
-	}
-	if batch.Cancelled != len(ops) {
-		t.Fatalf("batch.Cancelled = %d, want %d", batch.Cancelled, len(ops))
 	}
 }
 
@@ -122,7 +74,7 @@ func TestRunCtxBudget(t *testing.T) {
 	}
 	ctx := query.WithBudget(context.Background(), query.Budget{MaxVisitedDoors: 1})
 	p := exec.Pool{Workers: 2}
-	results, batch := p.RunCtx(ctx, eng, spds)
+	results, batch := p.Run(ctx, eng, spds)
 	exhausted := 0
 	for _, r := range results {
 		if errors.Is(r.Err, query.ErrBudgetExhausted) {

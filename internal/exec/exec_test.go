@@ -1,6 +1,7 @@
 package exec_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -75,7 +76,7 @@ func TestRunMatchesSequential(t *testing.T) {
 
 	for _, workers := range []int{1, 4} {
 		p := exec.Pool{Workers: workers}
-		results, batch := p.Run(eng, ops)
+		results, batch := p.Run(context.Background(), eng, ops)
 		if len(results) != len(ops) {
 			t.Fatalf("workers=%d: %d results for %d ops", workers, len(results), len(ops))
 		}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"testing"
 
 	"indoorsq/internal/indoor"
@@ -50,7 +51,7 @@ func TestBatchPeakMergesWithMax(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4, 8} {
 		p := Pool{Workers: workers}
-		results, batch := p.Run(eng, ops)
+		results, batch := p.Run(context.Background(), eng, ops)
 		for i, r := range results {
 			if r.Err != nil {
 				t.Fatalf("workers=%d op %d: %v", workers, i, r.Err)

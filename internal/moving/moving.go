@@ -38,8 +38,9 @@ import (
 var (
 	// ErrDuplicateQuery marks a Register with an already-registered query id.
 	ErrDuplicateQuery = errors.New("moving: query already registered")
-	// ErrNotIndoors marks a query point hosted by no indoor partition.
-	ErrNotIndoors = errors.New("moving: query point is not indoors")
+	// ErrNotIndoors marks a query point hosted by no indoor partition, or
+	// an update position its named partition does not host.
+	ErrNotIndoors = errors.New("moving: point is not indoors")
 )
 
 // Update is one position report of a moving object.
@@ -144,12 +145,12 @@ func distField(ctx context.Context, sp *indoor.Space, p indoor.Point, vp indoor.
 // which keeps reports snapped to a wall by quantization valid.
 func validateUpdate(sp *indoor.Space, u Update) error {
 	if int(u.Part) < 0 || int(u.Part) >= len(sp.Partitions()) {
-		return fmt.Errorf("moving: update for object %d names invalid partition %d", u.ID, u.Part)
+		return fmt.Errorf("%w: update for object %d names invalid partition %d", ErrNotIndoors, u.ID, u.Part)
 	}
 	part := sp.Partition(u.Part)
 	if part.Floor != u.Loc.Floor || !part.Poly.Contains(u.Loc.XY()) {
-		return fmt.Errorf("moving: update for object %d: partition %d does not host %v",
-			u.ID, u.Part, u.Loc)
+		return fmt.Errorf("%w: update for object %d: partition %d does not host %v",
+			ErrNotIndoors, u.ID, u.Part, u.Loc)
 	}
 	return nil
 }

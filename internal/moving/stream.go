@@ -214,7 +214,8 @@ func (s *Stream) RegisterCtx(ctx context.Context, qid int32, p indoor.Point, r f
 // RegisterKNN adds a standing k-nearest-neighbors monitor at p: its result
 // is the k objects nearest to p by indoor walking distance, maintained
 // incrementally as updates arrive. Initial enter events are returned
-// ascending by object id. k must be >= 1.
+// ascending by object id. k must be >= 1 (exec.ErrInvalidOp otherwise, the
+// rule every kNN query follows).
 func (s *Stream) RegisterKNN(qid int32, p indoor.Point, k int, t float64) ([]Event, error) {
 	return s.RegisterKNNCtx(context.Background(), qid, p, k, t)
 }
@@ -224,7 +225,7 @@ func (s *Stream) RegisterKNN(qid int32, p indoor.Point, k int, t float64) ([]Eve
 // is settled), so large venues may want a deadline here.
 func (s *Stream) RegisterKNNCtx(ctx context.Context, qid int32, p indoor.Point, k int, t float64) ([]Event, error) {
 	if k < 1 {
-		return nil, fmt.Errorf("moving: knn monitor %d: k must be >= 1, got %d", qid, k)
+		return nil, fmt.Errorf("%w: knn monitor %d: k must be >= 1, got %d", exec.ErrInvalidOp, qid, k)
 	}
 	return s.register(ctx, qid, p, kindKNN, math.Inf(1), k, t)
 }

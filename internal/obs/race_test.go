@@ -78,7 +78,7 @@ func TestRegistryExactUnderConcurrentPool(t *testing.T) {
 	p := exec.Pool{Workers: 8, Obs: reg}
 	// The trace rides the batch context; Pool.Obs layers the registry on
 	// top without displacing it.
-	results, batch := p.RunCtx(obs.WithTrace(context.Background(), tr), stubEngine{}, ops)
+	results, batch := p.Run(obs.WithTrace(context.Background(), tr), stubEngine{}, ops)
 	if batch.Errs != 0 {
 		t.Fatalf("batch errs = %d", batch.Errs)
 	}

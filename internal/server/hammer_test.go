@@ -135,7 +135,7 @@ func TestGenerationHammer(t *testing.T) {
 	south, southSpec := newHammerVenue(t, dir, "south", 42, 3)
 	venues := []*hammerVenue{north, south}
 	tier, err := tenant.New([]tenant.VenueSpec{northSpec, southSpec}, tenant.Options{
-		Shards: 2, Seed: 3,
+		Seed:   3,
 		Router: tenant.RouterConfig{ExplorePerEngine: 1, ReevalEvery: 8, SampleEvery: 3},
 	})
 	if err != nil {

@@ -10,7 +10,6 @@ package server
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -64,33 +63,19 @@ type updateRequest struct {
 	Updates []updateJSON `json:"updates"`
 }
 
-// monitorErrStatus maps stream errors onto HTTP statuses: duplicate ids
-// and a stream a swap has retired conflict (409), outdoor points are
-// unprocessable (422), anything else gets fallback.
-func monitorErrStatus(err error, fallback int) int {
-	switch {
-	case errors.Is(err, moving.ErrDuplicateQuery), errors.Is(err, moving.ErrStreamClosed):
-		return http.StatusConflict
-	case errors.Is(err, moving.ErrNotIndoors):
-		return http.StatusUnprocessableEntity
-	default:
-		return fallback
-	}
-}
-
 // registerMonitor validates and registers one monitor on mov.
 func registerMonitor(mov *moving.Stream, req monitorRequest) ([]moving.Event, error) {
 	p := indoor.At(req.X, req.Y, req.Floor)
 	switch req.Kind {
 	case "", "range":
 		if req.R < 0 {
-			return nil, fmt.Errorf("bad radius %v", req.R)
+			return nil, fmt.Errorf("%w: radius %v", errBadRequest, req.R)
 		}
 		return mov.Register(req.ID, p, req.R, req.T)
 	case "knn":
 		return mov.RegisterKNN(req.ID, p, req.K, req.T)
 	default:
-		return nil, fmt.Errorf("bad kind %q (want range or knn)", req.Kind)
+		return nil, fmt.Errorf("%w: kind %q (want range or knn)", errBadRequest, req.Kind)
 	}
 }
 
@@ -105,7 +90,7 @@ func decodeUpdates(sp *indoor.Space, req updateRequest) ([]moving.Update, error)
 		} else {
 			v, ok := sp.HostPartition(p)
 			if !ok {
-				return nil, fmt.Errorf("update %d: object %d at %v is not indoors", i, u.ID, p)
+				return nil, fmt.Errorf("update %d: object %d at %v: %w", i, u.ID, p, moving.ErrNotIndoors)
 			}
 			part = v
 		}
@@ -118,7 +103,7 @@ func decodeUpdates(sp *indoor.Space, req updateRequest) ([]moving.Update, error)
 func monitorID(r *http.Request) (int32, error) {
 	v, err := strconv.ParseInt(r.PathValue("mid"), 10, 32)
 	if err != nil {
-		return 0, fmt.Errorf("bad monitor id %q", r.PathValue("mid"))
+		return 0, fmt.Errorf("%w: monitor id %q", errBadRequest, r.PathValue("mid"))
 	}
 	return int32(v), nil
 }
@@ -128,13 +113,10 @@ func monitorID(r *http.Request) (int32, error) {
 // bounded subscription: a client that cannot keep up loses deltas (the
 // dropped count is its signal to resync via the result endpoint) instead of
 // stalling ingestion.
-func serveMonitorStream(w http.ResponseWriter, r *http.Request, mov *moving.Stream, qid int32) (int, error) {
+func serveMonitorStream(w http.ResponseWriter, r *http.Request, mov *moving.Stream, qid int32) error {
 	sub, err := mov.Subscribe(qid, 256)
-	if errors.Is(err, moving.ErrStreamClosed) {
-		return http.StatusConflict, err
-	}
 	if err != nil {
-		return http.StatusNotFound, err
+		return missingMonitor(mov, qid)
 	}
 	defer sub.Close()
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -148,13 +130,13 @@ func serveMonitorStream(w http.ResponseWriter, r *http.Request, mov *moving.Stre
 	for {
 		select {
 		case <-r.Context().Done():
-			return 0, nil
+			return nil
 		case e, ok := <-sub.Events():
 			if !ok {
-				return 0, nil // monitor unregistered or generation swapped
+				return nil // monitor unregistered or generation swapped
 			}
 			if enc.Encode(eventJSON{Query: e.Query, Object: e.Object, Enter: e.Enter, T: e.T}) != nil {
-				return 0, nil
+				return nil
 			}
 			if flusher != nil {
 				flusher.Flush()
@@ -163,21 +145,21 @@ func serveMonitorStream(w http.ResponseWriter, r *http.Request, mov *moving.Stre
 	}
 }
 
-// failMissingMonitor answers a lookup that found no monitor qid: 409 when a
-// swap has retired the stream the request loaded, 404 otherwise.
-func (s *TenantServer) failMissingMonitor(w http.ResponseWriter, mov *moving.Stream, qid int32) {
+// missingMonitor is the error of a lookup that found no monitor qid: the
+// retired stream when a swap closed the one the request loaded, an unknown
+// monitor otherwise.
+func missingMonitor(mov *moving.Stream, qid int32) error {
 	if mov.Closed() {
-		s.fail(w, http.StatusConflict, "%v", moving.ErrStreamClosed)
-		return
+		return moving.ErrStreamClosed
 	}
-	s.fail(w, http.StatusNotFound, "unknown monitor %d", qid)
+	return fmt.Errorf("%w: unknown monitor %d", errNotFound, qid)
 }
 
 func (s *TenantServer) handleMonitorList(w http.ResponseWriter, r *http.Request, v *tenant.Venue) {
 	mov := v.Stream()
 	monitors := mov.Monitors()
 	if mov.Closed() { // read after the listing: a retired stream lists nothing
-		s.fail(w, http.StatusConflict, "%v", moving.ErrStreamClosed)
+		s.fail(w, moving.ErrStreamClosed)
 		return
 	}
 	s.writeJSON(w, http.StatusOK, map[string]any{
@@ -191,12 +173,12 @@ func (s *TenantServer) handleMonitorList(w http.ResponseWriter, r *http.Request,
 func (s *TenantServer) handleMonitorCreate(w http.ResponseWriter, r *http.Request, v *tenant.Venue) {
 	var req monitorRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, "bad request body: %v", err)
+		s.fail(w, fmt.Errorf("%w: body: %v", errBadRequest, err))
 		return
 	}
 	evs, err := registerMonitor(v.Stream(), req)
 	if err != nil {
-		s.fail(w, monitorErrStatus(err, http.StatusBadRequest), "%v", err) // bad kind, radius or k
+		s.fail(w, err)
 		return
 	}
 	s.writeJSON(w, http.StatusCreated, map[string]any{
@@ -210,11 +192,11 @@ func (s *TenantServer) handleMonitorCreate(w http.ResponseWriter, r *http.Reques
 func (s *TenantServer) handleMonitorDelete(w http.ResponseWriter, r *http.Request, v *tenant.Venue) {
 	qid, err := monitorID(r)
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
+		s.fail(w, err)
 		return
 	}
 	if !v.Stream().Unregister(qid) {
-		s.failMissingMonitor(w, v.Stream(), qid)
+		s.fail(w, missingMonitor(v.Stream(), qid))
 		return
 	}
 	s.writeJSON(w, http.StatusOK, map[string]any{"venue": v.ID, "epoch": v.Epoch(), "id": qid, "removed": true})
@@ -223,13 +205,13 @@ func (s *TenantServer) handleMonitorDelete(w http.ResponseWriter, r *http.Reques
 func (s *TenantServer) handleMonitorResult(w http.ResponseWriter, r *http.Request, v *tenant.Venue) {
 	qid, err := monitorID(r)
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
+		s.fail(w, err)
 		return
 	}
 	mov := v.Stream()
 	ids := mov.Result(qid)
 	if ids == nil {
-		s.failMissingMonitor(w, mov, qid)
+		s.fail(w, missingMonitor(mov, qid))
 		return
 	}
 	resp := map[string]any{"venue": v.ID, "epoch": v.Epoch(), "id": qid, "objects": ids}
@@ -242,30 +224,28 @@ func (s *TenantServer) handleMonitorResult(w http.ResponseWriter, r *http.Reques
 func (s *TenantServer) handleMonitorStream(w http.ResponseWriter, r *http.Request, v *tenant.Venue) {
 	qid, err := monitorID(r)
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
+		s.fail(w, err)
 		return
 	}
-	if code, err := serveMonitorStream(w, r, v.Stream(), qid); err != nil {
-		s.fail(w, code, "%v", err)
+	if err := serveMonitorStream(w, r, v.Stream(), qid); err != nil {
+		s.fail(w, err)
 	}
 }
 
 func (s *TenantServer) handleUpdates(w http.ResponseWriter, r *http.Request, v *tenant.Venue) {
 	var req updateRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, "bad request body: %v", err)
+		s.fail(w, fmt.Errorf("%w: body: %v", errBadRequest, err))
 		return
 	}
 	us, err := decodeUpdates(v.Space, req)
 	if err != nil {
-		s.fail(w, http.StatusUnprocessableEntity, "%v", err)
+		s.fail(w, err)
 		return
 	}
 	evs, err := v.Stream().ApplyBatch(us)
 	if err != nil {
-		// Anything but a retired stream is a position its explicit
-		// partition does not host.
-		s.fail(w, monitorErrStatus(err, http.StatusUnprocessableEntity), "%v", err)
+		s.fail(w, err)
 		return
 	}
 	s.writeJSON(w, http.StatusOK, map[string]any{

@@ -17,13 +17,17 @@
 // that resolve to the tier's sole venue; on a multi-venue tier they answer
 // 404 naming the per-venue path.
 //
-// Every query runs under a context derived from the request: client
-// disconnects cancel the traversal, per-endpoint timeouts (SetTimeout)
-// bound it, and an admission budget (SetBudget) caps its work. The error
-// mapping is uniform: invalid parameters are 400, an unknown venue or
-// engine is 404, unanswerable queries (no host partition, unreachable
-// target, exhausted budget) are 422 with a partial-progress payload,
-// deadline expiry is 504, and a client that went away is 499.
+// Every query request takes one path: parseOp decodes it into an exec.Op,
+// Venue.Query routes and runs it, and statusOf maps its error. The query
+// runs under a context derived from the request: client disconnects cancel
+// the traversal, per-endpoint timeouts (SetTimeout) bound it, and an
+// admission budget (SetBudget) caps its work. statusOf is the one error
+// table of every endpoint: invalid parameters are 400, an unknown venue,
+// engine or monitor is 404, unanswerable requests (no host partition,
+// unreachable target, exhausted budget, refused swap or pin) are 422 —
+// interrupted queries with a partial-progress payload — conflicts with a
+// monitor id or a retired stream are 409, deadline expiry is 504, and a
+// client that went away is 499.
 package server
 
 import (
@@ -34,12 +38,15 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync/atomic"
 	"time"
 
 	"indoorsq/internal/doorgraph"
+	"indoorsq/internal/exec"
 	"indoorsq/internal/indoor"
+	"indoorsq/internal/moving"
 	"indoorsq/internal/obs"
 	"indoorsq/internal/query"
 	"indoorsq/internal/reach"
@@ -107,9 +114,9 @@ func (s *TenantServer) Handler() http.Handler {
 		h            venueHandler
 	}{
 		{"GET", "/info", "/v1/info", s.handleInfo},
-		{"GET", "/range", "/v1/range", s.handleRange},
-		{"GET", "/knn", "/v1/knn", s.handleKNN},
-		{"GET", "/spd", "/v1/route", s.handleSPD},
+		{"GET", "/range", "/v1/range", s.handleQuery(exec.RangeQ)},
+		{"GET", "/knn", "/v1/knn", s.handleQuery(exec.KNNQ)},
+		{"GET", "/spd", "/v1/route", s.handleQuery(exec.SPDQ)},
 		{"GET", "/partitions", "/v1/partitions", s.handlePartitions},
 		{"GET", "/trace", "/v1/trace", s.handleTrace},
 		{"GET", "/route", "", s.handleRouteTable},
@@ -132,14 +139,14 @@ func (s *TenantServer) Handler() http.Handler {
 	return mux
 }
 
-// perVenue resolves the {id} path segment against the tier's current shard
-// map — the one generation load of the request.
+// perVenue resolves the {id} path segment against the tier's venue table —
+// the one generation load of the request.
 func (s *TenantServer) perVenue(h venueHandler) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
 		v, ok := s.tier.Venue(id)
 		if !ok {
-			s.fail(w, http.StatusNotFound, "unknown venue %q", id)
+			s.fail(w, fmt.Errorf("%w: unknown venue %q", errNotFound, id))
 			return
 		}
 		h(w, r, v)
@@ -151,8 +158,8 @@ func (s *TenantServer) soleVenue(path string, h venueHandler) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		v, ok := s.tier.Venue(s.sole)
 		if !ok {
-			s.fail(w, http.StatusNotFound, "tier serves %d venues: use /v1/venues/{id}%s",
-				len(s.tier.VenueIDs()), path)
+			s.fail(w, fmt.Errorf("%w: tier serves %d venues: use /v1/venues/{id}%s",
+				errNotFound, len(s.tier.VenueIDs()), path))
 			return
 		}
 		h(w, r, v)
@@ -194,45 +201,65 @@ func (s *TenantServer) writeJSON(w http.ResponseWriter, code int, v any) {
 	}
 }
 
-func (s *TenantServer) fail(w http.ResponseWriter, code int, format string, args ...any) {
-	s.writeJSON(w, code, httpError{Error: fmt.Sprintf(format, args...)})
+// Request errors the server raises itself; statusOf maps them like the
+// sentinels of the layers below.
+var (
+	errBadRequest = errors.New("bad request")
+	errNotFound   = errors.New("not found")
+	errRefused    = errors.New("refused")
+)
+
+// statusTable maps every sentinel error to its HTTP status; the first entry
+// the error wraps wins.
+var statusTable = []struct {
+	err  error
+	code int
+}{
+	{errNotFound, http.StatusNotFound},
+	{tenant.ErrUnknownEngine, http.StatusNotFound},
+	{errBadRequest, http.StatusBadRequest},
+	{exec.ErrInvalidOp, http.StatusBadRequest},
+	{errRefused, http.StatusUnprocessableEntity},
+	{query.ErrNoHost, http.StatusUnprocessableEntity},
+	{query.ErrUnreachable, http.StatusUnprocessableEntity},
+	{query.ErrBudgetExhausted, http.StatusUnprocessableEntity},
+	{moving.ErrNotIndoors, http.StatusUnprocessableEntity},
+	{moving.ErrDuplicateQuery, http.StatusConflict},
+	{moving.ErrStreamClosed, http.StatusConflict},
+	{context.DeadlineExceeded, http.StatusGatewayTimeout},
+	{context.Canceled, StatusClientClosedRequest},
 }
 
-// errStatus maps a query error to its HTTP status: an unknown ?engine=
-// override is the caller's 404, unanswerable queries are the client's
-// problem (422), an expired deadline is the backend giving up (504), and a
-// vanished client is 499.
-func errStatus(err error) int {
-	switch {
-	case errors.Is(err, tenant.ErrUnknownEngine):
-		return http.StatusNotFound
-	case errors.Is(err, query.ErrNoHost),
-		errors.Is(err, query.ErrUnreachable),
-		errors.Is(err, query.ErrBudgetExhausted):
-		return http.StatusUnprocessableEntity
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout
-	case errors.Is(err, context.Canceled):
-		return StatusClientClosedRequest
-	default:
-		return http.StatusInternalServerError
+// statusOf maps an error to its HTTP status through statusTable; anything
+// it does not wrap is the server's own failure (500).
+func statusOf(err error) int {
+	for _, e := range statusTable {
+		if errors.Is(err, e.err) {
+			return e.code
+		}
 	}
+	return http.StatusInternalServerError
 }
 
-// failQuery reports a query error with the mapped status; interrupted
-// queries (budget, deadline) attach their partial progress.
+// fail answers err with its mapped status.
+func (s *TenantServer) fail(w http.ResponseWriter, err error) {
+	s.writeJSON(w, statusOf(err), httpError{Error: err.Error()})
+}
+
+// failQuery is fail for a query error; interrupted queries (budget,
+// deadline) attach their partial progress.
 func (s *TenantServer) failQuery(w http.ResponseWriter, err error, st *query.Stats) {
 	he := httpError{Error: err.Error()}
 	if errors.Is(err, query.ErrBudgetExhausted) || errors.Is(err, context.DeadlineExceeded) {
 		he.VisitedDoors = &st.VisitedDoors
 		he.WorkBytes = &st.WorkBytes
 	}
-	s.writeJSON(w, errStatus(err), he)
+	s.writeJSON(w, statusOf(err), he)
 }
 
 // queryCtx derives one query's context: request cancellation, the endpoint
-// timeout, and the admission budget. The venue registry is bound inside the
-// venue's query methods, so the router's evidence is fed automatically.
+// timeout, and the admission budget. Venue.Query binds the venue registry,
+// so the router's evidence is fed automatically.
 func (s *TenantServer) queryCtx(r *http.Request, endpoint string) (context.Context, context.CancelFunc) {
 	ctx := r.Context()
 	cancel := context.CancelFunc(func() {})
@@ -246,56 +273,92 @@ func (s *TenantServer) queryCtx(r *http.Request, endpoint string) (context.Conte
 }
 
 // floatParam parses a required float query parameter.
-func floatParam(r *http.Request, key string) (float64, error) {
-	raw := r.URL.Query().Get(key)
+func floatParam(q url.Values, key string) (float64, error) {
+	raw := q.Get(key)
 	if raw == "" {
-		return 0, fmt.Errorf("missing parameter %q", key)
+		return 0, fmt.Errorf("%w: missing parameter %q", errBadRequest, key)
 	}
 	v, err := strconv.ParseFloat(raw, 64)
 	if err != nil {
-		return 0, fmt.Errorf("bad parameter %q: %v", key, err)
+		return 0, fmt.Errorf("%w: parameter %q: %v", errBadRequest, key, err)
 	}
 	return v, nil
 }
 
-// pointParam parses x/y/floor (floor optional, default 0) with a suffix
-// ("" or "2"). A floor outside int16 is an error, not a wrapped floor.
-func pointParam(r *http.Request, suffix string) (indoor.Point, error) {
-	x, err := floatParam(r, "x"+suffix)
+// floorParam parses an optional floor (default 0). A floor outside int16 is
+// an error, not a wrapped floor.
+func floorParam(q url.Values, key string) (int16, error) {
+	raw := q.Get(key)
+	if raw == "" {
+		return 0, nil
+	}
+	floor, err := strconv.ParseInt(raw, 10, 16)
 	if err != nil {
-		return indoor.Point{}, err
+		return 0, fmt.Errorf("%w: parameter %q: %v", errBadRequest, key, err)
 	}
-	y, err := floatParam(r, "y"+suffix)
-	if err != nil {
-		return indoor.Point{}, err
-	}
-	var floor int64
-	if raw := r.URL.Query().Get("floor" + suffix); raw != "" {
-		floor, err = strconv.ParseInt(raw, 10, 16)
-		if err != nil {
-			return indoor.Point{}, fmt.Errorf("bad parameter floor%s: %v", suffix, err)
-		}
-	}
-	return indoor.At(x, y, int16(floor)), nil
+	return int16(floor), nil
 }
 
-// kParam parses the optional k (default 5).
-func kParam(r *http.Request) (int, error) {
-	raw := r.URL.Query().Get("k")
-	if raw == "" {
-		return 5, nil
+// pointParam parses x/y/floor with a suffix ("" or "2").
+func pointParam(q url.Values, suffix string) (indoor.Point, error) {
+	x, err := floatParam(q, "x"+suffix)
+	if err != nil {
+		return indoor.Point{}, err
 	}
-	k, err := strconv.Atoi(raw)
-	if err != nil || k < 0 {
-		return 0, errors.New("bad k")
+	y, err := floatParam(q, "y"+suffix)
+	if err != nil {
+		return indoor.Point{}, err
 	}
-	return k, nil
+	floor, err := floorParam(q, "floor"+suffix)
+	return indoor.At(x, y, floor), err
+}
+
+// parseOp decodes one query of the given kind: x/y/floor, then r (range),
+// k (kNN, default 5) or x2/y2/floor2 (SPD). It only parses; exec.Do
+// rejects values no query can answer (a negative or NaN radius, k < 1).
+func parseOp(r *http.Request, kind exec.Kind) (exec.Op, error) {
+	q := r.URL.Query()
+	op := exec.Op{Kind: kind}
+	var err error
+	if op.P, err = pointParam(q, ""); err != nil {
+		return op, err
+	}
+	switch kind {
+	case exec.RangeQ:
+		op.R, err = floatParam(q, "r")
+	case exec.KNNQ:
+		op.K = 5
+		if raw := q.Get("k"); raw != "" {
+			if op.K, err = strconv.Atoi(raw); err != nil {
+				err = fmt.Errorf("%w: parameter \"k\": %v", errBadRequest, err)
+			}
+		}
+	case exec.SPDQ:
+		op.Q, err = pointParam(q, "2")
+	}
+	return op, err
+}
+
+// runQuery decodes one query of kind and runs it on v under the request's
+// query context (tr, when non-nil, records its spans). A decode failure is
+// returned as the result's error.
+func (s *TenantServer) runQuery(r *http.Request, v *tenant.Venue, kind exec.Kind, tr *obs.Trace) (exec.Op, exec.Result, string) {
+	op, err := parseOp(r, kind)
+	if err != nil {
+		return op, exec.Result{Err: err}, ""
+	}
+	ctx, cancel := s.queryCtx(r, kind.String())
+	defer cancel()
+	if tr != nil {
+		ctx = obs.WithTrace(ctx, tr)
+	}
+	res, engine := v.Query(ctx, op, r.URL.Query().Get("engine"))
+	return op, res, engine
 }
 
 func (s *TenantServer) handleVenues(w http.ResponseWriter, r *http.Request) {
 	type venueJSON struct {
 		ID      string   `json:"id"`
-		Shard   int      `json:"shard"`
 		Epoch   uint64   `json:"epoch"`
 		Engines []string `json:"engines"`
 		Objects int      `json:"objects"`
@@ -309,24 +372,19 @@ func (s *TenantServer) handleVenues(w http.ResponseWriter, r *http.Request) {
 		}
 		out = append(out, venueJSON{
 			ID:      id,
-			Shard:   s.tier.ShardOf(id),
 			Epoch:   v.Epoch(),
 			Engines: v.EngineList(),
 			Objects: len(v.Objects),
 			Origin:  v.Origin,
 		})
 	}
-	s.writeJSON(w, http.StatusOK, map[string]any{
-		"shards": s.tier.NumShards(),
-		"venues": out,
-	})
+	s.writeJSON(w, http.StatusOK, map[string]any{"venues": out})
 }
 
 func (s *TenantServer) handleInfo(w http.ResponseWriter, r *http.Request, v *tenant.Venue) {
 	stats := v.Space.SpaceStats(v.Gamma)
 	s.writeJSON(w, http.StatusOK, map[string]any{
 		"venue":      v.ID,
-		"shard":      s.tier.ShardOf(v.ID),
 		"floors":     stats.Floors,
 		"partitions": stats.Partitions,
 		"doors":      stats.Doors,
@@ -375,65 +433,11 @@ type rangeResponse struct {
 	Epoch        uint64  `json:"epoch"`
 }
 
-func (s *TenantServer) handleRange(w http.ResponseWriter, r *http.Request, v *tenant.Venue) {
-	p, err := pointParam(r, "")
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	radius, err := floatParam(r, "r")
-	if err != nil || !(radius >= 0) { // NaN fails too; +Inf means unbounded
-		s.fail(w, http.StatusBadRequest, "bad radius")
-		return
-	}
-	ctx, cancel := s.queryCtx(r, obs.OpRange)
-	defer cancel()
-	var qst query.Stats
-	ids, engine, err := v.Range(ctx, p, radius, &qst, r.URL.Query().Get("engine"))
-	if err != nil {
-		s.failQuery(w, err, &qst)
-		return
-	}
-	if ids == nil {
-		ids = []int32{}
-	}
-	s.writeJSON(w, http.StatusOK, rangeResponse{
-		Objects: ids, VisitedDoors: qst.VisitedDoors, Engine: engine, Epoch: v.Epoch(),
-	})
-}
-
 type knnResponse struct {
 	Neighbors    []query.Neighbor `json:"neighbors"`
 	VisitedDoors int              `json:"visitedDoors"`
 	Engine       string           `json:"engine"`
 	Epoch        uint64           `json:"epoch"`
-}
-
-func (s *TenantServer) handleKNN(w http.ResponseWriter, r *http.Request, v *tenant.Venue) {
-	p, err := pointParam(r, "")
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	k, err := kParam(r)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	ctx, cancel := s.queryCtx(r, obs.OpKNN)
-	defer cancel()
-	var qst query.Stats
-	nn, engine, err := v.KNN(ctx, p, k, &qst, r.URL.Query().Get("engine"))
-	if err != nil {
-		s.failQuery(w, err, &qst)
-		return
-	}
-	if nn == nil {
-		nn = []query.Neighbor{}
-	}
-	s.writeJSON(w, http.StatusOK, knnResponse{
-		Neighbors: nn, VisitedDoors: qst.VisitedDoors, Engine: engine, Epoch: v.Epoch(),
-	})
 }
 
 type spdResponse struct {
@@ -445,37 +449,47 @@ type spdResponse struct {
 	Epoch        uint64       `json:"epoch"`
 }
 
-func (s *TenantServer) handleSPD(w http.ResponseWriter, r *http.Request, v *tenant.Venue) {
-	p, err := pointParam(r, "")
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
-		return
+// handleQuery serves one query kind: parseOp, Venue.Query, then the kind's
+// response encoding.
+func (s *TenantServer) handleQuery(kind exec.Kind) venueHandler {
+	return func(w http.ResponseWriter, r *http.Request, v *tenant.Venue) {
+		op, res, engine := s.runQuery(r, v, kind, nil)
+		if res.Err != nil {
+			s.failQuery(w, res.Err, &res.Stats)
+			return
+		}
+		switch kind {
+		case exec.RangeQ:
+			ids := res.IDs
+			if ids == nil {
+				ids = []int32{}
+			}
+			s.writeJSON(w, http.StatusOK, rangeResponse{
+				Objects: ids, VisitedDoors: res.Stats.VisitedDoors, Engine: engine, Epoch: v.Epoch(),
+			})
+		case exec.KNNQ:
+			nn := res.Neighbors
+			if nn == nil {
+				nn = []query.Neighbor{}
+			}
+			s.writeJSON(w, http.StatusOK, knnResponse{
+				Neighbors: nn, VisitedDoors: res.Stats.VisitedDoors, Engine: engine, Epoch: v.Epoch(),
+			})
+		case exec.SPDQ:
+			resp := spdResponse{
+				Dist: res.Path.Dist, Doors: make([]int32, 0, len(res.Path.Doors)),
+				VisitedDoors: res.Stats.VisitedDoors, Engine: engine, Epoch: v.Epoch(),
+			}
+			resp.Geom = append(resp.Geom, [3]float64{op.P.X, op.P.Y, float64(op.P.Floor)})
+			for _, d := range res.Path.Doors {
+				resp.Doors = append(resp.Doors, int32(d))
+				dp := v.Space.DoorPoint(d)
+				resp.Geom = append(resp.Geom, [3]float64{dp.X, dp.Y, float64(dp.Floor)})
+			}
+			resp.Geom = append(resp.Geom, [3]float64{op.Q.X, op.Q.Y, float64(op.Q.Floor)})
+			s.writeJSON(w, http.StatusOK, resp)
+		}
 	}
-	q, err := pointParam(r, "2")
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	ctx, cancel := s.queryCtx(r, obs.OpSPD)
-	defer cancel()
-	var qst query.Stats
-	path, engine, err := v.SPD(ctx, p, q, &qst, r.URL.Query().Get("engine"))
-	if err != nil {
-		s.failQuery(w, err, &qst)
-		return
-	}
-	resp := spdResponse{
-		Dist: path.Dist, Doors: make([]int32, 0, len(path.Doors)),
-		VisitedDoors: qst.VisitedDoors, Engine: engine, Epoch: v.Epoch(),
-	}
-	resp.Geom = append(resp.Geom, [3]float64{p.X, p.Y, float64(p.Floor)})
-	for _, d := range path.Doors {
-		resp.Doors = append(resp.Doors, int32(d))
-		dp := v.Space.DoorPoint(d)
-		resp.Geom = append(resp.Geom, [3]float64{dp.X, dp.Y, float64(dp.Floor)})
-	}
-	resp.Geom = append(resp.Geom, [3]float64{q.X, q.Y, float64(q.Floor)})
-	s.writeJSON(w, http.StatusOK, resp)
 }
 
 type partitionJSON struct {
@@ -486,15 +500,12 @@ type partitionJSON struct {
 }
 
 func (s *TenantServer) handlePartitions(w http.ResponseWriter, r *http.Request, v *tenant.Venue) {
-	var floor int64
-	if raw := r.URL.Query().Get("floor"); raw != "" {
-		var err error
-		if floor, err = strconv.ParseInt(raw, 10, 16); err != nil {
-			s.fail(w, http.StatusBadRequest, "bad floor")
-			return
-		}
+	floor, err := floorParam(r.URL.Query(), "floor")
+	if err != nil {
+		s.fail(w, err)
+		return
 	}
-	ids := v.Space.OnFloor(int16(floor))
+	ids := v.Space.OnFloor(floor)
 	out := make([]partitionJSON, 0, len(ids))
 	for _, id := range ids {
 		part := v.Space.Partition(id)
@@ -528,70 +539,35 @@ type traceResponse struct {
 	Result        any         `json:"result,omitempty"`
 }
 
+// traceOps maps the ?op= of /trace to the query kind it runs (route is an
+// alias of spd).
+var traceOps = map[string]exec.Kind{
+	obs.OpRange: exec.RangeQ, obs.OpKNN: exec.KNNQ, obs.OpSPD: exec.SPDQ, "route": exec.SPDQ,
+}
+
 // handleTrace runs one query with per-stage tracing and returns the span
-// breakdown instead of the full result: ?op=range|knn|spd (route is an
-// alias of spd) plus the target endpoint's usual parameters, routed like
-// the endpoint itself. Query-level failures (no host, unreachable, budget)
-// still produce a 200 — the trace of a failed query is the point of the
-// endpoint — with the error recorded in the payload; only parameter errors
-// and unknown engines are 4xx.
+// breakdown instead of the full result: ?op=range|knn|spd plus the target
+// endpoint's usual parameters, decoded and routed like the endpoint itself.
+// Query-level failures (no host, unreachable, budget) still produce a 200 —
+// the trace of a failed query is the point of the endpoint — with the error
+// recorded in the payload; a query that never reached an engine (bad
+// parameters, an invalid op, an unknown engine) answers its statusOf code.
 func (s *TenantServer) handleTrace(w http.ResponseWriter, r *http.Request, v *tenant.Venue) {
-	op := r.URL.Query().Get("op")
-	if op == "route" {
-		op = obs.OpSPD
-	}
-	p, err := pointParam(r, "")
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
+	name := r.URL.Query().Get("op")
+	kind, ok := traceOps[name]
+	if !ok {
+		s.fail(w, fmt.Errorf("%w: bad op %q (want range, knn, or spd)", errBadRequest, name))
 		return
 	}
 	tr := obs.NewTrace()
-	ctx, cancel := s.queryCtx(r, op)
-	defer cancel()
-	ctx = obs.WithTrace(ctx, tr)
-	override := r.URL.Query().Get("engine")
-	var qst query.Stats
-	var qerr error
-	var result any
-	switch op {
-	case obs.OpRange:
-		radius, err := floatParam(r, "r")
-		if err != nil || !(radius >= 0) { // NaN fails too; +Inf means unbounded
-			s.fail(w, http.StatusBadRequest, "bad radius")
-			return
-		}
-		var ids []int32
-		ids, _, qerr = v.Range(ctx, p, radius, &qst, override)
-		result = map[string]any{"objects": len(ids)}
-	case obs.OpKNN:
-		k, err := kParam(r)
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		var nn []query.Neighbor
-		nn, _, qerr = v.KNN(ctx, p, k, &qst, override)
-		result = map[string]any{"neighbors": len(nn)}
-	case obs.OpSPD:
-		q, err := pointParam(r, "2")
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		var path query.Path
-		path, _, qerr = v.SPD(ctx, p, q, &qst, override)
-		result = map[string]any{"dist": path.Dist, "doors": len(path.Doors)}
-	default:
-		s.fail(w, http.StatusBadRequest, "bad op %q (want range, knn, or spd)", op)
-		return
-	}
-	if errors.Is(qerr, tenant.ErrUnknownEngine) {
-		s.fail(w, http.StatusNotFound, "%v", qerr)
-		return
-	}
+	_, res, _ := s.runQuery(r, v, kind, tr)
 	queries := tr.Queries()
 	if len(queries) == 0 {
-		s.fail(w, http.StatusInternalServerError, "trace recorded no query")
+		err := res.Err
+		if err == nil {
+			err = errors.New("trace recorded no query")
+		}
+		s.failQuery(w, err, &res.Stats)
 		return
 	}
 	q0 := queries[0]
@@ -608,8 +584,15 @@ func (s *TenantServer) handleTrace(w http.ResponseWriter, r *http.Request, v *te
 		Epoch:         v.Epoch(),
 		Spans:         make([]traceSpan, 0, len(tr.Spans())),
 	}
-	if qerr == nil {
-		resp.Result = result
+	if res.Err == nil {
+		switch kind {
+		case exec.RangeQ:
+			resp.Result = map[string]any{"objects": len(res.IDs)}
+		case exec.KNNQ:
+			resp.Result = map[string]any{"neighbors": len(res.Neighbors)}
+		case exec.SPDQ:
+			resp.Result = map[string]any{"dist": res.Path.Dist, "doors": len(res.Path.Doors)}
+		}
 	}
 	for _, sp := range tr.Spans() {
 		resp.Spans = append(resp.Spans, traceSpan{
@@ -644,13 +627,13 @@ type pinRequest struct {
 func (s *TenantServer) handlePin(w http.ResponseWriter, r *http.Request, v *tenant.Venue) {
 	var req pinRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, "bad request body: %v", err)
+		s.fail(w, fmt.Errorf("%w: body: %v", errBadRequest, err))
 		return
 	}
 	if req.Engine == "" {
 		v.Router().Unpin(req.Op)
 	} else if err := v.Router().Pin(req.Op, req.Engine); err != nil {
-		s.fail(w, http.StatusUnprocessableEntity, "%v", err)
+		s.fail(w, fmt.Errorf("%w: %w", errRefused, err))
 		return
 	}
 	s.writeJSON(w, http.StatusOK, map[string]any{
@@ -662,7 +645,7 @@ func (s *TenantServer) handlePin(w http.ResponseWriter, r *http.Request, v *tena
 // swapRequest is the optional POST .../swap body.
 type swapRequest struct {
 	// Path of the snapshot artifact to load; empty reloads the venue's own
-	// snapshot (-snapshot in isqserve).
+	// snapshot (a snap: venue in isqserve).
 	Path string `json:"path"`
 }
 
@@ -672,13 +655,13 @@ type swapRequest struct {
 func (s *TenantServer) handleSwap(w http.ResponseWriter, r *http.Request, v *tenant.Venue) {
 	var req swapRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-		s.fail(w, http.StatusBadRequest, "bad request body: %v", err)
+		s.fail(w, fmt.Errorf("%w: body: %v", errBadRequest, err))
 		return
 	}
 	start := time.Now()
 	nv, err := s.tier.SwapSnapshot(v.ID, req.Path)
 	if err != nil {
-		s.fail(w, http.StatusUnprocessableEntity, "swap: %v", err)
+		s.fail(w, fmt.Errorf("%w: swap: %w", errRefused, err))
 		return
 	}
 	s.writeJSON(w, http.StatusOK, map[string]any{

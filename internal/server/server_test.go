@@ -177,6 +177,9 @@ func TestErrorStatuses(t *testing.T) {
 		{"/v1/range?x=2.5&y=8", 400},
 		{"/v1/range?x=-99&y=-99&r=4", 422}, // outdoors
 		{"/v1/knn?x=2.5&y=8&k=-1", 400},
+		// k=0 can answer nothing: the one k rule (exec) rejects it.
+		{"/v1/knn?x=2.5&y=8&k=0", 400},
+		{"/v1/trace?op=knn&x=2.5&y=8&k=0", 400},
 		{"/v1/route?x=2.5&y=8", 400},
 		{"/v1/route?x=2.5&y=8&x2=-99&y2=-99", 422},
 		{"/v1/partitions?floor=zzz", 400},

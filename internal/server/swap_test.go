@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -193,8 +194,8 @@ func TestHotSwapUnderLoad(t *testing.T) {
 }
 
 // TestSwapRejectsBadArtifacts pins the failure paths: a missing file, a
-// missing configured path, and an artifact lacking the serving default all
-// leave the current state untouched.
+// missing configured path, a device, and an artifact lacking the serving
+// default all leave the current state untouched.
 func TestSwapRejectsBadArtifacts(t *testing.T) {
 	sp, err := spacegen.Generate(43, spacegen.Params{Rows: 1, Cols: 2}.Normalize())
 	if err != nil {
@@ -216,6 +217,12 @@ func TestSwapRejectsBadArtifacts(t *testing.T) {
 	}
 	if rec := post(``); rec.Code != http.StatusUnprocessableEntity {
 		t.Fatalf("no configured path: %d", rec.Code)
+	}
+	// A device is refused before any read: /dev/zero would stream forever.
+	if _, err := os.Stat("/dev/zero"); err == nil {
+		if rec := post(`{"path":"/dev/zero"}`); rec.Code != http.StatusUnprocessableEntity {
+			t.Fatalf("device path: %d", rec.Code)
+		}
 	}
 	// An artifact that lacks the serving default engine is refused.
 	dir := t.TempDir()

@@ -27,7 +27,7 @@ func newTenantTier(t *testing.T) *tenant.Tier {
 		}
 	}
 	tier, err := tenant.New([]tenant.VenueSpec{mk("north", 21), mk("south", 22)}, tenant.Options{
-		Shards: 2, Seed: 7,
+		Seed:   7,
 		Router: tenant.RouterConfig{ExplorePerEngine: 1, ReevalEvery: 8, SampleEvery: 4},
 	})
 	if err != nil {
@@ -60,17 +60,15 @@ func TestTenantEndpoints(t *testing.T) {
 	h := srv.Handler()
 
 	var listing struct {
-		Shards int `json:"shards"`
 		Venues []struct {
 			ID      string   `json:"id"`
-			Shard   int      `json:"shard"`
 			Epoch   uint64   `json:"epoch"`
 			Engines []string `json:"engines"`
 			Objects int      `json:"objects"`
 		} `json:"venues"`
 	}
 	tenantGetJSON(t, h, "/v1/venues", http.StatusOK, &listing)
-	if listing.Shards != 2 || len(listing.Venues) != 2 {
+	if len(listing.Venues) != 2 {
 		t.Fatalf("listing: %+v", listing)
 	}
 	for _, v := range listing.Venues {

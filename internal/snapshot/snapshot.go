@@ -311,11 +311,25 @@ type Reader struct {
 	order       []uint32
 }
 
-// Open reads and parses the snapshot file at path.
+// Open reads and parses the snapshot file at path. Only a regular file is
+// read, and exactly its stat size: a device or FIFO (say /dev/zero) would
+// otherwise stream without end into memory.
 func Open(path string) (*Reader, error) {
-	buf, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: %w", err)
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: %w", err)
+	}
+	if !fi.Mode().IsRegular() {
+		return nil, fmt.Errorf("snapshot: %s is not a regular file", path)
+	}
+	buf := make([]byte, fi.Size())
+	if _, err := io.ReadFull(f, buf); err != nil {
+		return nil, fmt.Errorf("snapshot: read %s: %w", path, err)
 	}
 	return NewReader(buf)
 }

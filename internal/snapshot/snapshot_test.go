@@ -3,7 +3,9 @@ package snapshot
 import (
 	"bytes"
 	"math"
+	"os"
 	"testing"
+	"time"
 )
 
 // buildSample writes a two-section snapshot exercising every primitive.
@@ -275,5 +277,27 @@ func TestAlignment(t *testing.T) {
 	}
 	if sr.Err() != nil {
 		t.Fatal(sr.Err())
+	}
+}
+
+// TestOpenRefusesNonRegular asserts Open refuses a character device instead
+// of reading it: /dev/zero never ends, so a plain read would grow the heap
+// until the process dies.
+func TestOpenRefusesNonRegular(t *testing.T) {
+	if _, err := os.Stat("/dev/zero"); err != nil {
+		t.Skip("no /dev/zero on this system")
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := Open("/dev/zero")
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("Open(/dev/zero) succeeded")
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Open(/dev/zero) still reading after 1s")
 	}
 }

@@ -1,8 +1,8 @@
-// Package tenant is the serving tier: N venues (one, for a single-venue
-// deployment) hashed across M shards, each shard holding an immutable
-// generation of its venues behind an atomic pointer plus one bounded
-// exec.Pool for batch work. Venues boot from a prebuilt bundle, a snapshot
-// artifact, a benchmark dataset, or a spacegen seed.
+// Package tenant is the serving tier: a venue table fixed at boot (one
+// entry, for a single-venue deployment), each venue holding its current
+// immutable generation behind one atomic pointer. Venues boot from a
+// prebuilt bundle, a snapshot artifact, a benchmark dataset, or a spacegen
+// seed.
 //
 // A generation is one atomic unit: the space, its engines, the POI set, the
 // cost-based Router, the continuous-query stream and the epoch are all
@@ -17,10 +17,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"indoorsq/internal/dataset"
 	"indoorsq/internal/doorgraph"
@@ -69,12 +69,6 @@ type VenueSpec struct {
 
 // Options configures the tier.
 type Options struct {
-	// Shards is the number of shards venues hash across (default
-	// min(4, len(specs)), at least 1).
-	Shards int
-	// Workers bounds each shard's exec.Pool and bundle construction
-	// parallelism (<= 0: GOMAXPROCS).
-	Workers int
 	// Seed fixes every router's explore order; two tiers booted with equal
 	// specs and seeds route identically given equal traffic.
 	Seed int64
@@ -120,59 +114,39 @@ type venueCtl struct {
 	snapshot string
 }
 
-// Shard owns a disjoint subset of the venues: an atomically published
-// generation map and one bounded pool for batch execution.
-type Shard struct {
-	index int
-	pool  *exec.Pool
-	// mu serializes swaps on this shard (never taken on the query path).
+// slot is one venue's entry in the tier's table: the generation a query
+// loads, and the lock that serializes swaps of that venue alone (never
+// taken on the query path).
+type slot struct {
 	mu  sync.Mutex
-	gen atomic.Pointer[map[string]*Venue]
+	cur atomic.Pointer[Venue]
 }
 
-// Tier is the serving tier: one or more venues across shards.
+// Tier is the serving tier: one or more venues, each behind its own slot.
 type Tier struct {
-	opts   Options
-	shards []*Shard
-	ids    []string // sorted venue ids (fixed at boot)
-}
-
-// shardIndex places a venue id on a shard (FNV-1a, stable across runs).
-func shardIndex(id string, n int) int {
-	h := fnv.New64a()
-	h.Write([]byte(id))
-	return int(h.Sum64() % uint64(n))
+	opts  Options
+	slots map[string]*slot // fixed at boot
+	ids   []string         // sorted venue ids
 }
 
 // New boots the tier: every venue is built (in parallel), seeded with its
-// object set, given its control block, and published on its shard.
+// object set, given its control block, and published in its slot.
 func New(specs []VenueSpec, opts Options) (*Tier, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("tenant: no venues")
 	}
-	if opts.Shards <= 0 {
-		opts.Shards = len(specs)
-		if opts.Shards > 4 {
-			opts.Shards = 4
-		}
-	}
-	seen := make(map[string]bool, len(specs))
+	t := &Tier{opts: opts, slots: make(map[string]*slot, len(specs))}
 	for _, s := range specs {
 		if s.ID == "" {
 			return nil, fmt.Errorf("tenant: venue with empty id")
 		}
-		if seen[s.ID] {
+		if t.slots[s.ID] != nil {
 			return nil, fmt.Errorf("tenant: duplicate venue id %q", s.ID)
 		}
-		seen[s.ID] = true
+		t.slots[s.ID] = &slot{}
+		t.ids = append(t.ids, s.ID)
 	}
-
-	t := &Tier{opts: opts, shards: make([]*Shard, opts.Shards)}
-	maps := make([]map[string]*Venue, opts.Shards)
-	for i := range t.shards {
-		t.shards[i] = &Shard{index: i, pool: &exec.Pool{Workers: opts.Workers}}
-		maps[i] = make(map[string]*Venue)
-	}
+	sort.Strings(t.ids)
 
 	venues := make([]*Venue, len(specs))
 	errs := make([]error, len(specs))
@@ -191,13 +165,7 @@ func New(specs []VenueSpec, opts Options) (*Tier, error) {
 		}
 	}
 	for _, v := range venues {
-		maps[shardIndex(v.ID, opts.Shards)][v.ID] = v
-		t.ids = append(t.ids, v.ID)
-	}
-	sort.Strings(t.ids)
-	for i := range t.shards {
-		m := maps[i]
-		t.shards[i].gen.Store(&m)
+		t.slots[v.ID].cur.Store(v)
 	}
 	return t, nil
 }
@@ -218,7 +186,7 @@ func (t *Tier) buildVenue(spec VenueSpec) (*Venue, error) {
 				gamma = info.Gamma
 			}
 			b, err = bundle.Build(spec.ID, info.Space,
-				bundle.Options{Engines: spec.Engines, Gamma: gamma, Workers: t.opts.Workers})
+				bundle.Options{Engines: spec.Engines, Gamma: gamma})
 		}
 	default:
 		var sp *indoor.Space
@@ -227,7 +195,7 @@ func (t *Tier) buildVenue(spec VenueSpec) (*Venue, error) {
 				gamma = 4
 			}
 			b, err = bundle.Build(spec.ID, sp,
-				bundle.Options{Engines: spec.Engines, Gamma: gamma, Workers: t.opts.Workers})
+				bundle.Options{Engines: spec.Engines, Gamma: gamma})
 		}
 	}
 	if err != nil {
@@ -339,26 +307,23 @@ func adoptBundle(id string, b *bundle.Bundle, objs []query.Object, ctl *venueCtl
 	}
 }
 
-// NumShards returns the shard count.
-func (t *Tier) NumShards() int { return len(t.shards) }
-
-// ShardOf returns the shard index a venue id hashes to.
-func (t *Tier) ShardOf(id string) int { return shardIndex(id, len(t.shards)) }
-
 // VenueIDs returns all venue ids, sorted.
 func (t *Tier) VenueIDs() []string { return append([]string(nil), t.ids...) }
 
 // Venue returns the current generation of one venue.
 func (t *Tier) Venue(id string) (*Venue, bool) {
-	sh := t.shards[shardIndex(id, len(t.shards))]
-	v, ok := (*sh.gen.Load())[id]
-	return v, ok
+	sl, ok := t.slots[id]
+	if !ok {
+		return nil, false
+	}
+	return sl.cur.Load(), true
 }
 
 // SwapSnapshot loads a bundle artifact (path "" reloads the venue's
 // VenueSpec.Snapshot) and publishes it as the venue's next generation: the
 // serving object set and the control block carry over, the epoch advances
-// by one, and one shard-map store publishes the whole generation. Requests
+// by one, and one store into the venue's slot publishes the whole
+// generation. Only this venue's swaps wait on each other. Requests
 // in flight finish on the generation they loaded. The previous generation's
 // stream is closed after the publish, so a request still holding it fails
 // with moving.ErrStreamClosed instead of touching the new one.
@@ -368,14 +333,13 @@ func (t *Tier) Venue(id string) (*Venue, bool) {
 // replaced (its evidence keyed the old set), primed so pre-swap traffic
 // doesn't leak into its first window, and given the old router's pins.
 func (t *Tier) SwapSnapshot(id, path string) (*Venue, error) {
-	sh := t.shards[shardIndex(id, len(t.shards))]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	cur := *sh.gen.Load()
-	v, ok := cur[id]
+	sl, ok := t.slots[id]
 	if !ok {
 		return nil, fmt.Errorf("tenant: unknown venue %q", id)
 	}
+	sl.mu.Lock()
+	defer sl.mu.Unlock()
+	v := sl.cur.Load()
 	if path == "" {
 		path = v.ctl.snapshot
 	}
@@ -396,7 +360,7 @@ func (t *Tier) SwapSnapshot(id, path string) (*Venue, error) {
 	nv := adoptBundle(id, b, v.Objects, v.ctl)
 	nv.epoch = v.epoch + 1
 	nv.router = v.router
-	if !equalStrings(v.engineList, nv.engineList) {
+	if !slices.Equal(v.engineList, nv.engineList) {
 		nv.router = NewRouter(nv.engineList, v.ctl.reg, v.ctl.seed, t.opts.Router)
 		nv.router.PrimeBaseline()
 		for op, eng := range pins {
@@ -405,26 +369,9 @@ func (t *Tier) SwapSnapshot(id, path string) (*Venue, error) {
 			}
 		}
 	}
-	next := make(map[string]*Venue, len(cur))
-	for k, vv := range cur {
-		next[k] = vv
-	}
-	next[id] = nv
-	sh.gen.Store(&next)
+	sl.cur.Store(nv)
 	v.stream.Close()
 	return nv, nil
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // EngineList returns the venue's engine names in canonical order.
@@ -443,115 +390,20 @@ func (v *Venue) Registry() *obs.Registry { return v.ctl.reg }
 // Epoch returns the generation's serving epoch: 1 at boot, +1 per swap.
 func (v *Venue) Epoch() uint64 { return v.epoch }
 
-// resolve picks the serving engine for one query of class op: an explicit
-// override wins (the deterministic knob), otherwise the router decides.
-func (v *Venue) resolve(op, override string) (query.Engine, string, error) {
+// Query answers one routed query on this generation and returns the
+// result plus the engine that served it. override names the engine (the
+// deterministic knob); "" lets the router choose for op's query class. The
+// venue registry is bound to ctx, so the query's latency lands in the
+// evidence the router reads. An engine this generation does not serve fails
+// with ErrUnknownEngine in Result.Err.
+func (v *Venue) Query(ctx context.Context, op exec.Op, override string) (exec.Result, string) {
 	name := override
 	if name == "" {
-		name = v.Router().Choose(op)
+		name = v.router.Choose(op.Kind.String())
 	}
-	e, ok := v.Engines[name]
+	eng, ok := v.Engines[name]
 	if !ok {
-		return nil, name, fmt.Errorf("%w: venue %q has no engine %q", ErrUnknownEngine, v.ID, name)
+		return exec.Result{Err: fmt.Errorf("%w: venue %q has no engine %q", ErrUnknownEngine, v.ID, name)}, name
 	}
-	return e, name, nil
-}
-
-// bind attaches the venue registry to the query context so the engine's
-// latency lands in the evidence the router reads.
-func (v *Venue) bind(ctx context.Context) context.Context {
-	return obs.WithRegistry(ctx, v.ctl.reg)
-}
-
-// Range answers a routed range query; the second return is the engine that
-// served it. override pins the engine for this query ("" routes).
-func (v *Venue) Range(ctx context.Context, p indoor.Point, r float64, st *query.Stats, override string) ([]int32, string, error) {
-	eng, name, err := v.resolve(obs.OpRange, override)
-	if err != nil {
-		return nil, name, err
-	}
-	ids, err := query.Range(v.bind(ctx), eng, p, r, st)
-	return ids, name, err
-}
-
-// KNN answers a routed k-nearest-neighbors query.
-func (v *Venue) KNN(ctx context.Context, p indoor.Point, k int, st *query.Stats, override string) ([]query.Neighbor, string, error) {
-	eng, name, err := v.resolve(obs.OpKNN, override)
-	if err != nil {
-		return nil, name, err
-	}
-	nn, err := query.KNN(v.bind(ctx), eng, p, k, st)
-	return nn, name, err
-}
-
-// SPD answers a routed shortest-path-distance query.
-func (v *Venue) SPD(ctx context.Context, p, q indoor.Point, st *query.Stats, override string) (query.Path, string, error) {
-	eng, name, err := v.resolve(obs.OpSPD, override)
-	if err != nil {
-		return query.Path{}, name, err
-	}
-	path, err := query.SPD(v.bind(ctx), eng, p, q, st)
-	return path, name, err
-}
-
-// opLabel maps an exec op kind to its obs/router query-class label.
-func opLabel(k exec.Kind) string {
-	switch k {
-	case exec.RangeQ:
-		return obs.OpRange
-	case exec.KNNQ:
-		return obs.OpKNN
-	default:
-		return obs.OpSPD
-	}
-}
-
-// Run executes a batch against one venue through its shard's pool: each op
-// is routed individually (override pins all of them), ops are grouped by
-// chosen engine, and each group runs as one pooled sub-batch. Results are
-// indexed like ops; the returned engine slice records who served each op.
-func (t *Tier) Run(ctx context.Context, venueID string, ops []exec.Op, override string) ([]exec.Result, exec.Batch, []string, error) {
-	sh := t.shards[shardIndex(venueID, len(t.shards))]
-	v, ok := (*sh.gen.Load())[venueID]
-	if !ok {
-		return nil, exec.Batch{}, nil, fmt.Errorf("tenant: unknown venue %q", venueID)
-	}
-	names := make([]string, len(ops))
-	groups := make(map[string][]int)
-	for i := range ops {
-		name := override
-		if name == "" {
-			name = v.Router().Choose(opLabel(ops[i].Kind))
-		}
-		if _, ok := v.Engines[name]; !ok {
-			return nil, exec.Batch{}, nil, fmt.Errorf("%w: venue %q has no engine %q", ErrUnknownEngine, venueID, name)
-		}
-		names[i] = name
-		groups[name] = append(groups[name], i)
-	}
-	ctx = v.bind(ctx)
-	results := make([]exec.Result, len(ops))
-	var batch exec.Batch
-	start := time.Now()
-	// Canonical engine order keeps multi-engine batches deterministic.
-	for _, name := range v.engineList {
-		idx := groups[name]
-		if len(idx) == 0 {
-			continue
-		}
-		sub := make([]exec.Op, len(idx))
-		for j, i := range idx {
-			sub[j] = ops[i]
-		}
-		res, b := sh.pool.RunCtx(ctx, v.Engines[name], sub)
-		for j, i := range idx {
-			results[i] = res[j]
-		}
-		batch.Stats.Add(b.Stats)
-		batch.QueryTime += b.QueryTime
-		batch.Errs += b.Errs
-		batch.Cancelled += b.Cancelled
-	}
-	batch.Wall = time.Since(start)
-	return results, batch, names, nil
+	return exec.Do(obs.WithRegistry(ctx, v.ctl.reg), eng, op), name
 }

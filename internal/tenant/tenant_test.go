@@ -2,6 +2,9 @@ package tenant
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"math"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -37,7 +40,7 @@ func testSpecs() []VenueSpec {
 func newTestTier(t *testing.T) *Tier {
 	t.Helper()
 	tier, err := New(testSpecs(), Options{
-		Shards: 2, Seed: 99,
+		Seed:   99,
 		Router: RouterConfig{ExplorePerEngine: 1, ReevalEvery: 8, SampleEvery: 4},
 	})
 	if err != nil {
@@ -46,7 +49,7 @@ func newTestTier(t *testing.T) *Tier {
 	return tier
 }
 
-// TestTierBoot checks shard placement, venue lookup, object seeding, and
+// TestTierBoot checks venue lookup, object seeding, and
 // that routed queries agree with every pinned engine (the engines answer
 // identically by the differential-suite guarantee, so routing can never
 // change an answer — only who computes it).
@@ -55,9 +58,6 @@ func TestTierBoot(t *testing.T) {
 	if got := tier.VenueIDs(); len(got) != 3 || got[0] != "airport-c" || got[1] != "mall-a" || got[2] != "mall-b" {
 		t.Fatalf("VenueIDs = %v", got)
 	}
-	if tier.NumShards() != 2 {
-		t.Fatalf("NumShards = %d", tier.NumShards())
-	}
 	if _, ok := tier.Venue("nope"); ok {
 		t.Fatal("lookup of unknown venue succeeded")
 	}
@@ -65,9 +65,6 @@ func TestTierBoot(t *testing.T) {
 		v, ok := tier.Venue(id)
 		if !ok {
 			t.Fatalf("venue %q missing", id)
-		}
-		if got := tier.ShardOf(id); got < 0 || got >= tier.NumShards() {
-			t.Fatalf("ShardOf(%q) = %d", id, got)
 		}
 		if len(v.Objects) != 20 {
 			t.Fatalf("venue %q seeded %d objects", id, len(v.Objects))
@@ -81,23 +78,15 @@ func TestTierBoot(t *testing.T) {
 
 		gen := workload.New(v.Space, 5)
 		p, _ := gen.PointIn()
-		var st query.Stats
-		routed, eng, err := v.Range(context.Background(), p, 8, &st, "")
-		if err != nil {
-			t.Fatalf("venue %q routed range via %s: %v", id, eng, err)
+		op := exec.Op{Kind: exec.RangeQ, P: p, R: 8}
+		routed, eng := v.Query(context.Background(), op, "")
+		if routed.Err != nil {
+			t.Fatalf("venue %q routed range via %s: %v", id, eng, routed.Err)
 		}
 		for _, pin := range fastEngines {
-			got, _, err := v.Range(context.Background(), p, 8, &st, pin)
-			if err != nil {
-				t.Fatalf("venue %q pinned range via %s: %v", id, pin, err)
-			}
-			if len(got) != len(routed) {
-				t.Fatalf("venue %q: %s answered %v, routed answer was %v", id, pin, got, routed)
-			}
-			for i := range got {
-				if got[i] != routed[i] {
-					t.Fatalf("venue %q: %s answered %v, routed answer was %v", id, pin, got, routed)
-				}
+			got, _ := v.Query(context.Background(), op, pin)
+			if err := sameAnswer(got, routed); err != nil {
+				t.Fatalf("venue %q: %s vs routed: %v", id, pin, err)
 			}
 		}
 		// The venue registry collected the latencies (the router's evidence).
@@ -109,8 +98,8 @@ func TestTierBoot(t *testing.T) {
 			t.Fatalf("venue %q: no latency evidence landed in the registry", id)
 		}
 		// An override naming a missing engine is rejected.
-		if _, _, err := v.Range(context.Background(), p, 8, &st, "VIPTree"); err == nil {
-			t.Fatalf("venue %q accepted an override for an engine it does not serve", id)
+		if res, _ := v.Query(context.Background(), op, "VIPTree"); !errors.Is(res.Err, ErrUnknownEngine) {
+			t.Fatalf("venue %q: override for an engine it does not serve: %v", id, res.Err)
 		}
 	}
 }
@@ -136,65 +125,92 @@ func TestTierExploreOrderDeterministic(t *testing.T) {
 	}
 }
 
-// TestTierRun routes a mixed batch through the shard pool and cross-checks
-// every result against a direct pinned call on the same generation.
-func TestTierRun(t *testing.T) {
-	tier := newTestTier(t)
-	v, _ := tier.Venue("mall-a")
-	gen := workload.New(v.Space, 3)
-	var ops []exec.Op
-	for i := 0; i < 12; i++ {
+// sameAnswer reports how two results of one op differ: range id sets, kNN
+// distance per rank and SPD distance (within 1e-9), and the error.
+func sameAnswer(a, b exec.Result) error {
+	if (a.Err == nil) != (b.Err == nil) {
+		return fmt.Errorf("errors differ: %v vs %v", a.Err, b.Err)
+	}
+	if fmt.Sprint(a.IDs) != fmt.Sprint(b.IDs) {
+		return fmt.Errorf("range ids %v vs %v", a.IDs, b.IDs)
+	}
+	if len(a.Neighbors) != len(b.Neighbors) {
+		return fmt.Errorf("%d vs %d neighbors", len(a.Neighbors), len(b.Neighbors))
+	}
+	for i := range a.Neighbors {
+		if math.Abs(a.Neighbors[i].Dist-b.Neighbors[i].Dist) > 1e-9 {
+			return fmt.Errorf("knn rank %d: dist %v vs %v", i, a.Neighbors[i].Dist, b.Neighbors[i].Dist)
+		}
+	}
+	if math.Abs(a.Path.Dist-b.Path.Dist) > 1e-9 {
+		return fmt.Errorf("spd dist %v vs %v", a.Path.Dist, b.Path.Dist)
+	}
+	return nil
+}
+
+// mixedOps is a deterministic range/kNN/SPD stream over one venue.
+func mixedOps(v *Venue, seed int64, n int) []exec.Op {
+	gen := workload.New(v.Space, seed)
+	ops := make([]exec.Op, n)
+	for i := range ops {
 		p, _ := gen.PointIn()
 		switch i % 3 {
 		case 0:
-			ops = append(ops, exec.Op{Kind: exec.RangeQ, P: p, R: 7.5})
+			ops[i] = exec.Op{Kind: exec.RangeQ, P: p, R: 7.5}
 		case 1:
-			ops = append(ops, exec.Op{Kind: exec.KNNQ, P: p, K: 3})
+			ops[i] = exec.Op{Kind: exec.KNNQ, P: p, K: 3}
 		default:
 			q, _ := gen.PointIn()
-			ops = append(ops, exec.Op{Kind: exec.SPDQ, P: p, Q: q})
+			ops[i] = exec.Op{Kind: exec.SPDQ, P: p, Q: q}
 		}
 	}
-	results, batch, engines, err := tier.Run(context.Background(), "mall-a", ops, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(ops) || len(engines) != len(ops) {
-		t.Fatalf("got %d results, %d engines for %d ops", len(results), len(engines), len(ops))
-	}
-	if batch.Errs != 0 {
-		t.Fatalf("batch errs: %d", batch.Errs)
-	}
-	var st query.Stats
+	return ops
+}
+
+// TestVenueQuery routes a mixed stream through Venue.Query from a pool of
+// workers and cross-checks every answer against every pinned engine on the
+// same generation; the routed answers must also feed the router's evidence.
+func TestVenueQuery(t *testing.T) {
+	tier := newTestTier(t)
+	v, _ := tier.Venue("mall-a")
+	ops := mixedOps(v, 3, 24)
+	results := make([]exec.Result, len(ops))
+	engines := make([]string, len(ops))
+	pool := exec.Pool{Workers: 4}
+	pool.Map(len(ops), func(i int, _ *query.Stats) error {
+		results[i], engines[i] = v.Query(context.Background(), ops[i], "")
+		return nil
+	})
 	for i, op := range ops {
-		r := results[i]
-		if r.Err != nil {
-			t.Fatalf("op %d via %s: %v", i, engines[i], r.Err)
+		if results[i].Err != nil {
+			t.Fatalf("op %d via %s: %v", i, engines[i], results[i].Err)
 		}
-		switch op.Kind {
-		case exec.RangeQ:
-			want, _, err := v.Range(context.Background(), op.P, op.R, &st, engines[i])
-			if err != nil || len(want) != len(r.IDs) {
-				t.Fatalf("op %d: range mismatch (%v): %v vs %v", i, err, r.IDs, want)
+		for _, pin := range fastEngines {
+			want, served := v.Query(context.Background(), op, pin)
+			if served != pin {
+				t.Fatalf("op %d: override %s served by %s", i, pin, served)
 			}
-		case exec.KNNQ:
-			want, _, err := v.KNN(context.Background(), op.P, op.K, &st, engines[i])
-			if err != nil || len(want) != len(r.Neighbors) {
-				t.Fatalf("op %d: knn mismatch (%v)", i, err)
-			}
-		case exec.SPDQ:
-			want, _, err := v.SPD(context.Background(), op.P, op.Q, &st, engines[i])
-			if err != nil || want.Dist != r.Path.Dist {
-				t.Fatalf("op %d: spd mismatch (%v): %v vs %v", i, err, r.Path.Dist, want.Dist)
+			if err := sameAnswer(results[i], want); err != nil {
+				t.Fatalf("op %d: routed via %s vs pinned %s: %v", i, engines[i], pin, err)
 			}
 		}
 	}
-	// Unknown venue and unknown override are rejected up front.
-	if _, _, _, err := tier.Run(context.Background(), "nope", ops, ""); err == nil {
-		t.Fatal("Run on unknown venue succeeded")
+	var total int64
+	for _, e := range fastEngines {
+		for _, op := range RoutedOps {
+			total += v.Registry().Series(e, op).Count.Load()
+		}
 	}
-	if _, _, _, err := tier.Run(context.Background(), "mall-a", ops, "VIPTree"); err == nil {
-		t.Fatal("Run with an unserved override succeeded")
+	if total < int64(len(ops)) {
+		t.Fatalf("registry saw %d queries, want >= %d", total, len(ops))
+	}
+	// An unserved override and an invalid op fail without a result.
+	if res, _ := v.Query(context.Background(), ops[0], "VIPTree"); !errors.Is(res.Err, ErrUnknownEngine) {
+		t.Fatalf("unserved override: %v", res.Err)
+	}
+	bad := exec.Op{Kind: exec.KNNQ, P: ops[0].P, K: 0}
+	if res, _ := v.Query(context.Background(), bad, ""); !errors.Is(res.Err, exec.ErrInvalidOp) {
+		t.Fatalf("k=0: %v", res.Err)
 	}
 }
 
@@ -206,9 +222,9 @@ func TestTierSwap(t *testing.T) {
 	old, _ := tier.Venue("mall-b")
 	gen := workload.New(old.Space, 4)
 	p, _ := gen.PointIn()
-	var st query.Stats
-	if _, _, err := old.Range(context.Background(), p, 9, &st, ""); err != nil {
-		t.Fatal(err)
+	op := exec.Op{Kind: exec.RangeQ, P: p, R: 9}
+	if res, _ := old.Query(context.Background(), op, ""); res.Err != nil {
+		t.Fatal(res.Err)
 	}
 	routerBefore := old.Router()
 
@@ -245,13 +261,13 @@ func TestTierSwap(t *testing.T) {
 		t.Fatal("lookup does not see the new generation")
 	}
 	// Both generations answer identically (immutable states).
-	got, _, err := nv.Range(context.Background(), p, 9, &st, "IDIndex")
-	if err != nil {
-		t.Fatal(err)
+	got, _ := nv.Query(context.Background(), op, "IDIndex")
+	want, _ := old.Query(context.Background(), op, "IDIndex")
+	if got.Err != nil || want.Err != nil {
+		t.Fatalf("post-swap queries: %v / %v", got.Err, want.Err)
 	}
-	want, _, err := old.Range(context.Background(), p, 9, &st, "IDIndex")
-	if err != nil || len(got) != len(want) {
-		t.Fatalf("generations disagree: %v vs %v (%v)", got, want, err)
+	if err := sameAnswer(got, want); err != nil {
+		t.Fatalf("generations disagree: %v", err)
 	}
 	// Other venues were untouched.
 	if va, _ := tier.Venue("mall-a"); va.Epoch() != 1 {
@@ -259,9 +275,10 @@ func TestTierSwap(t *testing.T) {
 	}
 }
 
-// TestTierConcurrentSwap hammers one venue with routed queries and batch
-// runs while snapshots swap underneath; run under -race via the Makefile
-// race target. Every query must succeed against a consistent generation.
+// TestTierConcurrentSwap hammers one venue with routed queries while
+// snapshots swap underneath; run under -race via the Makefile race target.
+// Every query must succeed against a consistent generation and answer like
+// the boot generation's pinned engine.
 func TestTierConcurrentSwap(t *testing.T) {
 	tier := newTestTier(t)
 	v, _ := tier.Venue("mall-a")
@@ -275,32 +292,31 @@ func TestTierConcurrentSwap(t *testing.T) {
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
+		ops := mixedOps(v, int64(100+g), 40)
+		want := make([]exec.Result, len(ops))
+		for i, op := range ops {
+			want[i], _ = v.Query(context.Background(), op, "IDModel")
+		}
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
-			lg := workload.New(v.Space, int64(100+g))
-			var st query.Stats
-			for i := 0; i < 40; i++ {
+			for i, op := range ops {
 				cv, ok := tier.Venue("mall-a")
 				if !ok {
 					t.Error("venue vanished")
 					return
 				}
-				p, _ := lg.PointIn()
-				if _, _, err := cv.Range(context.Background(), p, 6, &st, ""); err != nil {
-					t.Errorf("range: %v", err)
+				got, eng := cv.Query(context.Background(), op, "")
+				if got.Err != nil {
+					t.Errorf("op %d via %s: %v", i, eng, got.Err)
 					return
 				}
-				if i%4 == 0 {
-					q, _ := lg.PointIn()
-					ops := []exec.Op{{Kind: exec.SPDQ, P: p, Q: q}, {Kind: exec.KNNQ, P: p, K: 2}}
-					if _, _, _, err := tier.Run(context.Background(), "mall-a", ops, ""); err != nil {
-						t.Errorf("run: %v", err)
-						return
-					}
+				if err := sameAnswer(got, want[i]); err != nil {
+					t.Errorf("op %d via %s at epoch %d: %v", i, eng, cv.Epoch(), err)
+					return
 				}
 			}
-		}(g)
+		}()
 	}
 	wg.Add(1)
 	go func() {
