@@ -17,7 +17,7 @@ FUZZ_TARGETS = \
 	./internal/enginetest:FuzzDifferentialEngines \
 	./internal/moving:FuzzMonitorStream
 
-.PHONY: verify verify-full build vet fmt-check test race perfbench-check cover fuzz-smoke bench-smoke perf
+.PHONY: verify verify-full build vet fmt-check test race perfbench-check cover fuzz-smoke bench-smoke perf bench-compare
 
 verify: build vet fmt-check test race perfbench-check
 
@@ -74,6 +74,11 @@ fuzz-smoke:
 # tiny venues (TestSmoke).
 perf:
 	$(GO) run ./cmd/isqperf -o BENCH_PERF.json
+
+# Per-metric deltas between two cmd/isqperf reports, old then new:
+#   make bench-compare A=old.json B=new.json
+bench-compare:
+	$(GO) run ./cmd/isqperf compare $(A) $(B)
 
 # Quick compile-and-run pass over the heap and door-graph benchmarks: a
 # handful of iterations each, just to keep the benchmark code from rotting.

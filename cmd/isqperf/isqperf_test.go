@@ -1,8 +1,14 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"indoorsq/internal/exec"
@@ -30,6 +36,57 @@ func TestSmoke(t *testing.T) {
 		if len(sc.Bounds) != 0 || len(sc.Rows) != 0 {
 			t.Errorf("%s: smoke recorded %d bounds and %d rows, want none", sc.Name, len(sc.Bounds), len(sc.Rows))
 		}
+	}
+
+	// compare on two tiny reports written to disk: one shared row with a
+	// metric on each side only, and one row per side.
+	dir := t.TempDir()
+	write := func(name string, rep *report) string {
+		data, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	oldRep, err := readReport(write("old.json", &report{Scenarios: []*scenario{{Name: "move", Rows: []row{
+		{"a", map[string]float64{"ups": 200, "gone": 1}},
+		{"b", map[string]float64{"ups": 5}},
+	}}}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	newRep, err := readReport(write("new.json", &report{Scenarios: []*scenario{{Name: "move", Rows: []row{
+		{"a", map[string]float64{"ups": 250, "added": 3}},
+		{"c", map[string]float64{"ups": 7}},
+	}}}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := compare(&out, oldRep, newRep); err != nil {
+		t.Fatal(err)
+	}
+	var lines []string
+	for _, l := range strings.Split(strings.TrimSpace(out.String()), "\n") {
+		lines = append(lines, strings.Join(strings.Fields(l), " "))
+	}
+	want := []string{
+		"scenario row metric old new delta%",
+		"move a added - 3 -",
+		"move a gone 1 - -",
+		"move a ups 200 250 +25.0",
+		"only in old: move b",
+		"only in new: move c",
+	}
+	if !slices.Equal(lines, want) {
+		t.Errorf("compare printed\n%s\nwant\n%s", strings.Join(lines, "\n"), strings.Join(want, "\n"))
+	}
+	if _, err := readReport(filepath.Join(dir, "missing.json")); err == nil {
+		t.Error("readReport of a missing file succeeded")
 	}
 }
 

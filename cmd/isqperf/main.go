@@ -4,6 +4,7 @@
 // Usage:
 //
 //	isqperf [-smoke] [-o FILE] [scenario ...]
+//	isqperf compare OLD NEW
 //
 // Scenarios (default: all, in this order):
 //
@@ -26,6 +27,10 @@
 // The report (standard output unless -o is given) is one JSON document: the
 // runner fingerprint, then per scenario its name, params, gate, bounds and
 // rows of {name, metrics}.
+//
+// compare reads two such reports and prints the old value, the new value
+// and the change in percent for every (scenario, row, metric), then the
+// rows only one of them has.
 package main
 
 import (
@@ -164,7 +169,7 @@ func main() {
 	out := flag.String("o", "", "write the JSON report to `FILE` (default: standard output)")
 	smoke := flag.Bool("smoke", false, "run every answer gate on tiny venues, with no timing")
 	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: isqperf [-smoke] [-o FILE] [scenario ...]")
+		fmt.Fprintln(os.Stderr, "usage: isqperf [-smoke] [-o FILE] [scenario ...]\n       isqperf compare OLD NEW")
 		flag.PrintDefaults()
 		fmt.Fprint(os.Stderr, "scenarios:")
 		for _, s := range scenarios {
@@ -175,6 +180,24 @@ func main() {
 	flag.Parse()
 
 	names := flag.Args()
+	if len(names) > 0 && names[0] == "compare" {
+		if len(names) != 3 {
+			flag.Usage()
+			os.Exit(2)
+		}
+		oldRep, err := readReport(names[1])
+		if err != nil {
+			die(err)
+		}
+		newRep, err := readReport(names[2])
+		if err != nil {
+			die(err)
+		}
+		if err := compare(os.Stdout, oldRep, newRep); err != nil {
+			die(err)
+		}
+		return
+	}
 	if len(names) == 0 {
 		for _, s := range scenarios {
 			names = append(names, s.name)

@@ -113,10 +113,13 @@ func streamGate(sp *indoor.Space, monitors []moveMonitor, updates []moving.Updat
 
 // moveConfig is one (objects, monitors) point of the move scenario.
 type moveConfig struct {
+	name                  string // row name prefix ("" for the grid rows)
+	sp                    *indoor.Space
 	seed                  int64
 	objects, monitors     int
 	timed, baseCap, batch int
-	gate                  int // updates in the equality gate
+	gate                  int     // updates in the equality gate
+	hop                   float64 // MotionStream hop fraction
 }
 
 // runMove compares moving.Stream (a partition->query inverted index over
@@ -126,40 +129,64 @@ type moveConfig struct {
 // baseline is time-capped: it applies a prefix of the updates and its
 // updates/sec is extrapolated, fair because its per-update cost depends on
 // the monitor count, not on how many updates came before.
+//
+// The grid rows run batches of 1024 on a 1,500-door venue. The ingest row
+// has the shape of perfbench's ingest workload: its ~900-door venue, 2,000
+// monitors, 20,000 objects and batches of 64.
 func runMove(sc *scenario, smoke bool) error {
-	params := spacegen.Params{
+	grid := spacegen.Params{
 		Floors: 3, Rows: 20, Cols: 25, Hall: spacegen.HallStraight,
 		ExtraDoors: 40, Imbalance: 0.2,
 	}.Normalize()
-	seed := int64(90)
-	configs := []moveConfig{
-		{92, 100_000, 1_000, 200_000, 4000, 1024, 500},
-		{93, 100_000, 10_000, 200_000, 2000, 1024, 300},
-		{94, 1_000_000, 10_000, 200_000, 2000, 1024, 300},
-	}
+	ingest := spacegen.Params{Floors: 3, Rows: 12, Cols: 25, ExtraDoors: 10, Imbalance: 0.2}.Normalize()
+	gridSeed, ingestSeed := int64(90), int64(1301)
 	if smoke {
-		params, seed = spacegen.Params{Floors: 1, Rows: 3, Cols: 4, ExtraDoors: 2}.Normalize(), 91
-		configs = []moveConfig{{92, 200, 40, 1500, 0, 256, 1500}}
+		grid, gridSeed = spacegen.Params{Floors: 1, Rows: 3, Cols: 4, ExtraDoors: 2}.Normalize(), 91
+		ingest = spacegen.Params{Floors: 2, Rows: 3, Cols: 4, ExtraDoors: 2}.Normalize()
 	}
-	sp, err := spacegen.Generate(seed, params)
+	venue := func(key string, seed int64, params spacegen.Params) (*indoor.Space, error) {
+		sp, err := spacegen.Generate(seed, params)
+		if err != nil {
+			return nil, err
+		}
+		sc.Params[key] = fmt.Sprintf("spacegen %d floors, %dx%d rooms: %d partitions, %d doors",
+			params.Floors, params.Rows, params.Cols, sp.NumPartitions(), sp.NumDoors())
+		return sp, nil
+	}
+	gridSp, err := venue("venue", gridSeed, grid)
 	if err != nil {
 		return err
 	}
-	sc.Params["venue"] = fmt.Sprintf("spacegen %d floors, %dx%d rooms: %d partitions, %d doors",
-		params.Floors, params.Rows, params.Cols, sp.NumPartitions(), sp.NumDoors())
+	ingestSp, err := venue("ingest_venue", ingestSeed, ingest)
+	if err != nil {
+		return err
+	}
+	configs := []moveConfig{
+		{"", gridSp, 92, 100_000, 1_000, 200_000, 4000, 1024, 500, 0.3},
+		{"", gridSp, 93, 100_000, 10_000, 200_000, 2000, 1024, 300, 0.3},
+		{"", gridSp, 94, 1_000_000, 10_000, 200_000, 2000, 1024, 300, 0.3},
+		{"ingest/", ingestSp, 95, 20_000, 2_000, 192_000, 2000, 64, 640, 0.2},
+	}
+	if smoke {
+		configs = []moveConfig{
+			{"", gridSp, 92, 200, 40, 1500, 0, 256, 1500, 0.3},
+			{"ingest/", ingestSp, 95, 400, 40, 1500, 0, 64, 1500, 0.2},
+		}
+	}
 	sc.Params["before"], sc.Params["after"] = "moving.Monitor (scan-all)", "moving.Stream (sharded, inverted index)"
 	sc.Gate = "Stream and Monitor emit identical canonical event streams and final memberships over an update+removal prefix"
 	for _, c := range configs {
-		if err := moveRun(sc, sp, c, smoke); err != nil {
-			return fmt.Errorf("%d objects x %d monitors: %w", c.objects, c.monitors, err)
+		if err := moveRun(sc, c, smoke); err != nil {
+			return fmt.Errorf("%s%d objects x %d monitors: %w", c.name, c.objects, c.monitors, err)
 		}
 	}
 	return nil
 }
 
-func moveRun(sc *scenario, sp *indoor.Space, c moveConfig, smoke bool) error {
+func moveRun(sc *scenario, c moveConfig, smoke bool) error {
+	sp := c.sp
 	monitors := makeMonitors(sp, c.seed*7, c.monitors)
-	walk := spacegen.MotionStream(sp, c.seed, c.objects, c.timed, 1, 1e-6, 0.3)
+	walk := spacegen.MotionStream(sp, c.seed, c.objects, c.timed, 1, 1e-6, c.hop)
 	motions := make([]moving.Update, len(walk))
 	for i, m := range walk {
 		motions[i] = moving.Update{ID: m.ID, Loc: m.Loc, Part: m.Part, T: m.T}
@@ -239,7 +266,7 @@ func moveRun(sc *scenario, sp *indoor.Space, c moveConfig, smoke bool) error {
 	}
 	scanUPS := float64(len(prefix)) / time.Since(t0).Seconds()
 
-	name := fmt.Sprintf("objects=%d/monitors=%d", c.objects, c.monitors)
+	name := fmt.Sprintf("%sobjects=%d/monitors=%d", c.name, c.objects, c.monitors)
 	sc.row(name, map[string]float64{
 		"objects": float64(c.objects), "monitors": float64(c.monitors), "batch_size": float64(c.batch),
 		"gate_updates": float64(c.gate), "timed_updates_indexed": float64(len(motions)), "timed_updates_scan_all": float64(len(prefix)),

@@ -24,7 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"indoorsq/internal/indoor"
@@ -72,20 +72,54 @@ type qcore struct {
 	doorDist []float64 // distance from p, +Inf beyond r
 }
 
-// objDist computes the indoor distance from the query point to an object at
-// loc in partition part, using the cached door field. Both evaluators call
-// exactly this, which is what makes their membership decisions bit-identical.
-func (q *qcore) objDist(sp *indoor.Space, part indoor.PartitionID, loc indoor.Point) float64 {
-	best := math.Inf(1)
-	if part == q.vp {
-		best = sp.RefDist(q.pRef, sp.Ref(q.vp, loc))
+// site is one object position prepared for evaluation against many
+// monitors: its partition's enter doors with the intra-partition distance
+// to each, and the point handle used when a monitor's query point shares
+// the partition. Both are computed on first use and then reused by every
+// monitor evaluated at this position, so an update computes each door's
+// intra-partition distance at most once, however many monitors it touches.
+type site struct {
+	part  indoor.PartitionID
+	loc   indoor.Point
+	enter []indoor.DoorID
+	w     []float64 // w[i] = WithinPointDoor(part, loc, enter[i]); NaN until computed
+	ref   indoor.PointRef
+	refOK bool
+}
+
+// reset prepares s for the position loc in partition part, keeping its
+// buffer.
+func (s *site) reset(sp *indoor.Space, part indoor.PartitionID, loc indoor.Point) {
+	s.part, s.loc, s.refOK = part, loc, false
+	s.enter = sp.Partition(part).Enter
+	s.w = s.w[:0]
+	for range s.enter {
+		s.w = append(s.w, math.NaN())
 	}
-	for _, d := range sp.Partition(part).Enter {
+}
+
+// objDist computes the indoor distance from the query point to the object
+// at s, using the cached door field. Both evaluators call exactly this,
+// which is what makes their membership decisions bit-identical.
+func (q *qcore) objDist(sp *indoor.Space, s *site) float64 {
+	best := math.Inf(1)
+	if s.part == q.vp {
+		if !s.refOK {
+			s.ref, s.refOK = sp.Ref(s.part, s.loc), true
+		}
+		best = sp.RefDist(q.pRef, s.ref)
+	}
+	for i, d := range s.enter {
 		dd := q.doorDist[d]
 		if math.IsInf(dd, 1) || dd > q.r {
 			continue
 		}
-		if cand := dd + sp.WithinPointDoor(part, loc, d); cand < best {
+		w := s.w[i]
+		if math.IsNaN(w) {
+			w = sp.WithinPointDoor(s.part, s.loc, d)
+			s.w[i] = w
+		}
+		if cand := dd + w; cand < best {
 			best = cand
 		}
 	}
@@ -229,10 +263,12 @@ func (m *Monitor) RegisterCtx(ctx context.Context, qid int32, p indoor.Point, r 
 	for id := range m.cur {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
+	var at site
 	for _, id := range ids {
 		u := m.cur[id]
-		if q.objDist(m.sp, u.Part, u.Loc) <= q.r {
+		at.reset(m.sp, u.Part, u.Loc)
+		if q.objDist(m.sp, &at) <= q.r {
 			q.inside[id] = true
 			events = append(events, Event{Query: qid, Object: id, Enter: true, T: t})
 		}
@@ -266,7 +302,7 @@ func (m *Monitor) Result(qid int32) []int32 {
 	for id := range q.inside {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -311,13 +347,17 @@ func (m *Monitor) reevaluate(objID int32, u *Update, t float64) []Event {
 	for id := range m.queries {
 		qids = append(qids, id)
 	}
-	sort.Slice(qids, func(i, j int) bool { return qids[i] < qids[j] })
+	slices.Sort(qids)
+	var at site
+	if u != nil {
+		at.reset(m.sp, u.Part, u.Loc)
+	}
 	var events []Event
 	for _, qid := range qids {
 		q := m.queries[qid]
 		now := false
 		if u != nil {
-			now = q.objDist(m.sp, u.Part, u.Loc) <= q.r
+			now = q.objDist(m.sp, &at) <= q.r
 		}
 		was := q.inside[objID]
 		switch {

@@ -1,10 +1,11 @@
 package moving
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"indoorsq/internal/exec"
@@ -96,14 +97,36 @@ type stQuery struct {
 }
 
 // delta is one (query, update) evaluation produced by phase A of a batch
-// and folded into query state by phase B.
+// and folded into query state by phase B: the object's new distance, +Inf
+// when it left the monitor's partitions or the building. Phase A emits a
+// delta only when it can change the monitor's result (see changes).
 type delta struct {
 	q    *stQuery
 	obj  int32
 	idx  int32 // index in the batch: per-query fold order
 	dist float64
 	t    float64
-	gone bool // object removed (Remove path)
+}
+
+// holds reports whether an object at distance d belongs in the monitor's
+// result: within the radius for a range monitor, reachable at all for a
+// kNN monitor (whose r is +Inf). initialEval, phase A and fold all decide
+// membership through it.
+func (q *stQuery) holds(d float64) bool {
+	return !math.IsInf(d, 1) && d <= q.r
+}
+
+// changes reports whether an object moving from distance old to distance
+// now can change the monitor's result. The monitor's state always records
+// the object's last evaluated distance — a range monitor's inside[obj] is
+// holds(old), a kNN monitor's dists[obj] is old when finite — so a range
+// result changes only when membership flips, and a kNN result only when
+// the distance does (from +Inf to +Inf is no change).
+func (q *stQuery) changes(old, now float64) bool {
+	if q.kind == kindRange {
+		return q.holds(old) != q.holds(now)
+	}
+	return old != now
 }
 
 // NewStream returns an empty streaming engine over a space.
@@ -174,12 +197,15 @@ func (s *Stream) relevantParts(q *qcore) []indoor.PartitionID {
 	return out
 }
 
+// byID orders index lists by query id.
+func byID(q *stQuery, id int32) int { return cmp.Compare(q.id, id) }
+
 // insertIndexed adds q to the index lists of its relevant partitions,
 // keeping each list ascending by query id.
 func (s *Stream) insertIndexed(q *stQuery) {
 	for _, v := range q.parts {
 		lst := s.partQ[v]
-		i := sort.Search(len(lst), func(i int) bool { return lst[i].id >= q.id })
+		i, _ := slices.BinarySearchFunc(lst, q.id, byID)
 		lst = append(lst, nil)
 		copy(lst[i+1:], lst[i:])
 		lst[i] = q
@@ -191,7 +217,7 @@ func (s *Stream) insertIndexed(q *stQuery) {
 func (s *Stream) removeIndexed(q *stQuery) {
 	for _, v := range q.parts {
 		lst := s.partQ[v]
-		i := sort.Search(len(lst), func(i int) bool { return lst[i].id >= q.id })
+		i, _ := slices.BinarySearchFunc(lst, q.id, byID)
 		if i < len(lst) && lst[i] == q {
 			s.partQ[v] = append(lst[:i], lst[i+1:]...)
 		}
@@ -281,12 +307,13 @@ func (s *Stream) initialEval(q *stQuery, t float64) []Event {
 		d  float64
 	}
 	var cands []od
+	var at site
 	for si := range s.shards {
 		sh := &s.shards[si]
 		sh.mu.Lock()
 		for id, u := range sh.cur {
-			d := q.objDist(s.sp, u.Part, u.Loc)
-			if !math.IsInf(d, 1) && d <= q.r {
+			at.reset(s.sp, u.Part, u.Loc)
+			if d := q.objDist(s.sp, &at); q.holds(d) {
 				cands = append(cands, od{id, d})
 			}
 		}
@@ -294,7 +321,7 @@ func (s *Stream) initialEval(q *stQuery, t float64) []Event {
 	}
 	var events []Event
 	if q.kind == kindRange {
-		sort.Slice(cands, func(i, j int) bool { return cands[i].id < cands[j].id })
+		slices.SortFunc(cands, func(a, b od) int { return cmp.Compare(a.id, b.id) })
 		for _, c := range cands {
 			q.inside[c.id] = true
 			events = append(events, Event{Query: q.id, Object: c.id, Enter: true, T: t})
@@ -312,7 +339,7 @@ func (s *Stream) initialEval(q *stQuery, t float64) []Event {
 		q.inTop[nb.ID] = true
 		ids = append(ids, nb.ID)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	for _, id := range ids {
 		events = append(events, Event{Query: q.id, Object: id, Enter: true, T: t})
 	}
@@ -382,7 +409,7 @@ func (s *Stream) Result(qid int32) []int32 {
 			out = append(out, nb.ID)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -420,7 +447,7 @@ func (s *Stream) Monitors() []MonitorInfo {
 		qs = append(qs, q)
 	}
 	s.mu.RUnlock()
-	sort.Slice(qs, func(i, j int) bool { return qs[i].id < qs[j].id })
+	slices.SortFunc(qs, func(a, b *stQuery) int { return cmp.Compare(a.id, b.id) })
 	out := make([]MonitorInfo, 0, len(qs))
 	for _, q := range qs {
 		mi := MonitorInfo{ID: q.id, P: q.p}
@@ -449,15 +476,18 @@ func (s *Stream) Apply(u Update) ([]Event, error) {
 // membership events sorted by (T, query, object). The whole batch is
 // validated up front; an invalid update rejects the batch with no state
 // change. Updates fan out across the object shards through the exec.Pool
-// (phase A: per-shard position writes and per-touched-query distance
-// evaluations), then fold into per-query result state in batch order
+// (phase A: per-shard position writes, and distance evaluations of every
+// touched query at the new and previous positions, keeping only those that
+// change a result), then fold into per-query result state in batch order
 // (phase B), so for update streams with strictly increasing timestamps the
 // emitted events are bit-identical to applying the same updates one at a
 // time on a single shard — for any shard count, worker count, or batch
 // partitioning. Each object's updates land on one shard, preserving their
 // relative order; each query folds its deltas by batch index; and the final
-// sort key (T, query, object) is total because one update yields at most
-// one event per query.
+// sort key (T, query, object) is total because one timestamp is one update,
+// and one update yields at most one event per (query, object) pair: a kNN
+// update can emit a leave and an enter on one query, but for different
+// objects.
 func (s *Stream) ApplyBatch(us []Update) ([]Event, error) {
 	if len(us) == 0 {
 		return nil, nil
@@ -503,11 +533,11 @@ func (s *Stream) ApplyBatch(us []Update) ([]Event, error) {
 	for _, ds := range shardDeltas {
 		all = append(all, ds...)
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].q.id != all[j].q.id {
-			return all[i].q.id < all[j].q.id
+	slices.SortFunc(all, func(a, b delta) int {
+		if c := cmp.Compare(a.q.id, b.q.id); c != 0 {
+			return c
 		}
-		return all[i].idx < all[j].idx
+		return cmp.Compare(a.idx, b.idx)
 	})
 	var groups [][]delta
 	for lo := 0; lo < len(all); {
@@ -532,14 +562,14 @@ func (s *Stream) ApplyBatch(us []Update) ([]Event, error) {
 	for _, evs := range groupEvents {
 		events = append(events, evs...)
 	}
-	sort.SliceStable(events, func(i, j int) bool {
-		if events[i].T != events[j].T {
-			return events[i].T < events[j].T
+	slices.SortStableFunc(events, func(a, b Event) int {
+		if c := cmp.Compare(a.T, b.T); c != 0 {
+			return c
 		}
-		if events[i].Query != events[j].Query {
-			return events[i].Query < events[j].Query
+		if c := cmp.Compare(a.Query, b.Query); c != 0 {
+			return c
 		}
-		return events[i].Object < events[j].Object
+		return cmp.Compare(a.Object, b.Object)
 	})
 
 	Metrics.Batches.Add(1)
@@ -549,29 +579,43 @@ func (s *Stream) ApplyBatch(us []Update) ([]Event, error) {
 }
 
 // shardApply runs phase A for one shard: write the shard's updates in batch
-// order and evaluate each against the queries its old/new partitions touch.
+// order and evaluate each against the monitors its old/new partitions
+// touch, at both the new and the previous position. Only evaluations that
+// change a monitor's result become deltas. The previous position is the
+// one every touched monitor last folded: a monitor not indexed on a
+// partition has +Inf distance there, so any update that could flip its
+// state touches it.
 func (s *Stream) shardApply(sh *streamShard, us []Update, idxs []int32) []delta {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	var out []delta
+	var now, was site
+	inf := math.Inf(1)
 	for _, i := range idxs {
 		u := us[i]
 		prev, known := sh.cur[u.ID]
 		sh.cur[u.ID] = u
+		now.reset(s.sp, u.Part, u.Loc)
+		if known {
+			was.reset(s.sp, prev.Part, prev.Loc)
+		}
 		newQ := s.partQ[u.Part]
 		var oldQ []*stQuery
-		if known && prev.Part != u.Part {
+		moved := known && prev.Part != u.Part
+		if moved {
 			oldQ = s.partQ[prev.Part]
 		}
 		// Merge the two qid-sorted lists, deduplicating queries relevant to
-		// both partitions.
+		// both partitions. A query only on the new partition's list was not
+		// indexed where the object stood, so its previous distance is +Inf.
 		touched := int64(0)
 		a, b := 0, 0
 		for a < len(newQ) || b < len(oldQ) {
 			var q *stQuery
+			onOld := true
 			switch {
 			case b >= len(oldQ):
-				q = newQ[a]
+				q, onOld = newQ[a], !moved
 				a++
 			case a >= len(newQ):
 				q = oldQ[b]
@@ -581,20 +625,20 @@ func (s *Stream) shardApply(sh *streamShard, us []Update, idxs []int32) []delta 
 				a++
 				b++
 			case newQ[a].id < oldQ[b].id:
-				q = newQ[a]
+				q, onOld = newQ[a], false
 				a++
 			default:
 				q = oldQ[b]
 				b++
 			}
 			touched++
-			out = append(out, delta{
-				q:    q,
-				obj:  u.ID,
-				idx:  i,
-				dist: q.objDist(s.sp, u.Part, u.Loc),
-				t:    u.T,
-			})
+			dist, old := q.objDist(s.sp, &now), inf
+			if known && onOld {
+				old = q.objDist(s.sp, &was)
+			}
+			if q.changes(old, dist) {
+				out = append(out, delta{q: q, obj: u.ID, idx: i, dist: dist, t: u.T})
+			}
 		}
 		Metrics.Touched.Observe(touched)
 	}
@@ -619,10 +663,14 @@ func (s *Stream) Remove(objID int32, t float64) []Event {
 	if !known {
 		return nil
 	}
+	var was site
+	was.reset(s.sp, prev.Part, prev.Loc)
+	inf := math.Inf(1)
 	var events []Event
 	for _, q := range s.partQ[prev.Part] { // ascending by qid
-		evs := q.fold([]delta{{q: q, obj: objID, t: t, gone: true}})
-		events = append(events, evs...)
+		if q.changes(q.objDist(s.sp, &was), inf) {
+			events = append(events, q.fold([]delta{{q: q, obj: objID, dist: inf, t: t}})...)
+		}
 	}
 	return events
 }
@@ -636,7 +684,7 @@ func (q *stQuery) fold(ds []delta) []Event {
 	for i := range ds {
 		d := &ds[i]
 		if q.kind == kindRange {
-			now := !d.gone && d.dist <= q.r
+			now := q.holds(d.dist)
 			was := q.inside[d.obj]
 			switch {
 			case now && !was:
@@ -662,7 +710,7 @@ func (q *stQuery) fold(ds []delta) []Event {
 // is underfull, or the new distance beats the current k-th bound under the
 // (distance, id) tie-break.
 func (q *stQuery) foldKNN(evs []Event, d *delta) []Event {
-	finite := !d.gone && !math.IsInf(d.dist, 1)
+	finite := !math.IsInf(d.dist, 1)
 	_, had := q.dists[d.obj]
 	if finite {
 		q.dists[d.obj] = d.dist
@@ -702,8 +750,8 @@ func (q *stQuery) foldKNN(evs []Event, d *delta) []Event {
 			enters = append(enters, id)
 		}
 	}
-	sort.Slice(leaves, func(i, j int) bool { return leaves[i] < leaves[j] })
-	sort.Slice(enters, func(i, j int) bool { return enters[i] < enters[j] })
+	slices.Sort(leaves)
+	slices.Sort(enters)
 	for _, id := range leaves {
 		evs = append(evs, Event{Query: q.id, Object: id, Enter: false, T: d.t})
 	}

@@ -172,8 +172,8 @@ func (s *TenantServer) handleMonitorList(w http.ResponseWriter, r *http.Request,
 
 func (s *TenantServer) handleMonitorCreate(w http.ResponseWriter, r *http.Request, v *tenant.Venue) {
 	var req monitorRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.fail(w, fmt.Errorf("%w: body: %v", errBadRequest, err))
+	if err := decodeBody(w, r, &req); err != nil {
+		s.fail(w, err)
 		return
 	}
 	evs, err := registerMonitor(v.Stream(), req)
@@ -234,8 +234,12 @@ func (s *TenantServer) handleMonitorStream(w http.ResponseWriter, r *http.Reques
 
 func (s *TenantServer) handleUpdates(w http.ResponseWriter, r *http.Request, v *tenant.Venue) {
 	var req updateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.fail(w, fmt.Errorf("%w: body: %v", errBadRequest, err))
+	if err := decodeBody(w, r, &req); err != nil {
+		s.fail(w, err)
+		return
+	}
+	if n := len(req.Updates); n > maxUpdateBatch {
+		s.fail(w, fmt.Errorf("%w: %d updates in one batch, at most %d", errTooLarge, n, maxUpdateBatch))
 		return
 	}
 	us, err := decodeUpdates(v.Space, req)

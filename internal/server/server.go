@@ -207,7 +207,32 @@ var (
 	errBadRequest = errors.New("bad request")
 	errNotFound   = errors.New("not found")
 	errRefused    = errors.New("refused")
+	errTooLarge   = errors.New("request too large")
 )
+
+// Request bounds. maxBodyBytes caps every JSON request body; maxUpdateBatch
+// caps the reports of one POST .../updates, 8x the largest in-repo caller
+// (perfbench seeds its objects 500 reports at a time).
+const (
+	maxBodyBytes   = 1 << 20
+	maxUpdateBatch = 4096
+)
+
+// decodeBody decodes a JSON request body of at most maxBodyBytes into v. A
+// longer body is errTooLarge; any other failure, an empty body (io.EOF)
+// included, is errBadRequest.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return nil
+	case errors.As(err, &tooLarge):
+		return fmt.Errorf("%w: body over %d bytes", errTooLarge, maxBodyBytes)
+	default:
+		return fmt.Errorf("%w: body: %w", errBadRequest, err)
+	}
+}
 
 // statusTable maps every sentinel error to its HTTP status; the first entry
 // the error wraps wins.
@@ -219,6 +244,7 @@ var statusTable = []struct {
 	{tenant.ErrUnknownEngine, http.StatusNotFound},
 	{errBadRequest, http.StatusBadRequest},
 	{exec.ErrInvalidOp, http.StatusBadRequest},
+	{errTooLarge, http.StatusRequestEntityTooLarge},
 	{errRefused, http.StatusUnprocessableEntity},
 	{query.ErrNoHost, http.StatusUnprocessableEntity},
 	{query.ErrUnreachable, http.StatusUnprocessableEntity},
@@ -626,8 +652,8 @@ type pinRequest struct {
 
 func (s *TenantServer) handlePin(w http.ResponseWriter, r *http.Request, v *tenant.Venue) {
 	var req pinRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.fail(w, fmt.Errorf("%w: body: %v", errBadRequest, err))
+	if err := decodeBody(w, r, &req); err != nil {
+		s.fail(w, err)
 		return
 	}
 	if req.Engine == "" {
@@ -654,8 +680,8 @@ type swapRequest struct {
 // flight during the load keep answering on the previous one.
 func (s *TenantServer) handleSwap(w http.ResponseWriter, r *http.Request, v *tenant.Venue) {
 	var req swapRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-		s.fail(w, fmt.Errorf("%w: body: %v", errBadRequest, err))
+	if err := decodeBody(w, r, &req); err != nil && !errors.Is(err, io.EOF) {
+		s.fail(w, err)
 		return
 	}
 	start := time.Now()

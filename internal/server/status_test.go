@@ -23,6 +23,7 @@ func TestStatusOf(t *testing.T) {
 		{errNotFound, http.StatusNotFound},
 		{exec.ErrInvalidOp, http.StatusBadRequest},
 		{errBadRequest, http.StatusBadRequest},
+		{errTooLarge, http.StatusRequestEntityTooLarge},
 		{errRefused, http.StatusUnprocessableEntity},
 		{query.ErrNoHost, http.StatusUnprocessableEntity},
 		{query.ErrUnreachable, http.StatusUnprocessableEntity},
