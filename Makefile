@@ -68,7 +68,7 @@ fuzz-smoke:
 	done
 
 # Runs every cmd/isqperf scenario (cache ctx obs graph reach snap route
-# move) at full size and writes one report. Each scenario's answer gate
+# move paper) at full size and writes one report. Each scenario's answer gate
 # runs before its timing; the command exits non-zero, after writing the
 # report, if any scenario bound failed. `make test` runs the same gates on
 # tiny venues (TestSmoke).
@@ -80,7 +80,10 @@ perf:
 bench-compare:
 	$(GO) run ./cmd/isqperf compare $(A) $(B)
 
-# Quick compile-and-run pass over the heap and door-graph benchmarks: a
-# handful of iterations each, just to keep the benchmark code from rotting.
+# Quick compile-and-run pass over the heap and door-graph benchmarks (a
+# handful of iterations each) and the root package's ablation and extension
+# benchmarks (one iteration each), just to keep the benchmark code from
+# rotting.
 bench-smoke:
 	$(GO) test -run '^$$' -bench=. -benchtime=10x ./internal/pq/ ./internal/doorgraph/
+	$(GO) test -run '^$$' -bench=. -benchtime=1x .

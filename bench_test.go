@@ -1,31 +1,15 @@
-// Benchmarks regenerating the cost profile behind every table and figure of
-// the paper's evaluation (Sec. 6). Each benchmark is named after the
-// figure(s) it backs; the full swept series (all parameter values and
-// datasets) are produced by cmd/isqbench, while these testing.B benchmarks
-// give per-query costs at representative points so `go test -bench=.
-// -benchmem` tracks regressions of the same quantities.
-//
-// Mapping:
-//
-//	Table4                      -> BenchmarkTable4Stats
-//	Fig 8/9  (task A)           -> BenchmarkFig8F9Construction
-//	Fig 10/11 (B1 RQ)           -> BenchmarkFig10F11RQvsN
-//	Fig 12/13 (B1 kNN)          -> BenchmarkFig12F13KNNvsN
-//	Fig 14-16 (B1 SPDQ)         -> BenchmarkFig14F15F16SPDQvsN
-//	Fig 17/18 (B2 RQ)           -> BenchmarkFig17F18RQvsObjects
-//	Fig 19/20 (B2 kNN)          -> BenchmarkFig19F20KNNvsObjects
-//	Fig 21/22 (B3)              -> BenchmarkFig21F22RQvsRadius
-//	Fig 23/24 (B4)              -> BenchmarkFig23F24KNNvsK
-//	Fig 25-27 (B5)              -> BenchmarkFig25F26F27SPDQvsS2T
-//	Fig 28-34 (B6 topology)     -> BenchmarkFig28toF34Topology
-//	Fig 35-41 (B7 decomposition)-> BenchmarkFig35toF41Decomposition
+// Ablation and extension benchmarks. The paper's own figures (tasks A and
+// B1–B7 over Table 5's grids) are measured by `go run ./cmd/isqperf paper`,
+// which gates every setting's answers across the five engines and checks
+// the paper's claims as bounds; these testing.B benchmarks cover the design
+// choices called out in DESIGN.md and the Sec. 7 extensions, each swept
+// over its own parameter. `make bench-smoke` runs every one once.
 package indoorsq_test
 
 import (
 	"fmt"
 	"testing"
 
-	"indoorsq/internal/bench"
 	"indoorsq/internal/cindex"
 	"indoorsq/internal/dataset"
 	"indoorsq/internal/idindex"
@@ -40,9 +24,6 @@ import (
 	"indoorsq/internal/workload"
 )
 
-// shared state so engine construction is amortized across benchmarks.
-var benchSuite = bench.NewSuite()
-
 func benchObjects(info *dataset.Info, n int) []query.Object {
 	return workload.New(info.Space, 1).Objects(n)
 }
@@ -53,179 +34,6 @@ func benchPoints(info *dataset.Info, n int) []indoor.Point {
 
 func benchPairs(info *dataset.Info, s2t float64, n int) []workload.Pair {
 	return workload.New(info.Space, 3).SPDPairs(s2t, n)
-}
-
-// BenchmarkTable4Stats regenerates the dataset statistics of Table 4.
-func BenchmarkTable4Stats(b *testing.B) {
-	for _, name := range []string{"SYN5", "MZB", "HSM", "CPH"} {
-		info := dataset.Get(name)
-		b.Run(name, func(b *testing.B) {
-			var doors int
-			for i := 0; i < b.N; i++ {
-				st := info.Space.SpaceStats(info.Gamma)
-				doors = st.Doors
-			}
-			b.ReportMetric(float64(doors), "doors")
-		})
-	}
-}
-
-// BenchmarkFig8F9Construction measures model/index construction time
-// (Figure 9) and reports the resident size (Figure 8) per engine.
-func BenchmarkFig8F9Construction(b *testing.B) {
-	for _, ds := range []string{"SYN5", "CPH"} {
-		info := dataset.Get(ds)
-		for _, name := range bench.EngineNames {
-			b.Run(ds+"/"+name, func(b *testing.B) {
-				var size int64
-				for i := 0; i < b.N; i++ {
-					eng, err := bench.NewEngine(name, info)
-					if err != nil {
-						b.Fatal(err)
-					}
-					size = eng.SizeBytes()
-				}
-				b.ReportMetric(float64(size)/1e6, "MB")
-			})
-		}
-	}
-}
-
-// benchRQ runs one range query per iteration, cycling the instance set.
-func benchRQ(b *testing.B, info *dataset.Info, objs []query.Object, r float64) {
-	pts := benchPoints(info, 10)
-	for _, name := range bench.EngineNames {
-		b.Run(name, func(b *testing.B) {
-			eng := benchSuite.Engine(info, name)
-			eng.SetObjects(objs)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.Range(pts[i%len(pts)], r, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(eng.SizeBytes())/1e6, "MB")
-		})
-	}
-}
-
-func benchKNN(b *testing.B, info *dataset.Info, objs []query.Object, k int) {
-	pts := benchPoints(info, 10)
-	for _, name := range bench.EngineNames {
-		b.Run(name, func(b *testing.B) {
-			eng := benchSuite.Engine(info, name)
-			eng.SetObjects(objs)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.KNN(pts[i%len(pts)], k, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(eng.SizeBytes())/1e6, "MB")
-		})
-	}
-}
-
-func benchSPD(b *testing.B, info *dataset.Info, s2t float64) {
-	pairs := benchPairs(info, s2t, 10)
-	for _, name := range bench.EngineNames {
-		b.Run(name, func(b *testing.B) {
-			eng := benchSuite.Engine(info, name)
-			eng.SetObjects(nil)
-			var st query.Stats
-			var nvd int
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				st.Reset()
-				pr := pairs[i%len(pairs)]
-				if _, err := eng.SPD(pr.P, pr.Q, &st); err != nil {
-					b.Fatal(err)
-				}
-				nvd = st.VisitedDoors
-			}
-			b.ReportMetric(float64(nvd), "NVD")
-		})
-	}
-}
-
-// BenchmarkFig10F11RQvsN: B1 range query at the default floor count (SYN5).
-func BenchmarkFig10F11RQvsN(b *testing.B) {
-	info := dataset.Get("SYN5")
-	benchRQ(b, info, benchObjects(info, 1000), info.DefaultR)
-}
-
-// BenchmarkFig12F13KNNvsN: B1 kNN at the default floor count.
-func BenchmarkFig12F13KNNvsN(b *testing.B) {
-	info := dataset.Get("SYN5")
-	benchKNN(b, info, benchObjects(info, 1000), 10)
-}
-
-// BenchmarkFig14F15F16SPDQvsN: B1 shortest path/distance query.
-func BenchmarkFig14F15F16SPDQvsN(b *testing.B) {
-	info := dataset.Get("SYN5")
-	benchSPD(b, info, info.DefaultS2T)
-}
-
-// BenchmarkFig17F18RQvsObjects: B2 range query at the largest object load.
-func BenchmarkFig17F18RQvsObjects(b *testing.B) {
-	for _, ds := range []string{"MZB", "CPH"} {
-		info := dataset.Get(ds)
-		b.Run(ds, func(b *testing.B) {
-			benchRQ(b, info, benchObjects(info, 2500), info.DefaultR)
-		})
-	}
-}
-
-// BenchmarkFig19F20KNNvsObjects: B2 kNN at the largest object load.
-func BenchmarkFig19F20KNNvsObjects(b *testing.B) {
-	for _, ds := range []string{"MZB", "CPH"} {
-		info := dataset.Get(ds)
-		b.Run(ds, func(b *testing.B) {
-			benchKNN(b, info, benchObjects(info, 2500), 10)
-		})
-	}
-}
-
-// BenchmarkFig21F22RQvsRadius: B3 range query at the largest radius.
-func BenchmarkFig21F22RQvsRadius(b *testing.B) {
-	info := dataset.Get("SYN5")
-	benchRQ(b, info, benchObjects(info, 1000), info.RValues[len(info.RValues)-1])
-}
-
-// BenchmarkFig23F24KNNvsK: B4 kNN at the largest k.
-func BenchmarkFig23F24KNNvsK(b *testing.B) {
-	info := dataset.Get("SYN5")
-	benchKNN(b, info, benchObjects(info, 1000), 100)
-}
-
-// BenchmarkFig25F26F27SPDQvsS2T: B5 SPDQ at the largest s2t on HSM.
-func BenchmarkFig25F26F27SPDQvsS2T(b *testing.B) {
-	info := dataset.Get("HSM")
-	benchSPD(b, info, info.S2TValues[len(info.S2TValues)-1])
-}
-
-// BenchmarkFig28toF34Topology: B6 queries on the door-dense SYN5+ variant.
-func BenchmarkFig28toF34Topology(b *testing.B) {
-	info := dataset.Get("SYN5+")
-	b.Run("RQ", func(b *testing.B) {
-		benchRQ(b, info, benchObjects(info, 1000), info.DefaultR)
-	})
-	b.Run("SPDQ", func(b *testing.B) {
-		benchSPD(b, info, info.DefaultS2T)
-	})
-}
-
-// BenchmarkFig35toF41Decomposition: B7 queries on the undecomposed variants.
-func BenchmarkFig35toF41Decomposition(b *testing.B) {
-	for _, ds := range []string{"SYN50", "MZB0"} {
-		info := dataset.Get(ds)
-		b.Run(ds+"/RQ", func(b *testing.B) {
-			benchRQ(b, info, benchObjects(info, 1000), info.DefaultR)
-		})
-		b.Run(ds+"/SPDQ", func(b *testing.B) {
-			benchSPD(b, info, info.DefaultS2T)
-		})
-	}
 }
 
 // --- Ablation benchmarks for the design choices called out in DESIGN.md ---
@@ -317,8 +125,8 @@ func BenchmarkAblationVIPMaterialization(b *testing.B) {
 
 // --- Extension benchmarks (Sec. 7 features beyond the paper's figures) ---
 
-// BenchmarkExtKeyword measures boolean keyword kNN and keyword-aware
-// routing over the CPH venue.
+// BenchmarkExtKeyword measures boolean keyword kNN, and keyword-aware
+// routing over 0-3 required keywords, on the CPH venue.
 func BenchmarkExtKeyword(b *testing.B) {
 	info := dataset.Get("CPH")
 	plain := benchObjects(info, 1000)
@@ -337,17 +145,21 @@ func BenchmarkExtKeyword(b *testing.B) {
 		}
 	})
 	pairs := benchPairs(info, info.DefaultS2T, 10)
-	b.Run("Route2Words", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			pr := pairs[i%len(pairs)]
-			if _, err := kw.Route(pr.P, pr.Q, nil, "atm", "cafe"); err != nil {
-				b.Fatal(err)
+	required := []string{"atm", "cafe", "shop"}
+	for n := 0; n <= len(required); n++ {
+		b.Run(fmt.Sprintf("Route/words=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				pr := pairs[i%len(pairs)]
+				if _, err := kw.Route(pr.P, pr.Q, nil, required[:n]...); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
+		})
+	}
 }
 
-// BenchmarkExtUncertain measures the probabilistic range query.
+// BenchmarkExtUncertain measures the probabilistic range query over 5, 13
+// and 25 location samples per uncertain object.
 func BenchmarkExtUncertain(b *testing.B) {
 	info := dataset.Get("CPH")
 	plain := benchObjects(info, 500)
@@ -355,48 +167,78 @@ func BenchmarkExtUncertain(b *testing.B) {
 	for i, o := range plain {
 		uobjs[i] = uncertain.Object{ID: o.ID, Center: o.Loc, Radius: 5, Part: o.Part}
 	}
-	ux := uncertain.New(cindex.New(info.Space), info.Space, uobjs, 0)
+	cx := cindex.New(info.Space)
 	pts := benchPoints(info, 10)
-	b.Run("ProbRange", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := ux.ProbRange(pts[i%len(pts)], info.DefaultR, 0.5); err != nil {
-				b.Fatal(err)
+	for _, samples := range []int{5, 13, 25} {
+		ux := uncertain.New(cx, info.Space, uobjs, samples)
+		b.Run(fmt.Sprintf("ProbRange/samples=%d", samples), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := ux.ProbRange(pts[i%len(pts)], info.DefaultR, 0.5); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
+		})
+	}
 }
 
-// BenchmarkExtMoving measures continuous-query update absorption.
+// BenchmarkExtMoving measures continuous-query update absorption: each
+// iteration moves all 200 objects in one moving.Stream.ApplyBatch, against
+// 1, 5, 10 and 20 registered range monitors.
 func BenchmarkExtMoving(b *testing.B) {
 	info := dataset.Get("CPH")
-	mon := moving.NewMonitor(info.Space)
-	pts := benchPoints(info, 5)
-	for i, p := range pts {
-		if _, err := mon.Register(int32(i), p, info.DefaultR, 0); err != nil {
+	qPts := benchPoints(info, 20)
+	// Two position sets for the same object ids, alternated so every
+	// update moves its object.
+	var batches [2][]moving.Update
+	for j := range batches {
+		for _, o := range workload.New(info.Space, int64(j+1)).Objects(200) {
+			batches[j] = append(batches[j], moving.Update{ID: o.ID, Loc: o.Loc, Part: o.Part})
+		}
+	}
+	apply := func(b *testing.B, st *moving.Stream, step int) {
+		us := batches[step%2]
+		for i := range us {
+			us[i].T = float64(step*len(us) + i)
+		}
+		if _, err := st.ApplyBatch(us); err != nil {
 			b.Fatal(err)
 		}
 	}
-	objs := benchObjects(info, 200)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		o := objs[i%len(objs)]
-		if _, err := mon.Apply(moving.Update{ID: o.ID, Loc: o.Loc, Part: o.Part, T: float64(i)}); err != nil {
-			b.Fatal(err)
-		}
+	for _, nq := range []int{1, 5, 10, 20} {
+		b.Run(fmt.Sprintf("monitors=%d", nq), func(b *testing.B) {
+			st := moving.NewStream(info.Space, moving.StreamOptions{})
+			defer st.Close()
+			for i := 0; i < nq; i++ {
+				if _, err := st.Register(int32(i), qPts[i], info.DefaultR, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+			apply(b, st, 0)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				apply(b, st, i+1)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(batches[0])), "ns/update")
+		})
 	}
 }
 
-// BenchmarkExtMultiStop measures Held-Karp route optimization (5 stops).
+// BenchmarkExtMultiStop measures Held-Karp route optimization over 2, 4, 6
+// and 8 intermediate stops.
 func BenchmarkExtMultiStop(b *testing.B) {
 	info := dataset.Get("CPH")
-	eng := benchSuite.Engine(info, "IDIndex")
+	eng := idindex.New(info.Space)
 	eng.SetObjects(nil)
 	pl := route.New(eng)
-	pts := benchPoints(info, 7)
-	for i := 0; i < b.N; i++ {
-		if _, _, err := pl.Optimized(pts[0], pts[1:6], pts[6], nil); err != nil {
-			b.Fatal(err)
-		}
+	pts := benchPoints(info, 10)
+	for _, n := range []int{2, 4, 6, 8} {
+		b.Run(fmt.Sprintf("stops=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, _, err := pl.Optimized(pts[0], pts[1:1+n], pts[9], nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

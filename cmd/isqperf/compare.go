@@ -25,7 +25,9 @@ func readReport(path string) (*report, error) {
 // compare writes, for every (scenario, row, metric) of two reports, the old
 // value, the new value and the change in percent of the old one, in the
 // old report's row order with metrics sorted by name. A metric one side
-// lacks shows "-". Rows only one report has are listed after the table.
+// lacks shows "-". Rows only one report has are listed after the table,
+// then every bound whose pass/fail differs between the two and every
+// bound only one report has.
 func compare(w io.Writer, oldRep, newRep *report) error {
 	type key struct{ scenario, row string }
 	newRows := map[key]row{}
@@ -86,6 +88,34 @@ func compare(w io.Writer, oldRep, newRep *report) error {
 		for _, r := range sc.Rows {
 			if !matched[key{sc.Name, r.Name}] {
 				fmt.Fprintf(w, "only in new: %s %s\n", sc.Name, r.Name)
+			}
+		}
+	}
+
+	newBounds := map[key]bool{}
+	for _, sc := range newRep.Scenarios {
+		for _, b := range sc.Bounds {
+			newBounds[key{sc.Name, b.Name}] = b.Pass
+		}
+	}
+	verdict := map[bool]string{true: "pass", false: "FAIL"}
+	for _, sc := range oldRep.Scenarios {
+		for _, b := range sc.Bounds {
+			k := key{sc.Name, b.Name}
+			pass, ok := newBounds[k]
+			switch {
+			case !ok:
+				fmt.Fprintf(w, "bound only in old: %s %s\n", sc.Name, b.Name)
+			case pass != b.Pass:
+				fmt.Fprintf(w, "bound %s %s: %s -> %s\n", sc.Name, b.Name, verdict[b.Pass], verdict[pass])
+			}
+			delete(newBounds, k)
+		}
+	}
+	for _, sc := range newRep.Scenarios {
+		for _, b := range sc.Bounds {
+			if _, ok := newBounds[key{sc.Name, b.Name}]; ok {
+				fmt.Fprintf(w, "bound only in new: %s %s\n", sc.Name, b.Name)
 			}
 		}
 	}

@@ -116,31 +116,35 @@ func opsOf(ops []exec.Op, kind exec.Kind) []exec.Op {
 	return out
 }
 
-// loop is a benchmark body running ops round robin, one per iteration:
-// through query.Range/KNN/SPD under ctx, or straight into the engine's own
-// methods when ctx is nil. Answers are not checked here; the gate already
-// compared them.
+// loop is a benchmark body running ops round robin, one per iteration,
+// through runOp.
 func loop(ctx context.Context, e query.Engine, ops []exec.Op) func(*testing.B) {
 	return func(b *testing.B) {
 		var st query.Stats
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			op := &ops[i%len(ops)]
-			switch {
-			case ctx == nil && op.Kind == exec.RangeQ:
-				e.Range(op.P, op.R, &st)
-			case ctx == nil && op.Kind == exec.KNNQ:
-				e.KNN(op.P, op.K, &st)
-			case ctx == nil:
-				e.SPD(op.P, op.Q, &st)
-			case op.Kind == exec.RangeQ:
-				query.Range(ctx, e, op.P, op.R, &st)
-			case op.Kind == exec.KNNQ:
-				query.KNN(ctx, e, op.P, op.K, &st)
-			default:
-				query.SPD(ctx, e, op.P, op.Q, &st)
-			}
+			runOp(ctx, e, &ops[i%len(ops)], &st)
 		}
+	}
+}
+
+// runOp runs op on e through query.Range/KNN/SPD under ctx, or straight
+// into the engine's own methods when ctx is nil. Answers are not checked
+// here; the gate already compared them.
+func runOp(ctx context.Context, e query.Engine, op *exec.Op, st *query.Stats) {
+	switch {
+	case ctx == nil && op.Kind == exec.RangeQ:
+		e.Range(op.P, op.R, st)
+	case ctx == nil && op.Kind == exec.KNNQ:
+		e.KNN(op.P, op.K, st)
+	case ctx == nil:
+		e.SPD(op.P, op.Q, st)
+	case op.Kind == exec.RangeQ:
+		query.Range(ctx, e, op.P, op.R, st)
+	case op.Kind == exec.KNNQ:
+		query.KNN(ctx, e, op.P, op.K, st)
+	default:
+		query.SPD(ctx, e, op.P, op.Q, st)
 	}
 }
 

@@ -39,7 +39,8 @@ func TestSmoke(t *testing.T) {
 	}
 
 	// compare on two tiny reports written to disk: one shared row with a
-	// metric on each side only, and one row per side.
+	// metric on each side only, one row per side, a bound that holds, one
+	// that flips and one per side.
 	dir := t.TempDir()
 	write := func(name string, rep *report) string {
 		data, err := json.Marshal(rep)
@@ -55,14 +56,14 @@ func TestSmoke(t *testing.T) {
 	oldRep, err := readReport(write("old.json", &report{Scenarios: []*scenario{{Name: "move", Rows: []row{
 		{"a", map[string]float64{"ups": 200, "gone": 1}},
 		{"b", map[string]float64{"ups": 5}},
-	}}}}))
+	}, Bounds: []bound{{"flips", 0, true}, {"holds", 0, true}, {"dropped", 1, false}}}}}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	newRep, err := readReport(write("new.json", &report{Scenarios: []*scenario{{Name: "move", Rows: []row{
 		{"a", map[string]float64{"ups": 250, "added": 3}},
 		{"c", map[string]float64{"ups": 7}},
-	}}}}))
+	}, Bounds: []bound{{"holds", 0, true}, {"flips", 2, false}, {"new", 0, true}}}}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,6 +82,9 @@ func TestSmoke(t *testing.T) {
 		"move a ups 200 250 +25.0",
 		"only in old: move b",
 		"only in new: move c",
+		"bound move flips: pass -> FAIL",
+		"bound only in old: move dropped",
+		"bound only in new: move new",
 	}
 	if !slices.Equal(lines, want) {
 		t.Errorf("compare printed\n%s\nwant\n%s", strings.Join(lines, "\n"), strings.Join(want, "\n"))

@@ -16,6 +16,7 @@
 //	snap   cold bundle build vs snapshot load, and hot swap under query load
 //	route  routed vs pinned-engine serving on a skewed multi-venue mix
 //	move   the sharded moving.Stream vs the scan-all moving.Monitor
+//	paper  the paper's tasks A and B1–B7 over Table 5's grids, its claims as bounds
 //
 // Every scenario first runs its answer gate: the two sides of each
 // comparison answer the same exec.Op list and sameResults must hold, else
@@ -55,6 +56,7 @@ var scenarios = []struct {
 	{"snap", runSnap},
 	{"route", runRoute},
 	{"move", runMove},
+	{"paper", runPaper},
 }
 
 type report struct {

@@ -13,24 +13,57 @@
 //	spd  -x X -y Y -x2 X2 -y2 Y2 [...]      shortest path + distance
 //	rand -type rq|knn|spd [-n 3]            random query instances
 //
+// Every query runs through exec.Do, the validated path the server uses, so
+// the inputs it answers 400 to exit non-zero here: k <= 0, a negative or
+// NaN r, or a floor outside the int16 range.
+//
 // Example:
 //
 //	isqquery -dataset CPH -engine IDIndex knn -x 1000 -y 300 -k 5
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"os"
+	"strconv"
 	"time"
 
-	"indoorsq/internal/bench"
 	"indoorsq/internal/dataset"
+	"indoorsq/internal/exec"
 	"indoorsq/internal/indoor"
 	"indoorsq/internal/query"
+	"indoorsq/internal/snapshot/bundle"
 	"indoorsq/internal/workload"
 )
+
+// floorFlag is a floor number parsed with the int16 range check the
+// server's floor parameter applies, so -floor 65536 is an error rather
+// than floor 0.
+type floorFlag int16
+
+func (f *floorFlag) String() string { return strconv.Itoa(int(*f)) }
+
+func (f *floorFlag) Set(s string) error {
+	v, err := strconv.ParseInt(s, 10, 16)
+	if err != nil {
+		return err
+	}
+	*f = floorFlag(v)
+	return nil
+}
+
+// point registers -x, -y and -floor flags (with suffix and description
+// prefix) on fs and returns a func reading the parsed point.
+func point(fs *flag.FlagSet, suffix, what string) func() indoor.Point {
+	x := fs.Float64("x"+suffix, 0, what+"x")
+	y := fs.Float64("y"+suffix, 0, what+"y")
+	var fl floorFlag
+	fs.Var(&fl, "floor"+suffix, what+"floor")
+	return func() indoor.Point { return indoor.At(*x, *y, int16(fl)) }
+}
 
 func main() {
 	var (
@@ -50,7 +83,7 @@ func main() {
 		log.Fatal(err)
 	}
 	start := time.Now()
-	eng, err := bench.NewEngine(*engine, info)
+	eng, err := bundle.NewEngine(*engine, info.Space, bundle.Options{Gamma: info.Gamma})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -61,48 +94,37 @@ func main() {
 		eng.Name(), info.Name, buildTime.Round(time.Millisecond), float64(eng.SizeBytes())/1e6)
 
 	cmd := flag.Arg(0)
-	args := flag.Args()[1:]
+	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
+	var ops []exec.Op
 	switch cmd {
 	case "rq":
-		fs := flag.NewFlagSet("rq", flag.ExitOnError)
-		x := fs.Float64("x", 0, "x")
-		y := fs.Float64("y", 0, "y")
-		fl := fs.Int("floor", 0, "floor")
+		p := point(fs, "", "")
 		r := fs.Float64("r", info.DefaultR, "range radius (m)")
-		fs.Parse(args)
-		runRQ(eng, indoor.At(*x, *y, int16(*fl)), *r)
+		fs.Parse(flag.Args()[1:])
+		ops = []exec.Op{{Kind: exec.RangeQ, P: p(), R: *r}}
 	case "knn":
-		fs := flag.NewFlagSet("knn", flag.ExitOnError)
-		x := fs.Float64("x", 0, "x")
-		y := fs.Float64("y", 0, "y")
-		fl := fs.Int("floor", 0, "floor")
+		p := point(fs, "", "")
 		k := fs.Int("k", 5, "k")
-		fs.Parse(args)
-		runKNN(eng, indoor.At(*x, *y, int16(*fl)), *k)
+		fs.Parse(flag.Args()[1:])
+		ops = []exec.Op{{Kind: exec.KNNQ, P: p(), K: *k}}
 	case "spd":
-		fs := flag.NewFlagSet("spd", flag.ExitOnError)
-		x := fs.Float64("x", 0, "source x")
-		y := fs.Float64("y", 0, "source y")
-		fl := fs.Int("floor", 0, "source floor")
-		x2 := fs.Float64("x2", 0, "target x")
-		y2 := fs.Float64("y2", 0, "target y")
-		fl2 := fs.Int("floor2", 0, "target floor")
-		fs.Parse(args)
-		runSPD(eng, indoor.At(*x, *y, int16(*fl)), indoor.At(*x2, *y2, int16(*fl2)))
+		p := point(fs, "", "source ")
+		q := point(fs, "2", "target ")
+		fs.Parse(flag.Args()[1:])
+		ops = []exec.Op{{Kind: exec.SPDQ, P: p(), Q: q()}}
 	case "rand":
-		fs := flag.NewFlagSet("rand", flag.ExitOnError)
 		typ := fs.String("type", "knn", "query type: rq, knn, spd")
 		n := fs.Int("n", 3, "instances")
-		fs.Parse(args)
+		fs.Parse(flag.Args()[1:])
 		for i := 0; i < *n; i++ {
 			switch *typ {
 			case "rq":
-				runRQ(eng, gen.Point(), info.DefaultR)
+				ops = append(ops, exec.Op{Kind: exec.RangeQ, P: gen.Point(), R: info.DefaultR})
 			case "knn":
-				runKNN(eng, gen.Point(), 5)
+				ops = append(ops, exec.Op{Kind: exec.KNNQ, P: gen.Point(), K: 5})
 			case "spd":
 				pr := gen.SPDPairs(info.DefaultS2T, 1)[0]
-				runSPD(eng, pr.P, pr.Q)
+				ops = append(ops, exec.Op{Kind: exec.SPDQ, P: pr.P, Q: pr.Q})
 			default:
 				log.Fatalf("unknown random query type %q", *typ)
 			}
@@ -110,42 +132,38 @@ func main() {
 	default:
 		log.Fatalf("unknown command %q (want rq, knn, spd, rand)", cmd)
 	}
+	for _, op := range ops {
+		line, err := answer(eng, op)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Println(line)
+	}
 }
 
-func runRQ(eng query.Engine, p indoor.Point, r float64) {
-	var st query.Stats
-	start := time.Now()
-	ids, err := eng.Range(p, r, &st)
-	if err != nil {
-		log.Fatalf("rq: %v", err)
+// answer runs op through exec.Do, the validated entry point every served
+// query takes, and formats its result: an invalid op (k <= 0, negative or
+// NaN r) fails with exec.ErrInvalidOp before any engine work.
+func answer(eng query.Engine, op exec.Op) (string, error) {
+	r := exec.Do(context.Background(), eng, op)
+	if r.Err != nil {
+		return "", fmt.Errorf("%s: %w", op.Kind, r.Err)
 	}
-	fmt.Printf("RQ((%.0f,%.0f,f%d), %.0fm): %d objects in %v (NVD %d)\n",
-		p.X, p.Y, p.Floor, r, len(ids), time.Since(start).Round(time.Microsecond), st.VisitedDoors)
-}
-
-func runKNN(eng query.Engine, p indoor.Point, k int) {
-	var st query.Stats
-	start := time.Now()
-	nn, err := eng.KNN(p, k, &st)
-	if err != nil {
-		log.Fatalf("knn: %v", err)
+	p, q := op.P, op.Q
+	took := r.Elapsed.Round(time.Microsecond)
+	switch op.Kind {
+	case exec.RangeQ:
+		return fmt.Sprintf("RQ((%.0f,%.0f,f%d), %.0fm): %d objects in %v (NVD %d)",
+			p.X, p.Y, p.Floor, op.R, len(r.IDs), took, r.Stats.VisitedDoors), nil
+	case exec.KNNQ:
+		line := fmt.Sprintf("%dNN((%.0f,%.0f,f%d)) in %v:", op.K, p.X, p.Y, p.Floor, took)
+		for _, n := range r.Neighbors {
+			line += fmt.Sprintf(" #%d@%.1fm", n.ID, n.Dist)
+		}
+		return line, nil
+	default:
+		return fmt.Sprintf("SPD((%.0f,%.0f,f%d) -> (%.0f,%.0f,f%d)): %.1fm through %d doors in %v (NVD %d)",
+			p.X, p.Y, p.Floor, q.X, q.Y, q.Floor,
+			r.Path.Dist, len(r.Path.Doors), took, r.Stats.VisitedDoors), nil
 	}
-	fmt.Printf("%dNN((%.0f,%.0f,f%d)) in %v:", k, p.X, p.Y, p.Floor,
-		time.Since(start).Round(time.Microsecond))
-	for _, n := range nn {
-		fmt.Printf(" #%d@%.1fm", n.ID, n.Dist)
-	}
-	fmt.Println()
-}
-
-func runSPD(eng query.Engine, p, q indoor.Point) {
-	var st query.Stats
-	start := time.Now()
-	path, err := eng.SPD(p, q, &st)
-	if err != nil {
-		log.Fatalf("spd: %v", err)
-	}
-	fmt.Printf("SPD((%.0f,%.0f,f%d) -> (%.0f,%.0f,f%d)): %.1fm through %d doors in %v (NVD %d)\n",
-		p.X, p.Y, p.Floor, q.X, q.Y, q.Floor,
-		path.Dist, len(path.Doors), time.Since(start).Round(time.Microsecond), st.VisitedDoors)
 }

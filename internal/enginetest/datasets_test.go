@@ -5,9 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
-	"indoorsq/internal/bench"
 	"indoorsq/internal/dataset"
 	"indoorsq/internal/query"
+	"indoorsq/internal/snapshot/bundle"
 	"indoorsq/internal/workload"
 )
 
@@ -24,8 +24,8 @@ func TestCrossEngineOnBenchmarkVenues(t *testing.T) {
 		t.Run(ds, func(t *testing.T) {
 			info := dataset.Get(ds)
 			var engines []query.Engine
-			for _, name := range bench.EngineNames {
-				eng, err := bench.NewEngine(name, info)
+			for _, name := range bundle.EngineNames {
+				eng, err := bundle.NewEngine(name, info.Space, bundle.Options{Gamma: info.Gamma})
 				if err != nil {
 					t.Fatal(err)
 				}

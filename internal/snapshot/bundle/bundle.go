@@ -103,8 +103,8 @@ func (b *Bundle) EngineList() []string {
 
 // Build cold-constructs a bundle over a space: the door graph and both reach
 // summaries once, then every selected engine through its ordinary
-// constructor — so a built bundle's engines are exactly what the bench
-// harness would have produced.
+// constructor (NewEngine) — so a built bundle's engines are exactly what
+// the paper evaluation measures.
 func Build(name string, sp *indoor.Space, opt Options) (*Bundle, error) {
 	opt = opt.withDefaults()
 	b := &Bundle{
@@ -121,26 +121,35 @@ func Build(name string, sp *indoor.Space, opt Options) (*Bundle, error) {
 	b.ReachGraph = reach.FromGraph(b.Graph, sp, opt.Workers)
 	b.ReachSpace = reach.FromSpace(sp, nil, opt.Workers)
 	for _, name := range opt.Engines {
-		switch name {
-		case "IDModel":
-			b.Engines[name] = idmodel.New(sp)
-		case "IDIndex":
-			if opt.Compact {
-				b.Engines[name] = idindex.NewCompact(sp)
-			} else {
-				b.Engines[name] = idindex.NewWorkers(sp, opt.Workers)
-			}
-		case "CIndex":
-			b.Engines[name] = cindex.New(sp)
-		case "IPTree":
-			b.Engines[name] = iptree.New(sp, iptree.Options{Gamma: opt.Gamma, Workers: opt.Workers})
-		case "VIPTree":
-			b.Engines[name] = iptree.New(sp, iptree.Options{Gamma: opt.Gamma, VIP: true, Workers: opt.Workers})
-		default:
-			return nil, fmt.Errorf("bundle: unknown engine %q", name)
+		e, err := NewEngine(name, sp, opt)
+		if err != nil {
+			return nil, err
 		}
+		b.Engines[name] = e
 	}
 	return b, nil
+}
+
+// NewEngine cold-constructs one engine over a space through its ordinary
+// constructor, honouring opt's Gamma, Compact and Workers; opt.Engines and
+// opt.WarmCache are ignored. Build calls it once per selected engine.
+func NewEngine(name string, sp *indoor.Space, opt Options) (query.Engine, error) {
+	switch name {
+	case "IDModel":
+		return idmodel.New(sp), nil
+	case "IDIndex":
+		if opt.Compact {
+			return idindex.NewCompact(sp), nil
+		}
+		return idindex.NewWorkers(sp, opt.Workers), nil
+	case "CIndex":
+		return cindex.New(sp), nil
+	case "IPTree":
+		return iptree.New(sp, iptree.Options{Gamma: opt.Gamma, Workers: opt.Workers}), nil
+	case "VIPTree":
+		return iptree.New(sp, iptree.Options{Gamma: opt.Gamma, VIP: true, Workers: opt.Workers}), nil
+	}
+	return nil, fmt.Errorf("bundle: unknown engine %q", name)
 }
 
 // Write streams the bundle to w as one snapshot file. warmCache includes the

@@ -1,10 +1,12 @@
 package bundle_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"indoorsq/internal/idindex"
@@ -39,7 +41,8 @@ func corpusParams(seed int64) spacegen.Params {
 // save → load must reproduce every engine bit-identically — same Range ids,
 // same KNN neighbors with Float64bits-equal distances, same SPD door
 // sequences and Float64bits-equal path lengths, same size accounting, and a
-// Float64bits-equal IDINDEX distance matrix. Even seeds build the compact
+// Float64bits-equal IDINDEX distance matrix. Each built engine must also
+// match NewEngine's for the same Options. Even seeds build the compact
 // (float32) IDINDEX so both matrix encodings round-trip.
 func TestRoundTripBitIdentical(t *testing.T) {
 	dir := t.TempDir()
@@ -49,7 +52,8 @@ func TestRoundTripBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed=%d: generate: %v", seed, err)
 		}
-		fresh, err := bundle.Build("corpus", sp, bundle.Options{Gamma: 4, Compact: seed%2 == 0})
+		opt := bundle.Options{Gamma: 4, Compact: seed%2 == 0}
+		fresh, err := bundle.Build("corpus", sp, opt)
 		if err != nil {
 			t.Fatalf("seed=%d: build: %v", seed, err)
 		}
@@ -81,53 +85,16 @@ func TestRoundTripBitIdentical(t *testing.T) {
 			if fe == nil || le == nil {
 				t.Fatalf("seed=%d: engine %s missing (%v/%v)", seed, name, fe, le)
 			}
-			if fe.SizeBytes() != le.SizeBytes() {
-				t.Fatalf("seed=%d %s: size %d (fresh) vs %d (loaded)", seed, name, fe.SizeBytes(), le.SizeBytes())
+			ne, err := bundle.NewEngine(name, sp, opt)
+			if err != nil {
+				t.Fatalf("seed=%d: NewEngine(%s): %v", seed, name, err)
 			}
-			fe.SetObjects(objs)
-			le.SetObjects(objs)
-			var st query.Stats
-			for _, p := range pts {
-				fr, ferr := fe.Range(p, 9, &st)
-				lr, lerr := le.Range(p, 9, &st)
-				if (ferr == nil) != (lerr == nil) {
-					t.Fatalf("seed=%d %s: Range errors %v vs %v", seed, name, ferr, lerr)
-				}
-				if len(fr) != len(lr) {
-					t.Fatalf("seed=%d %s: Range %d vs %d results", seed, name, len(fr), len(lr))
-				}
-				for i := range fr {
-					if fr[i] != lr[i] {
-						t.Fatalf("seed=%d %s: Range id[%d] %d vs %d", seed, name, i, fr[i], lr[i])
-					}
-				}
-				fk, ferr := fe.KNN(p, 5, &st)
-				lk, lerr := le.KNN(p, 5, &st)
-				if (ferr == nil) != (lerr == nil) || len(fk) != len(lk) {
-					t.Fatalf("seed=%d %s: KNN shape differs", seed, name)
-				}
-				for i := range fk {
-					if fk[i].ID != lk[i].ID || math.Float64bits(fk[i].Dist) != math.Float64bits(lk[i].Dist) {
-						t.Fatalf("seed=%d %s: KNN[%d] %v vs %v", seed, name, i, fk[i], lk[i])
-					}
-				}
-			}
-			for _, pr := range pairs {
-				fp, ferr := fe.SPD(pr.P, pr.Q, &st)
-				lp, lerr := le.SPD(pr.P, pr.Q, &st)
-				if (ferr == nil) != (lerr == nil) {
-					t.Fatalf("seed=%d %s: SPD errors %v vs %v", seed, name, ferr, lerr)
-				}
-				if ferr != nil {
-					continue
-				}
-				if math.Float64bits(fp.Dist) != math.Float64bits(lp.Dist) || len(fp.Doors) != len(lp.Doors) {
-					t.Fatalf("seed=%d %s: SPD %v vs %v", seed, name, fp, lp)
-				}
-				for i := range fp.Doors {
-					if fp.Doors[i] != lp.Doors[i] {
-						t.Fatalf("seed=%d %s: SPD door[%d] %d vs %d", seed, name, i, fp.Doors[i], lp.Doors[i])
-					}
+			for _, other := range []struct {
+				side string
+				e    query.Engine
+			}{{"loaded", le}, {"NewEngine", ne}} {
+				if err := sameEngine(fe, other.e, objs, pts, pairs); err != nil {
+					t.Fatalf("seed=%d %s: fresh vs %s: %v", seed, name, other.side, err)
 				}
 			}
 		}
@@ -153,6 +120,70 @@ func TestRoundTripBitIdentical(t *testing.T) {
 		if lparts < fparts || lcells < fcells {
 			t.Fatalf("seed=%d: warm cache %d/%d pages loaded, build had %d/%d", seed, lparts, lcells, fparts, fcells)
 		}
+	}
+}
+
+// sameEngine requires b to match a bit-identically: same size accounting,
+// same Range ids, same KNN neighbors with Float64bits-equal distances, and
+// same SPD door sequences and Float64bits-equal path lengths.
+func sameEngine(a, b query.Engine, objs []query.Object, pts []indoor.Point, pairs []workload.Pair) error {
+	if a.SizeBytes() != b.SizeBytes() {
+		return fmt.Errorf("size %d vs %d", a.SizeBytes(), b.SizeBytes())
+	}
+	a.SetObjects(objs)
+	b.SetObjects(objs)
+	var st query.Stats
+	for _, p := range pts {
+		ar, aerr := a.Range(p, 9, &st)
+		br, berr := b.Range(p, 9, &st)
+		if (aerr == nil) != (berr == nil) {
+			return fmt.Errorf("Range errors %v vs %v", aerr, berr)
+		}
+		if !slices.Equal(ar, br) {
+			return fmt.Errorf("Range %v vs %v", ar, br)
+		}
+		ak, aerr := a.KNN(p, 5, &st)
+		bk, berr := b.KNN(p, 5, &st)
+		if (aerr == nil) != (berr == nil) || len(ak) != len(bk) {
+			return fmt.Errorf("KNN shape differs")
+		}
+		for i := range ak {
+			if ak[i].ID != bk[i].ID || math.Float64bits(ak[i].Dist) != math.Float64bits(bk[i].Dist) {
+				return fmt.Errorf("KNN[%d] %v vs %v", i, ak[i], bk[i])
+			}
+		}
+	}
+	for _, pr := range pairs {
+		ap, aerr := a.SPD(pr.P, pr.Q, &st)
+		bp, berr := b.SPD(pr.P, pr.Q, &st)
+		if (aerr == nil) != (berr == nil) {
+			return fmt.Errorf("SPD errors %v vs %v", aerr, berr)
+		}
+		if aerr == nil && (math.Float64bits(ap.Dist) != math.Float64bits(bp.Dist) || !slices.Equal(ap.Doors, bp.Doors)) {
+			return fmt.Errorf("SPD %v vs %v", ap, bp)
+		}
+	}
+	return nil
+}
+
+// TestNewEngineAll builds every listed engine by name and rejects an
+// unknown one.
+func TestNewEngineAll(t *testing.T) {
+	sp, err := spacegen.Generate(3, corpusParams(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range bundle.EngineNames {
+		eng, err := bundle.NewEngine(name, sp, bundle.Options{Gamma: 4})
+		if err != nil {
+			t.Fatalf("NewEngine(%s): %v", name, err)
+		}
+		if eng.Name() != name {
+			t.Fatalf("engine name %q != %q", eng.Name(), name)
+		}
+	}
+	if _, err := bundle.NewEngine("Bogus", sp, bundle.Options{}); err == nil {
+		t.Fatal("unknown engine must error")
 	}
 }
 
