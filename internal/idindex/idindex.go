@@ -244,19 +244,16 @@ func (ix *Index) Range(p indoor.Point, r float64, st *query.Stats) ([]int32, err
 	if !ok {
 		return nil, query.ErrNoHost
 	}
-	res := make(map[int32]struct{})
-	for _, nb := range ix.store.RangeScan(ix.sp, v0, p, 0, r, nil) {
-		res[nb.ID] = struct{}{}
-	}
+	res := query.NewIDSet(ix.store.Len())
+	defer res.Release()
+	ix.store.CollectScan(ix.sp, v0, p, r, res)
 	// The k-way merge over precomputed Midx rows is an index probe, not a
 	// graph expansion: no Dijkstra runs at query time.
 	endProbe := st.Span(obs.StageProbe)
 	err := ix.expand(v0, p, st, func(d indoor.DoorID, dist float64) float64 {
 		if dist <= r {
 			for _, v := range ix.sp.Door(d).Enterable {
-				for _, nb := range ix.store.RangeScanDoor(ix.sp, v, d, dist, r-dist, nil) {
-					res[nb.ID] = struct{}{}
-				}
+				ix.store.CollectDoor(ix.sp, v, d, r-dist, res)
 			}
 		}
 		return r
@@ -265,16 +262,11 @@ func (ix *Index) Range(p indoor.Point, r float64, st *query.Stats) ([]int32, err
 	if err != nil {
 		return nil, err
 	}
-	st.Alloc(int64(len(res)) * 8)
+	st.Alloc(int64(res.Len()) * 8)
 
 	endRefine := st.Span(obs.StageRefine)
 	defer endRefine()
-	out := make([]int32, 0, len(res))
-	for id := range res {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
+	return res.Sorted(), nil
 }
 
 // KNN implements query.Engine.

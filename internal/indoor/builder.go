@@ -127,6 +127,11 @@ func (b *Builder) Build() (*Space, error) {
 		parts:  b.parts,
 		doors:  b.doors,
 	}
+	// deriveDoorSlots checks that every door connects two partitions, which
+	// validate relies on.
+	if err := s.deriveDoorSlots(); err != nil {
+		return nil, err
+	}
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
@@ -135,7 +140,6 @@ func (b *Builder) Build() (*Space, error) {
 	s.vg = make([]*geom.VGraph, len(s.parts))
 	s.doorAnchor = make([][]int32, len(s.parts))
 	s.maxReach = make([][]float64, len(s.parts))
-	s.doorIdx = make([]map[DoorID]int32, len(s.parts))
 
 	for i := range s.parts {
 		v := &s.parts[i]
@@ -144,12 +148,6 @@ func (b *Builder) Build() (*Space, error) {
 		for f := v.Floor; f <= v.TopFloor; f++ {
 			s.byFloor[f] = append(s.byFloor[f], v.ID)
 		}
-
-		idx := make(map[DoorID]int32, len(v.Doors))
-		for j, d := range v.Doors {
-			idx[d] = int32(j)
-		}
-		s.doorIdx[i] = idx
 
 		if !v.convex && v.Kind != Staircase {
 			anchors := make([]geom.Point, len(v.Doors))
@@ -201,9 +199,6 @@ func (s *Space) validate() error {
 	}
 	for i := range s.doors {
 		d := &s.doors[i]
-		if len(d.Parts) != 2 {
-			return fmt.Errorf("indoor: door %d connects %d partitions, want 2", d.ID, len(d.Parts))
-		}
 		if len(d.Enterable) == 0 || len(d.Leaveable) == 0 {
 			return fmt.Errorf("indoor: door %d is not traversable", d.ID)
 		}

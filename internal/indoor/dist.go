@@ -1,20 +1,71 @@
 package indoor
 
 import (
+	"fmt"
 	"math"
+	"slices"
 
 	"indoorsq/internal/geom"
 )
 
 // doorIndexIn returns the position of door d in partition v's Doors slice,
-// or -1 when d is not associated with v. It is an O(1) lookup in the
-// per-partition door→index map derived at Build (the former linear scan sat
-// on every WithinPointDoor/WithinDoors call).
+// or -1 when d is not associated with v. Every door connects exactly two
+// partitions, so the lookup is two compares against d's Parts and one read
+// of the per-door slot table derived at Build and LoadSpace.
 func (s *Space) doorIndexIn(v PartitionID, d DoorID) int {
-	if i, ok := s.doorIdx[v][d]; ok {
-		return int(i)
+	if uint(d) >= uint(len(s.doorSlot)) {
+		return -1
+	}
+	parts := s.doors[d].Parts
+	switch v {
+	case parts[0]:
+		return int(s.doorSlot[d][0])
+	case parts[1]:
+		return int(s.doorSlot[d][1])
 	}
 	return -1
+}
+
+// deriveDoorSlots builds the door-slot table behind doorIndexIn. It rejects
+// a door whose Parts is not two in-range partitions, a partition listing a
+// door that does not connect it, and a door missing from the Doors of a
+// partition it connects: lookups trust this incidence, so a snapshot that
+// breaks it must fail to load rather than panic later.
+func (s *Space) deriveDoorSlots() error {
+	np := PartitionID(len(s.parts))
+	s.doorSlot = make([][2]int32, len(s.doors))
+	for i := range s.doors {
+		d := &s.doors[i]
+		if len(d.Parts) != 2 {
+			return fmt.Errorf("indoor: door %d connects %d partitions, want 2", i, len(d.Parts))
+		}
+		for _, v := range d.Parts {
+			if v < 0 || v >= np {
+				return fmt.Errorf("indoor: door %d references partition %d of %d", i, v, np)
+			}
+		}
+		s.doorSlot[i] = [2]int32{-1, -1}
+	}
+	for i := range s.parts {
+		for j, d := range s.parts[i].Doors {
+			if int(d) < 0 || int(d) >= len(s.doors) {
+				return fmt.Errorf("indoor: partition %d references door %d of %d", i, d, len(s.doors))
+			}
+			k := slices.Index(s.doors[d].Parts, PartitionID(i))
+			if k < 0 {
+				return fmt.Errorf("indoor: partition %d lists door %d, which does not connect it", i, d)
+			}
+			s.doorSlot[d][k] = int32(j)
+		}
+	}
+	for i, slot := range s.doorSlot {
+		for k, j := range slot {
+			if j < 0 {
+				return fmt.Errorf("indoor: door %d missing from the doors of partition %d", i, s.doors[i].Parts[k])
+			}
+		}
+	}
+	return nil
 }
 
 // DoorIndex exposes doorIndexIn to engines that address per-partition

@@ -131,9 +131,10 @@ type Space struct {
 	doorAnchor [][]int32      // per partition: anchor index per Doors entry
 	maxReach   [][]float64    // fdv: per partition, aligned with Doors
 
-	// doorIdx[v] maps a door id to its position in parts[v].Doors — the
-	// O(1) lookup behind every WithinDoors/WithinPointDoor call.
-	doorIdx []map[DoorID]int32
+	// doorSlot[d][k] is the position of door d in the Doors slice of its
+	// partition Parts[k] — the O(1) lookup behind every WithinDoors,
+	// WithinPointDoor and RefToDoor call (see doorIndexIn).
+	doorSlot [][2]int32
 
 	// dcache lazily memoizes door-pair distances; see distcache.go.
 	dcache *DistCache

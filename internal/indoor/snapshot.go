@@ -65,12 +65,15 @@ func (s *Space) AppendTo(w *snapshot.Writer) {
 }
 
 // LoadSpace reconstructs a Space from the TagSpace section. Cheap
-// derivations (per-floor lists, door-index maps) are recomputed; expensive
-// ones (visibility graphs, fdv arrays) come from the section, with matrix
-// rows aliasing the snapshot buffer. Structural validation is skipped: the
-// section CRC plus the caller's fingerprint check (see snapshot/bundle)
-// guard integrity, and a snapshot is only ever written from a validated,
-// built Space.
+// derivations (per-floor lists, the door-slot table) are recomputed;
+// expensive ones (visibility graphs, fdv arrays) come from the section, with
+// matrix rows aliasing the snapshot buffer. Full structural validation is
+// skipped: the section CRC plus the caller's fingerprint check (see
+// snapshot/bundle) guard integrity, and a snapshot is only ever written from
+// a validated, built Space. What lookups index by is still checked, so a
+// corrupt artifact fails to load instead of panicking later: floor ranges,
+// partition→door references, and door incidence (every door connects two
+// in-range partitions and appears in the Doors of both).
 func LoadSpace(r *snapshot.Reader) (*Space, error) {
 	sec, err := r.Section(snapshot.TagSpace)
 	if err != nil {
@@ -132,7 +135,6 @@ func LoadSpace(r *snapshot.Reader) (*Space, error) {
 	s.vg = make([]*geom.VGraph, np)
 	s.doorAnchor = make([][]int32, np)
 	s.maxReach = make([][]float64, np)
-	s.doorIdx = make([]map[DoorID]int32, np)
 	for i := range s.parts {
 		v := &s.parts[i]
 		if int(v.Floor) < 0 || int(v.TopFloor) >= s.Floors || v.Floor > v.TopFloor {
@@ -141,14 +143,9 @@ func LoadSpace(r *snapshot.Reader) (*Space, error) {
 		for f := v.Floor; f <= v.TopFloor; f++ {
 			s.byFloor[f] = append(s.byFloor[f], v.ID)
 		}
-		idx := make(map[DoorID]int32, len(v.Doors))
-		for j, d := range v.Doors {
-			if int(d) < 0 || int(d) >= nd {
-				return nil, fmt.Errorf("indoor: snapshot partition %d references door %d of %d", i, d, nd)
-			}
-			idx[d] = int32(j)
-		}
-		s.doorIdx[i] = idx
+	}
+	if err := s.deriveDoorSlots(); err != nil {
+		return nil, err
 	}
 
 	// Expensive derivations, from the section.

@@ -3,6 +3,7 @@ package query
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -53,15 +54,16 @@ func TestRangeScan(t *testing.T) {
 		{ID: 3, Loc: indoor.At(19, 5, 0), Part: f.Hall},
 	}
 	st := NewObjectStore(f.Space, objs)
-	got := st.RangeScan(f.Space, f.Hall, indoor.At(0, 5, 0), 100, 10.5, nil)
-	if len(got) != 2 {
-		t.Fatalf("RangeScan found %d objects, want 2", len(got))
+	set := NewIDSet(st.Len())
+	defer set.Release()
+	st.CollectScan(f.Space, f.Hall, indoor.At(0, 5, 0), 10.5, set)
+	if got := set.Sorted(); !slices.Equal(got, []int32{1, 2}) {
+		t.Fatalf("CollectScan found %v, want [1 2]", got)
 	}
-	// Distances include the base offset.
-	for _, n := range got {
-		if n.Dist < 100 {
-			t.Fatalf("neighbor dist %g missing base", n.Dist)
-		}
+	// A second scan skips the collected objects and adds only new ones.
+	st.CollectScan(f.Space, f.Hall, indoor.At(20, 5, 0), 10.5, set)
+	if got := set.Sorted(); !slices.Equal(got, []int32{1, 2, 3}) {
+		t.Fatalf("after a second scan: %v, want [1 2 3]", got)
 	}
 }
 

@@ -63,33 +63,33 @@ func (s *ObjectStore) DistToDoor(sp *indoor.Space, i int32, d indoor.DoorID) flo
 	return sp.RefToDoor(s.refs[i], d)
 }
 
-// RangeScan appends to dst every object of partition v whose intra-partition
-// distance from center is at most radius, paired with its total distance
-// base+within. It implements the rangeSearch helper of the paper's
-// Algorithm 1.
-func (s *ObjectStore) RangeScan(sp *indoor.Space, v indoor.PartitionID, center indoor.Point, base, radius float64, dst []Neighbor) []Neighbor {
+// CollectScan adds to set every object of partition v whose
+// intra-partition distance from center is at most radius: the rangeSearch
+// helper of the paper's Algorithm 1, at the query point. An object already
+// in set is skipped before its distance is computed. This is exact because
+// a range answer is a set of ids, so an object's distance matters only
+// until it is first accepted.
+func (s *ObjectStore) CollectScan(sp *indoor.Space, v indoor.PartitionID, center indoor.Point, radius float64, set *IDSet) {
 	bucket := s.buckets[v]
 	if len(bucket) == 0 {
-		return dst
+		return
 	}
 	c := sp.Ref(v, center)
 	for _, i := range bucket {
-		if w := sp.RefDist(c, s.refs[i]); w <= radius {
-			dst = append(dst, Neighbor{ID: s.objs[i].ID, Dist: base + w})
+		if !set.has(i) && sp.RefDist(c, s.refs[i]) <= radius {
+			set.add(i, s.objs[i].ID)
 		}
 	}
-	return dst
 }
 
-// RangeScanDoor is RangeScan with the scan center at a door of v, using the
+// CollectDoor is CollectScan with the scan center at door d of v, using the
 // precomputed door-to-vertex geodesics.
-func (s *ObjectStore) RangeScanDoor(sp *indoor.Space, v indoor.PartitionID, d indoor.DoorID, base, radius float64, dst []Neighbor) []Neighbor {
+func (s *ObjectStore) CollectDoor(sp *indoor.Space, v indoor.PartitionID, d indoor.DoorID, radius float64, set *IDSet) {
 	for _, i := range s.buckets[v] {
-		if w := sp.RefToDoor(s.refs[i], d); w <= radius {
-			dst = append(dst, Neighbor{ID: s.objs[i].ID, Dist: base + w})
+		if !set.has(i) && sp.RefToDoor(s.refs[i], d) <= radius {
+			set.add(i, s.objs[i].ID)
 		}
 	}
-	return dst
 }
 
 // SizeBytes returns the resident size of the buckets and hashtable.

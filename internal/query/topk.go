@@ -1,9 +1,10 @@
 package query
 
 import (
+	"cmp"
 	"container/heap"
 	"math"
-	"sort"
+	"slices"
 )
 
 // TopK collects the k nearest objects seen so far, deduplicating by object
@@ -103,11 +104,8 @@ func (t *TopK) Results() []Neighbor {
 	for id, d := range t.best {
 		out = append(out, Neighbor{ID: id, Dist: d})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dist != out[j].Dist {
-			return out[i].Dist < out[j].Dist
-		}
-		return out[i].ID < out[j].ID
+	slices.SortFunc(out, func(a, b Neighbor) int {
+		return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.ID, b.ID))
 	})
 	return out
 }

@@ -1,0 +1,162 @@
+package server
+
+import (
+	"encoding/json"
+	"math"
+	"net/http"
+	"strconv"
+	"sync"
+
+	"indoorsq/internal/indoor"
+	"indoorsq/internal/query"
+)
+
+// The range, kNN and SPD 200 bodies are the hot path of every query
+// endpoint, so they are appended into a pooled buffer instead of going
+// through encoding/json's reflection. The contract is byte identity with
+// what json.NewEncoder(w).Encode wrote for the equivalent struct: the same
+// field order, encoding/json's string escaping and float format, and the
+// trailing "\n". A non-finite float, which encoding/json refuses, makes the
+// encoder report failure so the handler answers the same 500 as writeJSON.
+// FuzzQueryResponseJSON holds the encoders to that contract.
+
+// queryMeta is the tail every query body ends with: who served the query
+// and which generation answered.
+type queryMeta struct {
+	visitedDoors int
+	engine       string
+	epoch        uint64
+}
+
+// appendRange appends {"objects":[...],<meta>}\n.
+func appendRange(b []byte, ids []int32, m queryMeta) []byte {
+	b = append(b, `{"objects":[`...)
+	for i, id := range ids {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(id), 10)
+	}
+	return appendMeta(append(b, "],"...), m)
+}
+
+// appendKNN appends {"neighbors":[{"ID":..,"Dist":..},...],<meta>}\n,
+// reporting false when a distance is not finite.
+func appendKNN(b []byte, nn []query.Neighbor, m queryMeta) ([]byte, bool) {
+	b = append(b, `{"neighbors":[`...)
+	for i, n := range nn {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"ID":`...)
+		b = strconv.AppendInt(b, int64(n.ID), 10)
+		b = append(b, `,"Dist":`...)
+		var ok bool
+		if b, ok = appendFloat(b, n.Dist); !ok {
+			return b, false
+		}
+		b = append(b, '}')
+	}
+	return appendMeta(append(b, "],"...), m), true
+}
+
+// doorPointer locates doors for the SPD geometry (an *indoor.Space).
+type doorPointer interface {
+	DoorPoint(indoor.DoorID) indoor.Point
+}
+
+// appendSPD appends {"dist":..,"doors":[...],"geometry":[[x,y,floor],...],
+// <meta>}\n, where the geometry is the polyline src, each door's point, dst.
+// It reports false when a coordinate or the distance is not finite.
+func appendSPD(b []byte, dist float64, doors []indoor.DoorID, src, dst indoor.Point, at doorPointer, m queryMeta) ([]byte, bool) {
+	b = append(b, `{"dist":`...)
+	b, ok := appendFloat(b, dist)
+	b = append(b, `,"doors":[`...)
+	for i, d := range doors {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(d), 10)
+	}
+	b = append(b, `],"geometry":[`...)
+	b, ok = appendPoint(b, src, ok)
+	for _, d := range doors {
+		b, ok = appendPoint(append(b, ','), at.DoorPoint(d), ok)
+	}
+	b, ok = appendPoint(append(b, ','), dst, ok)
+	return appendMeta(append(b, "],"...), m), ok
+}
+
+// appendPoint appends [x,y,floor], folding its finiteness into ok.
+func appendPoint(b []byte, p indoor.Point, ok bool) ([]byte, bool) {
+	b = append(b, '[')
+	b, okX := appendFloat(b, p.X)
+	b, okY := appendFloat(append(b, ','), p.Y)
+	b = strconv.AppendInt(append(b, ','), int64(p.Floor), 10)
+	return append(b, ']'), ok && okX && okY
+}
+
+// appendMeta appends "visitedDoors":..,"engine":..,"epoch":..}\n.
+func appendMeta(b []byte, m queryMeta) []byte {
+	b = append(b, `"visitedDoors":`...)
+	b = strconv.AppendInt(b, int64(m.visitedDoors), 10)
+	b = append(b, `,"engine":`...)
+	b = appendString(b, m.engine)
+	b = append(b, `,"epoch":`...)
+	b = strconv.AppendUint(b, m.epoch, 10)
+	return append(b, "}\n"...)
+}
+
+// appendFloat appends f in encoding/json's float64 format: 'f', or 'e'
+// below 1e-6 or at/above 1e21 with a one-digit negative exponent unpadded
+// (e-07 becomes e-7). It reports false, appending nothing, for NaN and ±Inf.
+func appendFloat(b []byte, f float64) ([]byte, bool) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return b, false
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b, true
+}
+
+// appendString appends s as a JSON string. Engine names are plain ASCII, so
+// the common case is a copy between quotes; anything encoding/json would
+// escape (quotes, backslashes, control bytes, HTML-sensitive <>&, non-ASCII)
+// goes through json.Marshal itself.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+// maxPooledBody caps the buffers kept for reuse, so one huge answer does
+// not pin its buffer for the life of the process.
+const maxPooledBody = 64 << 10
+
+var bodyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeBody answers 200 with body, or, when the encoder failed, the 500
+// that writeJSON gives an unencodable payload, counted in encodeErrors.
+func (s *TenantServer) writeBody(w http.ResponseWriter, body []byte, ok bool) {
+	if !ok {
+		s.encodeErrs.Add(1)
+		writeEncodeFailure(w)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
+}

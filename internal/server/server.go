@@ -184,15 +184,21 @@ type httpError struct {
 func encodeJSON(w http.ResponseWriter, code int, v any) error {
 	var buf bytes.Buffer
 	if err := json.NewEncoder(&buf).Encode(v); err != nil {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusInternalServerError)
-		_, _ = w.Write([]byte(`{"error":"response encoding failed"}` + "\n"))
+		writeEncodeFailure(w)
 		return err
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_, _ = w.Write(buf.Bytes())
 	return nil
+}
+
+// writeEncodeFailure answers the 500 of a response body that failed to
+// encode.
+func writeEncodeFailure(w http.ResponseWriter) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusInternalServerError)
+	_, _ = w.Write([]byte(`{"error":"response encoding failed"}` + "\n"))
 }
 
 func (s *TenantServer) writeJSON(w http.ResponseWriter, code int, v any) {
@@ -339,11 +345,11 @@ func pointParam(q url.Values, suffix string) (indoor.Point, error) {
 	return indoor.At(x, y, floor), err
 }
 
-// parseOp decodes one query of the given kind: x/y/floor, then r (range),
-// k (kNN, default 5) or x2/y2/floor2 (SPD). It only parses; exec.Do
-// rejects values no query can answer (a negative or NaN radius, k < 1).
-func parseOp(r *http.Request, kind exec.Kind) (exec.Op, error) {
-	q := r.URL.Query()
+// parseOp decodes one query of the given kind from the request's parsed
+// query string: x/y/floor, then r (range), k (kNN, default 5) or
+// x2/y2/floor2 (SPD). It only parses; exec.Do rejects values no query can
+// answer (a negative or NaN radius, k < 1).
+func parseOp(q url.Values, kind exec.Kind) (exec.Op, error) {
 	op := exec.Op{Kind: kind}
 	var err error
 	if op.P, err = pointParam(q, ""); err != nil {
@@ -365,11 +371,12 @@ func parseOp(r *http.Request, kind exec.Kind) (exec.Op, error) {
 	return op, err
 }
 
-// runQuery decodes one query of kind and runs it on v under the request's
-// query context (tr, when non-nil, records its spans). A decode failure is
-// returned as the result's error.
-func (s *TenantServer) runQuery(r *http.Request, v *tenant.Venue, kind exec.Kind, tr *obs.Trace) (exec.Op, exec.Result, string) {
-	op, err := parseOp(r, kind)
+// runQuery decodes one query of kind from q, the request's query string
+// parsed once by the caller, and runs it on v under the request's query
+// context (tr, when non-nil, records its spans); ?engine= comes from the
+// same values. A decode failure is returned as the result's error.
+func (s *TenantServer) runQuery(r *http.Request, q url.Values, v *tenant.Venue, kind exec.Kind, tr *obs.Trace) (exec.Op, exec.Result, string) {
+	op, err := parseOp(q, kind)
 	if err != nil {
 		return op, exec.Result{Err: err}, ""
 	}
@@ -378,7 +385,7 @@ func (s *TenantServer) runQuery(r *http.Request, v *tenant.Venue, kind exec.Kind
 	if tr != nil {
 		ctx = obs.WithTrace(ctx, tr)
 	}
-	res, engine := v.Query(ctx, op, r.URL.Query().Get("engine"))
+	res, engine := v.Query(ctx, op, q.Get("engine"))
 	return op, res, engine
 }
 
@@ -450,70 +457,30 @@ func (s *TenantServer) handleInfo(w http.ResponseWriter, r *http.Request, v *ten
 	})
 }
 
-// rangeResponse, knnResponse and spdResponse carry the answer plus who
-// served it and which generation answered.
-type rangeResponse struct {
-	Objects      []int32 `json:"objects"`
-	VisitedDoors int     `json:"visitedDoors"`
-	Engine       string  `json:"engine"`
-	Epoch        uint64  `json:"epoch"`
-}
-
-type knnResponse struct {
-	Neighbors    []query.Neighbor `json:"neighbors"`
-	VisitedDoors int              `json:"visitedDoors"`
-	Engine       string           `json:"engine"`
-	Epoch        uint64           `json:"epoch"`
-}
-
-type spdResponse struct {
-	Dist         float64      `json:"dist"`
-	Doors        []int32      `json:"doors"`
-	Geom         [][3]float64 `json:"geometry"` // (x, y, floor) polyline via door points
-	VisitedDoors int          `json:"visitedDoors"`
-	Engine       string       `json:"engine"`
-	Epoch        uint64       `json:"epoch"`
-}
-
 // handleQuery serves one query kind: parseOp, Venue.Query, then the kind's
-// response encoding.
+// append encoder (encode.go) into a pooled buffer.
 func (s *TenantServer) handleQuery(kind exec.Kind) venueHandler {
 	return func(w http.ResponseWriter, r *http.Request, v *tenant.Venue) {
-		op, res, engine := s.runQuery(r, v, kind, nil)
+		op, res, engine := s.runQuery(r, r.URL.Query(), v, kind, nil)
 		if res.Err != nil {
 			s.failQuery(w, res.Err, &res.Stats)
 			return
 		}
+		m := queryMeta{visitedDoors: res.Stats.VisitedDoors, engine: engine, epoch: v.Epoch()}
+		bp := bodyBufs.Get().(*[]byte)
+		b, ok := (*bp)[:0], true
 		switch kind {
 		case exec.RangeQ:
-			ids := res.IDs
-			if ids == nil {
-				ids = []int32{}
-			}
-			s.writeJSON(w, http.StatusOK, rangeResponse{
-				Objects: ids, VisitedDoors: res.Stats.VisitedDoors, Engine: engine, Epoch: v.Epoch(),
-			})
+			b = appendRange(b, res.IDs, m)
 		case exec.KNNQ:
-			nn := res.Neighbors
-			if nn == nil {
-				nn = []query.Neighbor{}
-			}
-			s.writeJSON(w, http.StatusOK, knnResponse{
-				Neighbors: nn, VisitedDoors: res.Stats.VisitedDoors, Engine: engine, Epoch: v.Epoch(),
-			})
+			b, ok = appendKNN(b, res.Neighbors, m)
 		case exec.SPDQ:
-			resp := spdResponse{
-				Dist: res.Path.Dist, Doors: make([]int32, 0, len(res.Path.Doors)),
-				VisitedDoors: res.Stats.VisitedDoors, Engine: engine, Epoch: v.Epoch(),
-			}
-			resp.Geom = append(resp.Geom, [3]float64{op.P.X, op.P.Y, float64(op.P.Floor)})
-			for _, d := range res.Path.Doors {
-				resp.Doors = append(resp.Doors, int32(d))
-				dp := v.Space.DoorPoint(d)
-				resp.Geom = append(resp.Geom, [3]float64{dp.X, dp.Y, float64(dp.Floor)})
-			}
-			resp.Geom = append(resp.Geom, [3]float64{op.Q.X, op.Q.Y, float64(op.Q.Floor)})
-			s.writeJSON(w, http.StatusOK, resp)
+			b, ok = appendSPD(b, res.Path.Dist, res.Path.Doors, op.P, op.Q, v.Space, m)
+		}
+		s.writeBody(w, b, ok)
+		if cap(b) <= maxPooledBody {
+			*bp = b
+			bodyBufs.Put(bp)
 		}
 	}
 }
@@ -579,14 +546,15 @@ var traceOps = map[string]exec.Kind{
 // recorded in the payload; a query that never reached an engine (bad
 // parameters, an invalid op, an unknown engine) answers its statusOf code.
 func (s *TenantServer) handleTrace(w http.ResponseWriter, r *http.Request, v *tenant.Venue) {
-	name := r.URL.Query().Get("op")
+	q := r.URL.Query()
+	name := q.Get("op")
 	kind, ok := traceOps[name]
 	if !ok {
 		s.fail(w, fmt.Errorf("%w: bad op %q (want range, knn, or spd)", errBadRequest, name))
 		return
 	}
 	tr := obs.NewTrace()
-	_, res, _ := s.runQuery(r, v, kind, tr)
+	_, res, _ := s.runQuery(r, q, v, kind, tr)
 	queries := tr.Queries()
 	if len(queries) == 0 {
 		err := res.Err

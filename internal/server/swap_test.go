@@ -21,7 +21,7 @@ import (
 
 // newBundleTier boots a one-venue tier from a prebuilt bundle (venue id =
 // bundle name) with every query class pinned to def.
-func newBundleTier(t *testing.T, b *bundle.Bundle, def string, objs []query.Object) (*tenant.Tier, *tenant.Venue) {
+func newBundleTier(t testing.TB, b *bundle.Bundle, def string, objs []query.Object) (*tenant.Tier, *tenant.Venue) {
 	t.Helper()
 	tier, err := tenant.New([]tenant.VenueSpec{{ID: b.Name, Bundle: b, ObjectList: objs}}, tenant.Options{})
 	if err != nil {

@@ -9,7 +9,6 @@ package traverse
 
 import (
 	"math"
-	"sort"
 	"sync"
 
 	"indoorsq/internal/indoor"
@@ -285,10 +284,9 @@ func (g *Graph) Range(store *query.ObjectStore, p indoor.Point, r float64, st *q
 	if !ok {
 		return nil, query.ErrNoHost
 	}
-	res := make(map[int32]struct{})
-	for _, n := range store.RangeScan(g.sp, v0, p, 0, r, nil) {
-		res[n.ID] = struct{}{}
-	}
+	res := query.NewIDSet(store.Len())
+	defer res.Release()
+	store.CollectScan(g.sp, v0, p, r, res)
 
 	endExpand := st.Span(obs.StageExpand)
 	defer endExpand()
@@ -315,22 +313,15 @@ func (g *Graph) Range(store *query.ObjectStore, p indoor.Point, r float64, st *q
 			if g.pruneByEuclid(v, p, r) {
 				return
 			}
-			for _, n := range store.RangeScanDoor(g.sp, v, door, base, r-base, nil) {
-				res[n.ID] = struct{}{}
-			}
+			store.CollectDoor(g.sp, v, door, r-base, res)
 		})
 	}
 	endExpand()
-	st.Alloc(s.bytes() + int64(len(res))*8)
+	st.Alloc(s.bytes() + int64(res.Len())*8)
 
 	endRefine := st.Span(obs.StageRefine)
 	defer endRefine()
-	out := make([]int32, 0, len(res))
-	for id := range res {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
+	return res.Sorted(), nil
 }
 
 // KNN answers kNNQ(p, k) over the given object store.
