@@ -16,7 +16,8 @@ FUZZ_TARGETS = \
 	./internal/spacegen:FuzzGenerate \
 	./internal/enginetest:FuzzDifferentialEngines \
 	./internal/moving:FuzzMonitorStream \
-	./internal/server:FuzzQueryResponseJSON
+	./internal/server:FuzzQueryResponseJSON \
+	./internal/server:FuzzUpdatesBody
 
 .PHONY: verify verify-full build vet fmt-check test race perfbench-check cover fuzz-smoke bench-smoke perf bench-compare
 
@@ -82,10 +83,11 @@ bench-compare:
 	$(GO) run ./cmd/isqperf compare $(A) $(B)
 
 # Quick compile-and-run pass over the heap and door-graph benchmarks and the
-# query handler's allocation benchmark (a handful of iterations each) and the
-# root package's ablation and extension benchmarks (one iteration each), just
-# to keep the benchmark code from rotting.
+# query, update and monitor-result handlers' allocation benchmarks (a
+# handful of iterations each) and the root package's ablation and extension
+# benchmarks (one iteration each), just to keep the benchmark code from
+# rotting.
 bench-smoke:
 	$(GO) test -run '^$$' -bench=. -benchtime=10x ./internal/pq/ ./internal/doorgraph/
-	$(GO) test -run '^$$' -bench=BenchmarkQueryHandler -benchtime=10x -benchmem ./internal/server/
+	$(GO) test -run '^$$' -bench='BenchmarkQueryHandler|BenchmarkUpdatesHandler|BenchmarkMonitorResult' -benchtime=10x -benchmem ./internal/server/
 	$(GO) test -run '^$$' -bench=. -benchtime=1x .

@@ -58,6 +58,8 @@ func buildFuzzVenues() []fuzzVenue {
 // kNN top-k (ids and distances), and the emitted event diffs. The Stream's
 // shard count is fuzzed too, so the generative harness also exercises the
 // fan-out/merge path, and bit 4 of the first byte gives it a reach summary.
+// Every step also checks the inverted index's packed rows and sorted range
+// results (moving.CheckIndex).
 func FuzzMonitorStream(f *testing.F) {
 	venues := buildFuzzVenues()
 
@@ -119,6 +121,9 @@ func FuzzMonitorStream(f *testing.F) {
 		// checkAll diffs every query's state against the oracle and the
 		// emitted events against the oracle-side membership diff.
 		checkAll := func(op int, events []moving.Event) {
+			if err := moving.CheckIndex(st); err != nil {
+				t.Fatalf("op %d: index: %v", op, err)
+			}
 			syncOracle()
 			var want []moving.Event
 			for qid, q := range ranges {

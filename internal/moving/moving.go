@@ -85,10 +85,11 @@ type site struct {
 	w     []float64 // w[i] = WithinPointDoor(part, loc, enter[i]); NaN until computed
 	ref   indoor.PointRef
 	refOK bool
+	row   []float64 // objDist's gather buffer
 }
 
 // reset prepares s for the position loc in partition part, keeping its
-// buffer.
+// buffers.
 func (s *site) reset(sp *indoor.Space, part indoor.PartitionID, loc indoor.Point) {
 	s.part, s.loc, s.refOK = part, loc, false
 	s.enter = sp.Partition(part).Enter
@@ -99,9 +100,26 @@ func (s *site) reset(sp *indoor.Space, part indoor.PartitionID, loc indoor.Point
 }
 
 // objDist computes the indoor distance from the query point to the object
-// at s, using the cached door field. Both evaluators call exactly this,
-// which is what makes their membership decisions bit-identical.
+// at s from the cached door field: it gathers the field at s's enter doors
+// into a row and hands it to objDistRow.
 func (q *qcore) objDist(sp *indoor.Space, s *site) float64 {
+	s.row = appendRow(s.row[:0], q.doorDist, s.enter)
+	return q.objDistRow(sp, s, s.row)
+}
+
+// appendRow appends field's entries at doors, in order.
+func appendRow(row, field []float64, doors []indoor.DoorID) []float64 {
+	for _, d := range doors {
+		row = append(row, field[d])
+	}
+	return row
+}
+
+// objDistRow is the one distance kernel of both evaluators: row[i] is the
+// query's field entry at s.enter[i], whether gathered from doorDist or read
+// from a Stream's packed index row, so every evaluator's membership
+// decisions are bit-identical by construction.
+func (q *qcore) objDistRow(sp *indoor.Space, s *site, row []float64) float64 {
 	best := math.Inf(1)
 	if s.part == q.vp {
 		if !s.refOK {
@@ -109,14 +127,13 @@ func (q *qcore) objDist(sp *indoor.Space, s *site) float64 {
 		}
 		best = sp.RefDist(q.pRef, s.ref)
 	}
-	for i, d := range s.enter {
-		dd := q.doorDist[d]
+	for i, dd := range row {
 		if math.IsInf(dd, 1) || dd > q.r {
 			continue
 		}
 		w := s.w[i]
 		if math.IsNaN(w) {
-			w = sp.WithinPointDoor(s.part, s.loc, d)
+			w = sp.WithinPointDoor(s.part, s.loc, s.enter[i])
 			s.w[i] = w
 		}
 		if cand := dd + w; cand < best {

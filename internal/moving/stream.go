@@ -66,12 +66,27 @@ type Stream struct {
 	mu      sync.RWMutex
 	queries map[int32]*stQuery
 	// partQ is the inverted index: partQ[P] lists the queries relevant to
-	// partition P, ascending by query id.
-	partQ  [][]*stQuery
+	// partition P with their door-distance rows (see partIndex).
+	partQ  []partIndex
 	closed bool
 
 	shards []streamShard
 }
+
+// partIndex is the inverted-index entry of one partition P: the monitors
+// relevant to P, ascending by id, and beside them their door-distance
+// rows. Row j, dd[j*n:(j+1)*n] with n = len(Partition(P).Enter), holds
+// qs[j].doorDist at P's enter doors in Enter order, so evaluating an
+// object in P reads one short contiguous run per monitor instead of n
+// scattered loads from a field that spans every door of the venue.
+type partIndex struct {
+	qs []*stQuery
+	dd []float64
+}
+
+// row returns the door-distance row of qs[j]; n is the partition's enter
+// door count.
+func (x *partIndex) row(j, n int) []float64 { return x.dd[j*n : (j+1)*n] }
 
 // streamShard owns the current positions of the objects hashed to it.
 type streamShard struct {
@@ -89,7 +104,7 @@ type stQuery struct {
 	// mu guards everything below. Batch folding locks at most one query at
 	// a time, so query locks never nest.
 	mu     sync.Mutex
-	inside map[int32]bool    // kindRange: current result
+	inside []int32           // kindRange: current result, ascending
 	dists  map[int32]float64 // kindKNN: finite distance per known object
 	top    []query.Neighbor  // kindKNN: current top-k, ascending (dist, id)
 	inTop  map[int32]bool    // kindKNN: membership of top
@@ -118,8 +133,8 @@ func (q *stQuery) holds(d float64) bool {
 
 // changes reports whether an object moving from distance old to distance
 // now can change the monitor's result. The monitor's state always records
-// the object's last evaluated distance — a range monitor's inside[obj] is
-// holds(old), a kNN monitor's dists[obj] is old when finite — so a range
+// the object's last evaluated distance — a range monitor's inside holds
+// obj iff holds(old), a kNN monitor's dists[obj] is old when finite — so a range
 // result changes only when membership flips, and a kNN result only when
 // the distance does (from +Inf to +Inf is no change).
 func (q *stQuery) changes(old, now float64) bool {
@@ -141,7 +156,7 @@ func NewStream(sp *indoor.Space, opt StreamOptions) *Stream {
 		pool:    exec.Pool{Workers: opt.Workers},
 		nsh:     nsh,
 		queries: make(map[int32]*stQuery),
-		partQ:   make([][]*stQuery, len(sp.Partitions())),
+		partQ:   make([]partIndex, len(sp.Partitions())),
 		shards:  make([]streamShard, nsh),
 	}
 	for i := range s.shards {
@@ -200,26 +215,29 @@ func (s *Stream) relevantParts(q *qcore) []indoor.PartitionID {
 // byID orders index lists by query id.
 func byID(q *stQuery, id int32) int { return cmp.Compare(q.id, id) }
 
-// insertIndexed adds q to the index lists of its relevant partitions,
-// keeping each list ascending by query id.
+// insertIndexed adds q and its rows to the index entries of its relevant
+// partitions, keeping each entry ascending by query id.
 func (s *Stream) insertIndexed(q *stQuery) {
+	var row []float64
 	for _, v := range q.parts {
-		lst := s.partQ[v]
-		i, _ := slices.BinarySearchFunc(lst, q.id, byID)
-		lst = append(lst, nil)
-		copy(lst[i+1:], lst[i:])
-		lst[i] = q
-		s.partQ[v] = lst
+		x := &s.partQ[v]
+		enter := s.sp.Partition(v).Enter
+		row = appendRow(row[:0], q.doorDist, enter)
+		i, _ := slices.BinarySearchFunc(x.qs, q.id, byID)
+		x.qs = slices.Insert(x.qs, i, q)
+		x.dd = slices.Insert(x.dd, i*len(enter), row...)
 	}
 }
 
 // removeIndexed undoes insertIndexed.
 func (s *Stream) removeIndexed(q *stQuery) {
 	for _, v := range q.parts {
-		lst := s.partQ[v]
-		i, _ := slices.BinarySearchFunc(lst, q.id, byID)
-		if i < len(lst) && lst[i] == q {
-			s.partQ[v] = append(lst[:i], lst[i+1:]...)
+		x := &s.partQ[v]
+		n := len(s.sp.Partition(v).Enter)
+		i, _ := slices.BinarySearchFunc(x.qs, q.id, byID)
+		if i < len(x.qs) && x.qs[i] == q {
+			x.qs = slices.Delete(x.qs, i, i+1)
+			x.dd = slices.Delete(x.dd, i*n, (i+1)*n)
 		}
 	}
 }
@@ -286,9 +304,7 @@ func (s *Stream) register(ctx context.Context, qid int32, p indoor.Point, kind i
 		k:    k,
 	}
 	q.parts = s.relevantParts(&q.qcore)
-	if kind == kindRange {
-		q.inside = make(map[int32]bool)
-	} else {
+	if kind == kindKNN {
 		q.dists = make(map[int32]float64)
 		q.inTop = make(map[int32]bool)
 	}
@@ -323,7 +339,7 @@ func (s *Stream) initialEval(q *stQuery, t float64) []Event {
 	if q.kind == kindRange {
 		slices.SortFunc(cands, func(a, b od) int { return cmp.Compare(a.id, b.id) })
 		for _, c := range cands {
-			q.inside[c.id] = true
+			q.inside = append(q.inside, c.id)
 			events = append(events, Event{Query: q.id, Object: c.id, Enter: true, T: t})
 		}
 		return events
@@ -387,46 +403,43 @@ func (s *Stream) NumObjects() int {
 
 // Result returns the object ids currently in monitor qid's result,
 // ascending — the range membership, or the current top-k of a kNN monitor.
-// Unknown ids return nil.
+// Unknown ids return nil; a known monitor's empty result is non-nil.
 func (s *Stream) Result(qid int32) []int32 {
-	s.mu.RLock()
-	q, ok := s.queries[qid]
-	s.mu.RUnlock()
-	if !ok {
-		return nil
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	var out []int32
-	if q.kind == kindRange {
-		out = make([]int32, 0, len(q.inside))
-		for id := range q.inside {
-			out = append(out, id)
-		}
-	} else {
-		out = make([]int32, 0, len(q.top))
-		for _, nb := range q.top {
-			out = append(out, nb.ID)
-		}
-	}
-	slices.Sort(out)
-	return out
+	ids, _ := s.Read(qid)
+	return ids
 }
 
 // Neighbors returns a kNN monitor's current result ascending by
 // (distance, id), or nil for unknown or range monitors.
 func (s *Stream) Neighbors(qid int32) []query.Neighbor {
+	_, nn := s.Read(qid)
+	return nn
+}
+
+// Read returns Result and Neighbors of monitor qid taken under one lock, so
+// both describe the same state even while batches are applied.
+func (s *Stream) Read(qid int32) (ids []int32, nn []query.Neighbor) {
 	s.mu.RLock()
 	q, ok := s.queries[qid]
 	s.mu.RUnlock()
-	if !ok || q.kind != kindKNN {
-		return nil
+	if !ok {
+		return nil, nil
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	out := make([]query.Neighbor, len(q.top))
-	copy(out, q.top)
-	return out
+	if q.kind == kindRange {
+		ids = make([]int32, len(q.inside))
+		copy(ids, q.inside)
+		return ids, nil
+	}
+	nn = make([]query.Neighbor, len(q.top))
+	copy(nn, q.top)
+	ids = make([]int32, len(nn))
+	for i, nb := range nn {
+		ids[i] = nb.ID
+	}
+	slices.Sort(ids)
+	return ids, nn
 }
 
 // MonitorInfo describes one registered monitor.
@@ -599,43 +612,44 @@ func (s *Stream) shardApply(sh *streamShard, us []Update, idxs []int32) []delta 
 		if known {
 			was.reset(s.sp, prev.Part, prev.Loc)
 		}
-		newQ := s.partQ[u.Part]
-		var oldQ []*stQuery
+		newX, nNew := &s.partQ[u.Part], len(now.enter)
+		oldX, nOld := &partIndex{}, 0
 		moved := known && prev.Part != u.Part
 		if moved {
-			oldQ = s.partQ[prev.Part]
+			oldX, nOld = &s.partQ[prev.Part], len(was.enter)
+		} else if known {
+			oldX, nOld = newX, nNew
 		}
+		newQ, oldQ := newX.qs, oldX.qs
 		// Merge the two qid-sorted lists, deduplicating queries relevant to
-		// both partitions. A query only on the new partition's list was not
-		// indexed where the object stood, so its previous distance is +Inf.
+		// both partitions; each distance reads the row of the list the
+		// query came from. A query only on the new partition's list was not
+		// indexed where the object stood, so its previous distance is +Inf;
+		// one only on the old list is not indexed where the object stands,
+		// so its new distance is +Inf. An object that stayed in its
+		// partition merges the list with itself.
 		touched := int64(0)
 		a, b := 0, 0
 		for a < len(newQ) || b < len(oldQ) {
 			var q *stQuery
-			onOld := true
+			dist, old := inf, inf
 			switch {
-			case b >= len(oldQ):
-				q, onOld = newQ[a], !moved
-				a++
-			case a >= len(newQ):
+			case b < len(oldQ) && (a >= len(newQ) || oldQ[b].id < newQ[a].id):
 				q = oldQ[b]
+				old = q.objDistRow(s.sp, &was, oldX.row(b, nOld))
 				b++
-			case newQ[a].id == oldQ[b].id:
+			case b < len(oldQ) && oldQ[b].id == newQ[a].id:
 				q = newQ[a]
+				dist = q.objDistRow(s.sp, &now, newX.row(a, nNew))
+				old = q.objDistRow(s.sp, &was, oldX.row(b, nOld))
 				a++
 				b++
-			case newQ[a].id < oldQ[b].id:
-				q, onOld = newQ[a], false
-				a++
 			default:
-				q = oldQ[b]
-				b++
+				q = newQ[a]
+				dist = q.objDistRow(s.sp, &now, newX.row(a, nNew))
+				a++
 			}
 			touched++
-			dist, old := q.objDist(s.sp, &now), inf
-			if known && onOld {
-				old = q.objDist(s.sp, &was)
-			}
 			if q.changes(old, dist) {
 				out = append(out, delta{q: q, obj: u.ID, idx: i, dist: dist, t: u.T})
 			}
@@ -667,8 +681,9 @@ func (s *Stream) Remove(objID int32, t float64) []Event {
 	was.reset(s.sp, prev.Part, prev.Loc)
 	inf := math.Inf(1)
 	var events []Event
-	for _, q := range s.partQ[prev.Part] { // ascending by qid
-		if q.changes(q.objDist(s.sp, &was), inf) {
+	x, n := &s.partQ[prev.Part], len(was.enter)
+	for j, q := range x.qs { // ascending by qid
+		if q.changes(q.objDistRow(s.sp, &was, x.row(j, n)), inf) {
 			events = append(events, q.fold([]delta{{q: q, obj: objID, dist: inf, t: t}})...)
 		}
 	}
@@ -685,13 +700,13 @@ func (q *stQuery) fold(ds []delta) []Event {
 		d := &ds[i]
 		if q.kind == kindRange {
 			now := q.holds(d.dist)
-			was := q.inside[d.obj]
+			j, was := slices.BinarySearch(q.inside, d.obj)
 			switch {
 			case now && !was:
-				q.inside[d.obj] = true
+				q.inside = slices.Insert(q.inside, j, d.obj)
 				evs = append(evs, Event{Query: q.id, Object: d.obj, Enter: true, T: d.t})
 			case !now && was:
-				delete(q.inside, d.obj)
+				q.inside = slices.Delete(q.inside, j, j+1)
 				evs = append(evs, Event{Query: q.id, Object: d.obj, Enter: false, T: d.t})
 			}
 			continue
@@ -781,7 +796,7 @@ func (s *Stream) Close() {
 		q.mu.Unlock()
 	}
 	s.queries = make(map[int32]*stQuery)
-	s.partQ = make([][]*stQuery, len(s.partQ))
+	s.partQ = make([]partIndex, len(s.partQ))
 }
 
 // Closed reports whether Close has run.

@@ -8,17 +8,20 @@ import (
 	"sync"
 
 	"indoorsq/internal/indoor"
+	"indoorsq/internal/moving"
 	"indoorsq/internal/query"
 )
 
 // The range, kNN and SPD 200 bodies are the hot path of every query
-// endpoint, so they are appended into a pooled buffer instead of going
+// endpoint, and the update, monitor-result and monitor-create bodies that
+// of ingestion, so they are appended into a pooled buffer instead of going
 // through encoding/json's reflection. The contract is byte identity with
-// what json.NewEncoder(w).Encode wrote for the equivalent struct: the same
-// field order, encoding/json's string escaping and float format, and the
-// trailing "\n". A non-finite float, which encoding/json refuses, makes the
-// encoder report failure so the handler answers the same 500 as writeJSON.
-// FuzzQueryResponseJSON holds the encoders to that contract.
+// what json.NewEncoder(w).Encode wrote for the equivalent struct or map
+// (a map's keys sorted): the same field order, encoding/json's string
+// escaping and float format, and the trailing "\n". A non-finite float,
+// which encoding/json refuses, makes the encoder report failure so the
+// handler answers the same 500 as writeJSON. FuzzQueryResponseJSON and
+// FuzzUpdatesBody hold the encoders to that contract.
 
 // queryMeta is the tail every query body ends with: who served the query
 // and which generation answered.
@@ -30,20 +33,33 @@ type queryMeta struct {
 
 // appendRange appends {"objects":[...],<meta>}\n.
 func appendRange(b []byte, ids []int32, m queryMeta) []byte {
-	b = append(b, `{"objects":[`...)
+	b = appendIDs(append(b, `{"objects":`...), ids)
+	return appendMeta(append(b, ','), m)
+}
+
+// appendKNN appends {"neighbors":[{"ID":..,"Dist":..},...],<meta>}\n,
+// reporting false when a distance is not finite.
+func appendKNN(b []byte, nn []query.Neighbor, m queryMeta) ([]byte, bool) {
+	b, ok := appendNeighbors(append(b, `{"neighbors":`...), nn)
+	return appendMeta(append(b, ','), m), ok
+}
+
+// appendIDs appends [id,...].
+func appendIDs(b []byte, ids []int32) []byte {
+	b = append(b, '[')
 	for i, id := range ids {
 		if i > 0 {
 			b = append(b, ',')
 		}
 		b = strconv.AppendInt(b, int64(id), 10)
 	}
-	return appendMeta(append(b, "],"...), m)
+	return append(b, ']')
 }
 
-// appendKNN appends {"neighbors":[{"ID":..,"Dist":..},...],<meta>}\n,
-// reporting false when a distance is not finite.
-func appendKNN(b []byte, nn []query.Neighbor, m queryMeta) ([]byte, bool) {
-	b = append(b, `{"neighbors":[`...)
+// appendNeighbors appends [{"ID":..,"Dist":..},...], reporting false when a
+// distance is not finite.
+func appendNeighbors(b []byte, nn []query.Neighbor) ([]byte, bool) {
+	b = append(b, '[')
 	for i, n := range nn {
 		if i > 0 {
 			b = append(b, ',')
@@ -57,7 +73,66 @@ func appendKNN(b []byte, nn []query.Neighbor, m queryMeta) ([]byte, bool) {
 		}
 		b = append(b, '}')
 	}
-	return appendMeta(append(b, "],"...), m), true
+	return append(b, ']'), true
+}
+
+// appendEvents appends [{"query":..,"object":..,"enter":..,"t":..},...],
+// reporting false when a timestamp is not finite.
+func appendEvents(b []byte, evs []moving.Event) ([]byte, bool) {
+	b = append(b, '[')
+	for i, e := range evs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"query":`...)
+		b = strconv.AppendInt(b, int64(e.Query), 10)
+		b = append(b, `,"object":`...)
+		b = strconv.AppendInt(b, int64(e.Object), 10)
+		b = append(b, `,"enter":`...)
+		b = strconv.AppendBool(b, e.Enter)
+		b = append(b, `,"t":`...)
+		var ok bool
+		if b, ok = appendFloat(b, e.T); !ok {
+			return b, false
+		}
+		b = append(b, '}')
+	}
+	return append(b, ']'), true
+}
+
+// appendUpdates appends the POST .../updates body,
+// {"applied":..,"epoch":..,"events":[...],"venue":..}\n.
+func appendUpdates(b []byte, applied int, evs []moving.Event, epoch uint64, venue string) ([]byte, bool) {
+	b = strconv.AppendInt(append(b, `{"applied":`...), int64(applied), 10)
+	b = strconv.AppendUint(append(b, `,"epoch":`...), epoch, 10)
+	b, ok := appendEvents(append(b, `,"events":`...), evs)
+	b = appendString(append(b, `,"venue":`...), venue)
+	return append(b, "}\n"...), ok
+}
+
+// appendMonitorCreated appends the POST .../monitors body,
+// {"epoch":..,"events":[...],"id":..,"venue":..}\n.
+func appendMonitorCreated(b []byte, epoch uint64, evs []moving.Event, id int32, venue string) ([]byte, bool) {
+	b = strconv.AppendUint(append(b, `{"epoch":`...), epoch, 10)
+	b, ok := appendEvents(append(b, `,"events":`...), evs)
+	b = strconv.AppendInt(append(b, `,"id":`...), int64(id), 10)
+	b = appendString(append(b, `,"venue":`...), venue)
+	return append(b, "}\n"...), ok
+}
+
+// appendMonitorResult appends the GET .../monitors/{mid}/result body,
+// {"epoch":..,"id":..,"neighbors":[...],"objects":[...],"venue":..}\n,
+// where neighbors appears for a kNN monitor (nn non-nil) only.
+func appendMonitorResult(b []byte, epoch uint64, id int32, ids []int32, nn []query.Neighbor, venue string) ([]byte, bool) {
+	b = strconv.AppendUint(append(b, `{"epoch":`...), epoch, 10)
+	b = strconv.AppendInt(append(b, `,"id":`...), int64(id), 10)
+	ok := true
+	if nn != nil {
+		b, ok = appendNeighbors(append(b, `,"neighbors":`...), nn)
+	}
+	b = appendIDs(append(b, `,"objects":`...), ids)
+	b = appendString(append(b, `,"venue":`...), venue)
+	return append(b, "}\n"...), ok
 }
 
 // doorPointer locates doors for the SPD geometry (an *indoor.Space).
@@ -146,17 +221,28 @@ func appendString(b []byte, s string) []byte {
 // not pin its buffer for the life of the process.
 const maxPooledBody = 64 << 10
 
+// bodyBufs holds the buffers request bodies are read into and response
+// bodies appended to.
 var bodyBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// writeBody answers 200 with body, or, when the encoder failed, the 500
+// putBodyBuf returns bp to bodyBufs holding b, the buffer last grown from
+// it, unless b outgrew maxPooledBody.
+func putBodyBuf(bp *[]byte, b []byte) {
+	if cap(b) <= maxPooledBody {
+		*bp = b
+		bodyBufs.Put(bp)
+	}
+}
+
+// writeBody answers code with body, or, when the encoder failed, the 500
 // that writeJSON gives an unencodable payload, counted in encodeErrors.
-func (s *TenantServer) writeBody(w http.ResponseWriter, body []byte, ok bool) {
+func (s *TenantServer) writeBody(w http.ResponseWriter, code int, body []byte, ok bool) {
 	if !ok {
 		s.encodeErrs.Add(1)
 		writeEncodeFailure(w)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
+	w.WriteHeader(code)
 	_, _ = w.Write(body)
 }

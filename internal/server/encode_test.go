@@ -117,7 +117,7 @@ func FuzzQueryResponseJSON(f *testing.F) {
 			if !ok {
 				s := &TenantServer{}
 				rec := httptest.NewRecorder()
-				s.writeBody(rec, got, ok)
+				s.writeBody(rec, http.StatusOK, got, ok)
 				if rec.Code != http.StatusInternalServerError || s.EncodeErrors() != 1 {
 					t.Fatalf("%s: failed encode answered %d with %d encode errors", name, rec.Code, s.EncodeErrors())
 				}

@@ -98,29 +98,9 @@ func TestGoldenResponses(t *testing.T) {
 		}
 	}
 
-	path := filepath.Join("testdata", "golden.json")
-	if *updateGolden {
-		var buf bytes.Buffer
-		enc := json.NewEncoder(&buf)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(got); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var want []goldenRow
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatal(err)
+	if !readGolden(t, "golden.json", got, &want) {
+		return
 	}
 	if len(want) != len(got) {
 		t.Fatalf("golden file has %d rows, request list %d", len(want), len(got))
@@ -137,4 +117,34 @@ func TestGoldenResponses(t *testing.T) {
 			t.Errorf("%s: body\n%s\ngolden\n%s", want[i].URL, got[i].Body, want[i].Body)
 		}
 	}
+}
+
+// readGolden decodes testdata/name into want and reports true; with
+// -update it instead rewrites the file from got and reports false.
+func readGolden(t *testing.T, name string, got, want any) bool {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *updateGolden {
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(got); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return false
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, want); err != nil {
+		t.Fatal(err)
+	}
+	return true
 }

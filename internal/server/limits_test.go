@@ -64,8 +64,66 @@ func TestOversizedBodies(t *testing.T) {
 			t.Errorf("POST %s with %d bytes: status %d, want 413 (%s)", path, len(huge), rec.Code, rec.Body)
 		}
 	}
+	// The cap holds for the whole body, not just its JSON value: a valid
+	// value followed by 2 MiB of whitespace is 413 too.
+	pad := strings.Repeat(" ", 2<<20)
+	for path, value := range bodyValues {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(value+pad)))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with a padded value: status %d, want 413 (%s)", path, rec.Code, rec.Body)
+		}
+	}
 	if got := numObjects(t, ts.URL); got != before {
 		t.Fatalf("objects %d after the oversized body, want %d", got, before)
+	}
+	var list struct {
+		Monitors []struct{} `json:"monitors"`
+	}
+	if getJSON(t, ts.URL+"/v1/monitors", &list); len(list.Monitors) != 0 {
+		t.Fatalf("%d monitors registered by oversized bodies", len(list.Monitors))
+	}
+}
+
+// bodyValues is one valid JSON value per endpoint that decodes a body.
+var bodyValues = map[string]string{
+	"/v1/updates":            `{"updates":[]}`,
+	"/v1/monitors":           `{"id":77,"x":2.5,"y":8,"r":5}`,
+	"/v1/swap":               `{"path":""}`,
+	"/v1/venues/strip/route": `{"op":"spd"}`,
+}
+
+// TestBodyTrailingData posts a valid value followed by a second value or by
+// garbage to every endpoint that decodes JSON: each answers 400, and
+// neither the update batch in the second value nor the monitor is applied.
+func TestBodyTrailingData(t *testing.T) {
+	f := testspaces.NewStrip()
+	h := server.NewTenantServer(newStripTier(t, f, stripObjects(f), "IDModel", "VIPTree")).Handler()
+	ts := httptest.NewServer(h)
+	t.Cleanup(ts.Close)
+	before := numObjects(t, ts.URL)
+
+	for path, value := range bodyValues {
+		for _, tail := range []string{updateBatch(2), " garbage", "\n{}", "]"} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(value+tail)))
+			if rec.Code != http.StatusBadRequest {
+				t.Errorf("POST %s %q: status %d, want 400 (%s)", path, value+tail, rec.Code, rec.Body)
+			}
+		}
+	}
+	if got := numObjects(t, ts.URL); got != before {
+		t.Fatalf("objects %d after bodies with trailing data, want %d", got, before)
+	}
+	var list struct {
+		Monitors []struct{} `json:"monitors"`
+	}
+	if getJSON(t, ts.URL+"/v1/monitors", &list); len(list.Monitors) != 0 {
+		t.Fatalf("%d monitors registered by bodies with trailing data", len(list.Monitors))
+	}
+	// Trailing whitespace is still one value.
+	if code := postJSON(t, ts.URL+"/v1/updates", updateBatch(2)+" \r\n\t", nil); code != http.StatusOK {
+		t.Fatalf("batch with trailing whitespace: status %d, want 200", code)
 	}
 }
 

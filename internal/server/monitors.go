@@ -31,20 +31,13 @@ type monitorRequest struct {
 	T     float64 `json:"t"` // registration timestamp
 }
 
-// eventJSON is one enter/leave delta on the wire.
+// eventJSON is one enter/leave delta of the ndjson stream; appendEvents
+// writes the same shape.
 type eventJSON struct {
 	Query  int32   `json:"query"`
 	Object int32   `json:"object"`
 	Enter  bool    `json:"enter"`
 	T      float64 `json:"t"`
-}
-
-func toEventJSON(evs []moving.Event) []eventJSON {
-	out := make([]eventJSON, len(evs))
-	for i, e := range evs {
-		out[i] = eventJSON{Query: e.Query, Object: e.Object, Enter: e.Enter, T: e.T}
-	}
-	return out
 }
 
 // updateJSON is one position report in a POST /v1/updates batch. Part is
@@ -181,12 +174,10 @@ func (s *TenantServer) handleMonitorCreate(w http.ResponseWriter, r *http.Reques
 		s.fail(w, err)
 		return
 	}
-	s.writeJSON(w, http.StatusCreated, map[string]any{
-		"venue":  v.ID,
-		"epoch":  v.Epoch(),
-		"id":     req.ID,
-		"events": toEventJSON(evs),
-	})
+	bp := bodyBufs.Get().(*[]byte)
+	b, ok := appendMonitorCreated((*bp)[:0], v.Epoch(), evs, req.ID, v.ID)
+	s.writeBody(w, http.StatusCreated, b, ok)
+	putBodyBuf(bp, b)
 }
 
 func (s *TenantServer) handleMonitorDelete(w http.ResponseWriter, r *http.Request, v *tenant.Venue) {
@@ -209,16 +200,15 @@ func (s *TenantServer) handleMonitorResult(w http.ResponseWriter, r *http.Reques
 		return
 	}
 	mov := v.Stream()
-	ids := mov.Result(qid)
+	ids, nn := mov.Read(qid)
 	if ids == nil {
 		s.fail(w, missingMonitor(mov, qid))
 		return
 	}
-	resp := map[string]any{"venue": v.ID, "epoch": v.Epoch(), "id": qid, "objects": ids}
-	if nn := mov.Neighbors(qid); nn != nil {
-		resp["neighbors"] = nn
-	}
-	s.writeJSON(w, http.StatusOK, resp)
+	bp := bodyBufs.Get().(*[]byte)
+	b, ok := appendMonitorResult((*bp)[:0], v.Epoch(), qid, ids, nn, v.ID)
+	s.writeBody(w, http.StatusOK, b, ok)
+	putBodyBuf(bp, b)
 }
 
 func (s *TenantServer) handleMonitorStream(w http.ResponseWriter, r *http.Request, v *tenant.Venue) {
@@ -232,9 +222,18 @@ func (s *TenantServer) handleMonitorStream(w http.ResponseWriter, r *http.Reques
 	}
 }
 
+// handleUpdates reads the batch into a pooled buffer, decodes it (see
+// decodeUpdateBody), applies it, and appends the response into the same
+// buffer.
 func (s *TenantServer) handleUpdates(w http.ResponseWriter, r *http.Request, v *tenant.Venue) {
+	bp := bodyBufs.Get().(*[]byte)
+	b, err := readBody(w, r, (*bp)[:0])
+	defer func() { putBodyBuf(bp, b) }()
 	var req updateRequest
-	if err := decodeBody(w, r, &req); err != nil {
+	if err == nil {
+		err = decodeUpdateBody(b, &req)
+	}
+	if err != nil {
 		s.fail(w, err)
 		return
 	}
@@ -252,10 +251,7 @@ func (s *TenantServer) handleUpdates(w http.ResponseWriter, r *http.Request, v *
 		s.fail(w, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, map[string]any{
-		"venue":   v.ID,
-		"epoch":   v.Epoch(),
-		"applied": len(us),
-		"events":  toEventJSON(evs),
-	})
+	var ok bool
+	b, ok = appendUpdates(b[:0], len(us), evs, v.Epoch(), v.ID)
+	s.writeBody(w, http.StatusOK, b, ok)
 }

@@ -7,7 +7,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"indoorsq/internal/moving"
@@ -377,4 +379,70 @@ func TestTenantMonitorEndpoints(t *testing.T) {
 	tenantGetJSON(t, h, "/v1/venues/south/monitors/1/result", http.StatusNotFound, nil)
 	// North is untouched by south's delete.
 	tenantGetJSON(t, h, "/v1/venues/north/monitors/1/result", http.StatusOK, nil)
+}
+
+// TestMonitorResultConsistentUnderUpdates reads a kNN monitor's result over
+// HTTP while another goroutine keeps moving objects through its top-k: every
+// body's objects must be the sorted ids of its neighbors, i.e. both fields
+// come from one state of the monitor. Run with -race -count=10.
+func TestMonitorResultConsistentUnderUpdates(t *testing.T) {
+	f := testspaces.NewStrip()
+	h := server.NewTenantServer(newStripTier(t, f, nil, "IDModel")).Handler()
+	serve := func(method, url, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, url, strings.NewReader(body)))
+		return rec
+	}
+	if rec := serve(http.MethodPost, "/v1/monitors", `{"id":1,"kind":"knn","x":2.5,"y":8,"k":2}`); rec.Code != http.StatusCreated {
+		t.Fatalf("register: status %d: %s", rec.Code, rec.Body)
+	}
+
+	// Every batch swaps the monitor's whole top two: objects 0 and 1 come
+	// next to it while 2 and 3 leave for the far end of the hall, then the
+	// other way round.
+	near, far := []string{`"x":2.5,"y":9`, `"x":4,"y":7`}, []string{`"x":17,"y":5`, `"x":19,"y":5`}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			in, out := 2*(i%2), 2-2*(i%2)
+			body := fmt.Sprintf(`{"updates":[{"id":%d,%s,"t":%d},{"id":%d,%s,"t":%d},{"id":%d,%s,"t":%d},{"id":%d,%s,"t":%d}]}`,
+				in, near[0], 4*i+1, in+1, near[1], 4*i+2, out, far[0], 4*i+3, out+1, far[1], 4*i+4)
+			if rec := serve(http.MethodPost, "/v1/updates", body); rec.Code != http.StatusOK {
+				t.Errorf("updates: status %d: %s", rec.Code, rec.Body)
+				return
+			}
+		}
+	}()
+	defer wg.Wait()
+	defer close(done)
+
+	for range 2000 {
+		rec := serve(http.MethodGet, "/v1/monitors/1/result", "")
+		if rec.Code != http.StatusOK {
+			t.Fatalf("result: status %d: %s", rec.Code, rec.Body)
+		}
+		var res struct {
+			Objects   []int32          `json:"objects"`
+			Neighbors []query.Neighbor `json:"neighbors"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &res); err != nil {
+			t.Fatal(err)
+		}
+		ids := make([]int32, 0, len(res.Neighbors))
+		for _, nb := range res.Neighbors {
+			ids = append(ids, nb.ID)
+		}
+		slices.Sort(ids)
+		if !slices.Equal(ids, res.Objects) {
+			t.Fatalf("torn result: objects %v, neighbors %v", res.Objects, res.Neighbors)
+		}
+	}
 }

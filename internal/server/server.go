@@ -224,22 +224,6 @@ const (
 	maxUpdateBatch = 4096
 )
 
-// decodeBody decodes a JSON request body of at most maxBodyBytes into v. A
-// longer body is errTooLarge; any other failure, an empty body (io.EOF)
-// included, is errBadRequest.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
-	var tooLarge *http.MaxBytesError
-	switch {
-	case err == nil:
-		return nil
-	case errors.As(err, &tooLarge):
-		return fmt.Errorf("%w: body over %d bytes", errTooLarge, maxBodyBytes)
-	default:
-		return fmt.Errorf("%w: body: %w", errBadRequest, err)
-	}
-}
-
 // statusTable maps every sentinel error to its HTTP status; the first entry
 // the error wraps wins.
 var statusTable = []struct {
@@ -477,11 +461,8 @@ func (s *TenantServer) handleQuery(kind exec.Kind) venueHandler {
 		case exec.SPDQ:
 			b, ok = appendSPD(b, res.Path.Dist, res.Path.Doors, op.P, op.Q, v.Space, m)
 		}
-		s.writeBody(w, b, ok)
-		if cap(b) <= maxPooledBody {
-			*bp = b
-			bodyBufs.Put(bp)
-		}
+		s.writeBody(w, http.StatusOK, b, ok)
+		putBodyBuf(bp, b)
 	}
 }
 
