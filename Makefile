@@ -11,6 +11,7 @@ FUZZTIME ?= 30s
 # pkg:Target pairs smoke-tested by fuzz-smoke.
 FUZZ_TARGETS = \
 	./internal/geom:FuzzSegmentInside \
+	./internal/geom:FuzzPolygonContains \
 	./internal/geom:FuzzVGraphDist \
 	./internal/query:FuzzTopK \
 	./internal/spacegen:FuzzGenerate \
@@ -82,12 +83,13 @@ perf:
 bench-compare:
 	$(GO) run ./cmd/isqperf compare $(A) $(B)
 
-# Quick compile-and-run pass over the heap and door-graph benchmarks and the
-# query, update and monitor-result handlers' allocation benchmarks (a
-# handful of iterations each) and the root package's ablation and extension
-# benchmarks (one iteration each), just to keep the benchmark code from
-# rotting.
+# Quick compile-and-run pass over the heap and door-graph benchmarks, the
+# query, update and monitor-result handlers' allocation benchmarks, the
+# stream batch-apply and host-scan benchmarks (a handful of iterations
+# each) and the root package's ablation and extension benchmarks (one
+# iteration each), just to keep the benchmark code from rotting.
 bench-smoke:
 	$(GO) test -run '^$$' -bench=. -benchtime=10x ./internal/pq/ ./internal/doorgraph/
 	$(GO) test -run '^$$' -bench='BenchmarkQueryHandler|BenchmarkUpdatesHandler|BenchmarkMonitorResult' -benchtime=10x -benchmem ./internal/server/
+	$(GO) test -run '^$$' -bench='BenchmarkApplyBatch|BenchmarkHostPartition' -benchtime=10x -benchmem ./internal/moving/ ./internal/indoor/
 	$(GO) test -run '^$$' -bench=. -benchtime=1x .

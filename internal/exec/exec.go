@@ -14,6 +14,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"indoorsq/internal/indoor"
@@ -190,6 +191,10 @@ func (p *Pool) Run(ctx context.Context, eng query.Engine, ops []Op) ([]Result, B
 // Stats after all workers finish, so the totals match a sequential run.
 // The returned error is the lowest-index non-nil error, independent of
 // scheduling; later indexes still run (no cancellation).
+//
+// Workers claim indexes from a shared atomic counter, one atomic add per
+// item. The caller is worker 0 and w-1 goroutines join it, so a Map nested
+// inside fn always makes progress.
 func (p *Pool) Map(n int, fn func(i int, st *query.Stats) error) (query.Stats, error) {
 	if n <= 0 {
 		return query.Stats{}, nil
@@ -207,35 +212,50 @@ func (p *Pool) Map(n int, fn func(i int, st *query.Stats) error) (query.Stats, e
 		return st, first
 	}
 
-	shards := make([]query.Stats, w)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	next := make(chan int, w)
-	for wi := 0; wi < w; wi++ {
-		wg.Add(1)
-		go func(shard *query.Stats) {
-			defer wg.Done()
-			for i := range next {
-				errs[i] = fn(i, shard)
+	// shard is one worker's Stats and its first error. A worker claims
+	// ascending indexes, so its first error is its lowest-index one.
+	type shard struct {
+		st     query.Stats
+		errIdx int
+		err    error
+	}
+	shards := make([]shard, w)
+	var next atomic.Int64
+	work := func(sh *shard) {
+		for {
+			i := int(next.Add(1) - 1)
+			if i >= n {
+				return
 			}
+			if err := fn(i, &sh.st); err != nil && sh.err == nil {
+				sh.errIdx, sh.err = i, err
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(w - 1)
+	for wi := 1; wi < w; wi++ {
+		go func(sh *shard) {
+			defer wg.Done()
+			work(sh)
 		}(&shards[wi])
 	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
+	work(&shards[0])
 	wg.Wait()
 
 	var st query.Stats
+	var first *shard
 	for i := range shards {
-		st.Add(shards[i])
-	}
-	for _, err := range errs {
-		if err != nil {
-			return st, err
+		sh := &shards[i]
+		st.Add(sh.st)
+		if sh.err != nil && (first == nil || sh.errIdx < first.errIdx) {
+			first = sh
 		}
 	}
-	return st, nil
+	if first == nil {
+		return st, nil
+	}
+	return st, first.err
 }
 
 // MapCtx is Map with a context threaded to every invocation. It does not

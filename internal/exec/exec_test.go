@@ -170,3 +170,83 @@ func TestMapFirstErrorDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestMapRunsEveryIndexOnce asserts Map calls fn exactly once per index
+// for batch sizes around the worker count, and that the merged Stats see
+// every call.
+func TestMapRunsEveryIndexOnce(t *testing.T) {
+	for _, workers := range []int{1, 2, 8} {
+		for _, n := range []int{1, workers - 1, workers, workers + 1, 1000} {
+			if n < 1 {
+				continue
+			}
+			calls := make([]atomic.Int32, n)
+			p := exec.Pool{Workers: workers}
+			st, err := p.Map(n, func(i int, st *query.Stats) error {
+				calls[i].Add(1)
+				st.Door()
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range calls {
+				if c := calls[i].Load(); c != 1 {
+					t.Fatalf("workers=%d n=%d: index %d ran %d times", workers, n, i, c)
+				}
+			}
+			if st.VisitedDoors != n {
+				t.Fatalf("workers=%d n=%d: merged %d doors, want %d", workers, n, st.VisitedDoors, n)
+			}
+		}
+	}
+}
+
+// TestMapNested runs a Map inside every fn of an outer Map on the same
+// pool: the caller works as one of the workers, so nesting cannot starve
+// and both levels complete with every index run once.
+func TestMapNested(t *testing.T) {
+	p := exec.Pool{Workers: 4}
+	var inner atomic.Int64
+	st, err := p.Map(16, func(i int, st *query.Stats) error {
+		sub, err := p.Map(i+1, func(j int, st *query.Stats) error {
+			inner.Add(1)
+			st.Door()
+			return nil
+		})
+		st.Add(sub)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 16 * 17 / 2; inner.Load() != int64(want) || st.VisitedDoors != want {
+		t.Fatalf("nested Map ran %d inner calls, merged %d doors; want %d", inner.Load(), st.VisitedDoors, want)
+	}
+}
+
+// TestMapFirstErrorAcrossWorkers makes the two failing indexes land on
+// different workers (index 7 waits until index 31 has failed, so another
+// worker must claim 31) and asserts the lower index still wins the merge.
+func TestMapFirstErrorAcrossWorkers(t *testing.T) {
+	errA := errors.New("a")
+	errB := errors.New("b")
+	for _, workers := range []int{2, 8} {
+		failed31 := make(chan struct{})
+		p := exec.Pool{Workers: workers}
+		_, err := p.Map(50, func(i int, st *query.Stats) error {
+			switch i {
+			case 7:
+				<-failed31
+				return errA
+			case 31:
+				close(failed31)
+				return errB
+			}
+			return nil
+		})
+		if !errors.Is(err, errA) {
+			t.Fatalf("workers=%d: err %v, want lowest-index error %v", workers, err, errA)
+		}
+	}
+}

@@ -140,18 +140,22 @@ func cross(a, b, c Point) float64 {
 }
 
 // onSegment reports whether point c, known to be collinear with [a,b],
-// lies within the segment's bounding box.
+// lies within the segment's bounding box. The builtin min and max follow
+// math.Min and math.Max's NaN and signed-zero rules.
 func onSegment(a, b, c Point) bool {
-	return c.X >= math.Min(a.X, b.X)-Eps && c.X <= math.Max(a.X, b.X)+Eps &&
-		c.Y >= math.Min(a.Y, b.Y)-Eps && c.Y <= math.Max(a.Y, b.Y)+Eps
+	return c.X >= min(a.X, b.X)-Eps && c.X <= max(a.X, b.X)+Eps &&
+		c.Y >= min(a.Y, b.Y)-Eps && c.Y <= max(a.Y, b.Y)+Eps
 }
 
-// ContainsPoint reports whether p lies on segment s.
+// ContainsPoint reports whether p lies on segment s: within the segment's
+// bounding box and within Eps·(1+length) of its line. The box test runs
+// first because it is cheap and rejects almost every point a polygon scan
+// asks about; both tests are pure, so the order does not change the answer.
 func (s Segment) ContainsPoint(p Point) bool {
-	if math.Abs(cross(s.A, s.B, p)) > Eps*(1+s.Length()) {
+	if !onSegment(s.A, s.B, p) {
 		return false
 	}
-	return onSegment(s.A, s.B, p)
+	return !(math.Abs(cross(s.A, s.B, p)) > Eps*(1+s.Length()))
 }
 
 // Intersects reports whether segments s and t share any point,

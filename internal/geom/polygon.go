@@ -57,27 +57,30 @@ func (p Polygon) Edge(i int) Segment {
 }
 
 // Contains reports whether q lies inside p; points on the boundary count as
-// inside, since doors sit on partition boundaries.
+// inside, since doors sit on partition boundaries. One pass over the edges
+// runs each edge's boundary test and then its ray-crossing toggle (a ray
+// from q in the +X direction): any boundary hit answers true, otherwise
+// the crossing parity decides. Both tests are pure and the parity does not
+// depend on edge order, so this equals testing every edge for the boundary
+// before casting the ray.
 func (p Polygon) Contains(q Point) bool {
 	n := len(p)
 	if n < 3 {
 		return false
 	}
-	for i := 0; i < n; i++ {
-		if p.Edge(i).ContainsPoint(q) {
+	inside := false
+	a := p[n-1]
+	for _, b := range p {
+		if (Segment{a, b}).ContainsPoint(q) {
 			return true
 		}
-	}
-	// Ray casting: count crossings of the ray going in +X direction.
-	inside := false
-	for i := 0; i < n; i++ {
-		a, b := p[i], p[(i+1)%n]
 		if (a.Y > q.Y) != (b.Y > q.Y) {
 			x := a.X + (q.Y-a.Y)*(b.X-a.X)/(b.Y-a.Y)
 			if x > q.X {
 				inside = !inside
 			}
 		}
+		a = b
 	}
 	return inside
 }

@@ -136,7 +136,6 @@ func (b *Builder) Build() (*Space, error) {
 		return nil, err
 	}
 
-	s.byFloor = make([][]PartitionID, b.floors)
 	s.vg = make([]*geom.VGraph, len(s.parts))
 	s.doorAnchor = make([][]int32, len(s.parts))
 	s.maxReach = make([][]float64, len(s.parts))
@@ -145,9 +144,6 @@ func (b *Builder) Build() (*Space, error) {
 		v := &s.parts[i]
 		v.MBR = v.Poly.Bounds()
 		v.convex = v.Poly.IsConvex()
-		for f := v.Floor; f <= v.TopFloor; f++ {
-			s.byFloor[f] = append(s.byFloor[f], v.ID)
-		}
 
 		if !v.convex && v.Kind != Staircase {
 			anchors := make([]geom.Point, len(v.Doors))
@@ -173,6 +169,7 @@ func (b *Builder) Build() (*Space, error) {
 		}
 		s.maxReach[i] = reach
 	}
+	s.indexFloors()
 	s.dcache = newDistCache(s)
 	return s, nil
 }

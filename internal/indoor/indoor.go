@@ -126,6 +126,9 @@ type Space struct {
 	doors []Door
 
 	byFloor [][]PartitionID // partitions per floor (staircases on both)
+	// floorMBR[f][i] is the MBR of partition byFloor[f][i]: the packed
+	// array HostPartition's sequential scan reads (see indexFloors).
+	floorMBR [][]geom.Rect
 
 	vg         []*geom.VGraph // per partition; nil when convex or staircase
 	doorAnchor [][]int32      // per partition: anchor index per Doors entry
@@ -169,23 +172,47 @@ func (s *Space) OnFloor(floor int16) []PartitionID {
 
 // HostPartition locates the partition containing p by sequentially scanning
 // the partitions of p's floor — the initialization step used by IDMODEL,
-// IDINDEX, IP-TREE and VIP-TREE (Sec. 4.1). Non-staircase partitions take
-// precedence when footprints touch.
+// IDINDEX, IP-TREE and VIP-TREE (Sec. 4.1). The scan reads the floor's
+// packed MBR array in OnFloor order and tests a polygon only on an MBR hit.
+// Non-staircase partitions take precedence when footprints touch.
 func (s *Space) HostPartition(p Point) (PartitionID, bool) {
+	if int(p.Floor) < 0 || int(p.Floor) >= len(s.byFloor) {
+		return NoPartition, false
+	}
+	ids, mbrs := s.byFloor[p.Floor], s.floorMBR[p.Floor]
+	q := p.XY()
 	host := NoPartition
-	for _, id := range s.OnFloor(p.Floor) {
-		v := &s.parts[id]
-		if !v.MBR.Contains(p.XY()) || !v.Poly.Contains(p.XY()) {
+	for i := range mbrs {
+		if !mbrs[i].Contains(q) {
+			continue
+		}
+		v := &s.parts[ids[i]]
+		if !v.Poly.Contains(q) {
 			continue
 		}
 		if v.Kind != Staircase {
-			return id, true
+			return v.ID, true
 		}
 		if host == NoPartition {
-			host = id
+			host = v.ID
 		}
 	}
 	return host, host != NoPartition
+}
+
+// indexFloors derives byFloor and floorMBR from the partitions' floor
+// ranges and MBRs. Build and LoadSpace both call it once the partitions
+// are in place, so the two paths scan identical arrays.
+func (s *Space) indexFloors() {
+	s.byFloor = make([][]PartitionID, s.Floors)
+	s.floorMBR = make([][]geom.Rect, s.Floors)
+	for i := range s.parts {
+		v := &s.parts[i]
+		for f := v.Floor; f <= v.TopFloor; f++ {
+			s.byFloor[f] = append(s.byFloor[f], v.ID)
+			s.floorMBR[f] = append(s.floorMBR[f], v.MBR)
+		}
+	}
 }
 
 // Contains reports whether p is a valid indoor point of the space.

@@ -127,11 +127,10 @@ func LoadSpace(r *snapshot.Reader) (*Space, error) {
 		return nil, err
 	}
 
-	// Cheap derivations, in exactly Build's order.
+	// Cheap derivations, through the helpers Build uses.
 	if s.Floors <= 0 || s.Floors > 1<<16 {
 		return nil, fmt.Errorf("indoor: snapshot floor count %d out of range", s.Floors)
 	}
-	s.byFloor = make([][]PartitionID, s.Floors)
 	s.vg = make([]*geom.VGraph, np)
 	s.doorAnchor = make([][]int32, np)
 	s.maxReach = make([][]float64, np)
@@ -140,10 +139,8 @@ func LoadSpace(r *snapshot.Reader) (*Space, error) {
 		if int(v.Floor) < 0 || int(v.TopFloor) >= s.Floors || v.Floor > v.TopFloor {
 			return nil, fmt.Errorf("indoor: snapshot partition %d floor range [%d,%d] out of bounds", i, v.Floor, v.TopFloor)
 		}
-		for f := v.Floor; f <= v.TopFloor; f++ {
-			s.byFloor[f] = append(s.byFloor[f], v.ID)
-		}
 	}
+	s.indexFloors()
 	if err := s.deriveDoorSlots(); err != nil {
 		return nil, err
 	}

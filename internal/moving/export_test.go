@@ -9,11 +9,11 @@ import (
 )
 
 // CheckIndex verifies the Stream's inverted index against its monitors:
-// every entry lists registered monitors ascending by id, with exactly
-// len(Enter) row values per monitor, each row bit-equal to the monitor's
-// doorDist at the partition's enter doors; every monitor sits in exactly
-// the entries of its relevant partitions; and every range result is
-// strictly ascending.
+// every entry lists registered monitors ascending by id, with their ids in
+// the id column and exactly len(Enter) row values per monitor, each row
+// bit-equal to the monitor's doorDist at the partition's enter doors;
+// every monitor sits in exactly the entries of its relevant partitions;
+// and every range result is strictly ascending.
 func CheckIndex(s *Stream) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -24,7 +24,13 @@ func CheckIndex(s *Stream) error {
 		if len(x.dd) != len(x.qs)*len(enter) {
 			return fmt.Errorf("partition %d: %d row values for %d monitors x %d enter doors", v, len(x.dd), len(x.qs), len(enter))
 		}
+		if len(x.ids) != len(x.qs) {
+			return fmt.Errorf("partition %d: %d ids for %d monitors", v, len(x.ids), len(x.qs))
+		}
 		for j, q := range x.qs {
+			if x.ids[j] != q.id {
+				return fmt.Errorf("partition %d: id column %d beside monitor %d", v, x.ids[j], q.id)
+			}
 			if j > 0 && x.qs[j-1].id >= q.id {
 				return fmt.Errorf("partition %d: monitor %d listed after %d", v, q.id, x.qs[j-1].id)
 			}

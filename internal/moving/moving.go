@@ -191,15 +191,18 @@ func distField(ctx context.Context, sp *indoor.Space, p indoor.Point, vp indoor.
 	return dist, nil
 }
 
-// validateUpdate checks that u.Part actually hosts u.Loc. Boundary points
-// shared by two partitions are accepted for either (containment is closed),
-// which keeps reports snapped to a wall by quantization valid.
+// validateUpdate checks that u.Part actually hosts u.Loc: u.Loc's floor lies
+// in the partition's [Floor, TopFloor] (both landings of a staircase, the
+// floor rule HostPartition uses) and its point inside the footprint.
+// Boundary points shared by two partitions are accepted for either
+// (containment is closed), which keeps reports snapped to a wall by
+// quantization valid.
 func validateUpdate(sp *indoor.Space, u Update) error {
 	if int(u.Part) < 0 || int(u.Part) >= len(sp.Partitions()) {
 		return fmt.Errorf("%w: update for object %d names invalid partition %d", ErrNotIndoors, u.ID, u.Part)
 	}
 	part := sp.Partition(u.Part)
-	if part.Floor != u.Loc.Floor || !part.Poly.Contains(u.Loc.XY()) {
+	if u.Loc.Floor < part.Floor || u.Loc.Floor > part.TopFloor || !part.Poly.Contains(u.Loc.XY()) {
 		return fmt.Errorf("%w: update for object %d: partition %d does not host %v",
 			ErrNotIndoors, u.ID, u.Part, u.Loc)
 	}
@@ -325,7 +328,7 @@ func (m *Monitor) Result(qid int32) []int32 {
 
 // Apply absorbs one position update, returning the membership changes it
 // caused across all registered queries (ordered by query id). The update's
-// Part must host Loc (same floor, point inside the partition's polygon);
+// Part must host Loc (a floor in the partition's span, point inside its polygon);
 // a mismatched report is rejected rather than silently producing garbage
 // distances from door fields that do not apply to Loc's true partition.
 func (m *Monitor) Apply(u Update) ([]Event, error) {

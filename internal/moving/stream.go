@@ -71,17 +71,24 @@ type Stream struct {
 	closed bool
 
 	shards []streamShard
+
+	// scratch holds *batchScratch values: ApplyBatch's working memory,
+	// reused across batches (see batchScratch).
+	scratch sync.Pool
 }
 
 // partIndex is the inverted-index entry of one partition P: the monitors
-// relevant to P, ascending by id, and beside them their door-distance
-// rows. Row j, dd[j*n:(j+1)*n] with n = len(Partition(P).Enter), holds
-// qs[j].doorDist at P's enter doors in Enter order, so evaluating an
-// object in P reads one short contiguous run per monitor instead of n
-// scattered loads from a field that spans every door of the venue.
+// relevant to P, ascending by id, their ids in the same order, and beside
+// them their door-distance rows. Row j, dd[j*n:(j+1)*n] with n =
+// len(Partition(P).Enter), holds qs[j].doorDist at P's enter doors in
+// Enter order, so evaluating an object in P reads one short contiguous run
+// per monitor instead of n scattered loads from a field that spans every
+// door of the venue. ids[j] == qs[j].id lets shardApply merge two entries
+// without dereferencing a monitor.
 type partIndex struct {
-	qs []*stQuery
-	dd []float64
+	qs  []*stQuery
+	ids []int32
+	dd  []float64
 }
 
 // row returns the door-distance row of qs[j]; n is the partition's enter
@@ -117,10 +124,65 @@ type stQuery struct {
 // delta only when it can change the monitor's result (see changes).
 type delta struct {
 	q    *stQuery
+	qid  int32 // q.id, so grouping sorts without dereferencing q
 	obj  int32
 	idx  int32 // index in the batch: per-query fold order
 	dist float64
 	t    float64
+}
+
+// batchScratch is ApplyBatch's working memory, taken from the Stream's
+// pool for one batch and put back after it, so a steady stream of batches
+// allocates none of it. release clears every *stQuery it holds before the
+// Put, so a pooled scratch never keeps an unregistered monitor alive. The
+// []Event a batch returns is always freshly allocated.
+type batchScratch struct {
+	byShard     [][]int32      // per shard: batch indexes of its updates
+	active      []int          // shards with at least one update
+	shard       []shardScratch // per shard: phase A's buffers
+	all         []delta        // every delta, grouped by query
+	groups      [][]delta      // per touched query: its deltas in batch order
+	groupEvents [][]Event      // per group: the events its fold emitted
+	staged      []stagedEvent  // every event with its arrival position
+}
+
+// shardScratch is one shard's phase A working memory: the deltas it emits
+// and the two positions it evaluates each update at.
+type shardScratch struct {
+	deltas   []delta
+	now, was site
+}
+
+// stagedEvent is an event with its position in the query-grouped
+// concatenation of a batch's events, the tie-break of the final sort.
+type stagedEvent struct {
+	Event
+	pos int32
+}
+
+// getScratch returns a scratch sized for the stream's shard count.
+func (s *Stream) getScratch() *batchScratch {
+	if sc, ok := s.scratch.Get().(*batchScratch); ok {
+		return sc
+	}
+	return &batchScratch{
+		byShard: make([][]int32, s.nsh),
+		shard:   make([]shardScratch, s.nsh),
+	}
+}
+
+// release clears the monitor pointers a batch left in sc and puts sc back
+// in the pool.
+func (s *Stream) release(sc *batchScratch) {
+	for si := range sc.shard {
+		clear(sc.shard[si].deltas)
+	}
+	clear(sc.all)
+	clear(sc.groups)
+	for gi := range sc.groupEvents {
+		sc.groupEvents[gi] = sc.groupEvents[gi][:0]
+	}
+	s.scratch.Put(sc)
 }
 
 // holds reports whether an object at distance d belongs in the monitor's
@@ -212,9 +274,6 @@ func (s *Stream) relevantParts(q *qcore) []indoor.PartitionID {
 	return out
 }
 
-// byID orders index lists by query id.
-func byID(q *stQuery, id int32) int { return cmp.Compare(q.id, id) }
-
 // insertIndexed adds q and its rows to the index entries of its relevant
 // partitions, keeping each entry ascending by query id.
 func (s *Stream) insertIndexed(q *stQuery) {
@@ -223,8 +282,9 @@ func (s *Stream) insertIndexed(q *stQuery) {
 		x := &s.partQ[v]
 		enter := s.sp.Partition(v).Enter
 		row = appendRow(row[:0], q.doorDist, enter)
-		i, _ := slices.BinarySearchFunc(x.qs, q.id, byID)
+		i, _ := slices.BinarySearch(x.ids, q.id)
 		x.qs = slices.Insert(x.qs, i, q)
+		x.ids = slices.Insert(x.ids, i, q.id)
 		x.dd = slices.Insert(x.dd, i*len(enter), row...)
 	}
 }
@@ -234,9 +294,10 @@ func (s *Stream) removeIndexed(q *stQuery) {
 	for _, v := range q.parts {
 		x := &s.partQ[v]
 		n := len(s.sp.Partition(v).Enter)
-		i, _ := slices.BinarySearchFunc(x.qs, q.id, byID)
+		i, _ := slices.BinarySearch(x.ids, q.id)
 		if i < len(x.qs) && x.qs[i] == q {
 			x.qs = slices.Delete(x.qs, i, i+1)
+			x.ids = slices.Delete(x.ids, i, i+1)
 			x.dd = slices.Delete(x.dd, i*n, (i+1)*n)
 		}
 	}
@@ -500,7 +561,9 @@ func (s *Stream) Apply(u Update) ([]Event, error) {
 // sort key (T, query, object) is total because one timestamp is one update,
 // and one update yields at most one event per (query, object) pair: a kNN
 // update can emit a leave and an enter on one query, but for different
-// objects.
+// objects. When timestamps tie, events equal on (T, query, object) keep
+// their monitor's fold order, which is batch order, for any shard or
+// worker count.
 func (s *Stream) ApplyBatch(us []Update) ([]Event, error) {
 	if len(us) == 0 {
 		return nil, nil
@@ -516,74 +579,99 @@ func (s *Stream) ApplyBatch(us []Update) ([]Event, error) {
 		return nil, ErrStreamClosed
 	}
 
+	sc := s.getScratch()
+	defer s.release(sc)
+
 	// Fan update indices out by object shard.
-	byShard := make([][]int32, s.nsh)
+	for si := range sc.byShard {
+		sc.byShard[si] = sc.byShard[si][:0]
+	}
 	for i := range us {
 		si := s.shardOf(us[i].ID)
-		byShard[si] = append(byShard[si], int32(i))
+		sc.byShard[si] = append(sc.byShard[si], int32(i))
 	}
-	active := make([]int, 0, s.nsh)
-	for si := range byShard {
-		if len(byShard[si]) > 0 {
-			active = append(active, si)
+	sc.active = sc.active[:0]
+	for si := range sc.byShard {
+		if len(sc.byShard[si]) > 0 {
+			sc.active = append(sc.active, si)
 		}
 	}
 
 	// Phase A: per-shard position writes + distance evaluation of every
 	// touched query. Deltas carry the batch index so phase B can fold them
 	// in batch order; no query state is touched yet.
-	shardDeltas := make([][]delta, len(active))
-	s.pool.Map(len(active), func(ai int, _ *query.Stats) error {
+	s.pool.Map(len(sc.active), func(ai int, _ *query.Stats) error {
 		Metrics.ShardInFlight.Add(1)
 		defer Metrics.ShardInFlight.Add(-1)
-		shardDeltas[ai] = s.shardApply(&s.shards[active[ai]], us, byShard[active[ai]])
+		si := sc.active[ai]
+		s.shardApply(&s.shards[si], us, sc.byShard[si], &sc.shard[si])
 		return nil
 	})
 
 	// Group deltas by query. (qid, batch index) is unique per delta — the
 	// touched set is deduplicated per update — so this order is total.
-	var all []delta
-	for _, ds := range shardDeltas {
-		all = append(all, ds...)
+	sc.all = sc.all[:0]
+	for _, si := range sc.active {
+		sc.all = append(sc.all, sc.shard[si].deltas...)
 	}
-	slices.SortFunc(all, func(a, b delta) int {
-		if c := cmp.Compare(a.q.id, b.q.id); c != 0 {
+	slices.SortFunc(sc.all, func(a, b delta) int {
+		if c := cmp.Compare(a.qid, b.qid); c != 0 {
 			return c
 		}
 		return cmp.Compare(a.idx, b.idx)
 	})
-	var groups [][]delta
-	for lo := 0; lo < len(all); {
+	sc.groups = sc.groups[:0]
+	for lo := 0; lo < len(sc.all); {
 		hi := lo + 1
-		for hi < len(all) && all[hi].q == all[lo].q {
+		for hi < len(sc.all) && sc.all[hi].qid == sc.all[lo].qid {
 			hi++
 		}
-		groups = append(groups, all[lo:hi])
+		sc.groups = append(sc.groups, sc.all[lo:hi])
 		lo = hi
 	}
 
 	// Phase B: fold each query's deltas in batch order. Queries are
 	// independent (each owns its result state behind its own mutex), so
-	// groups run concurrently.
-	groupEvents := make([][]Event, len(groups))
-	s.pool.Map(len(groups), func(gi int, _ *query.Stats) error {
-		groupEvents[gi] = groups[gi][0].q.fold(groups[gi])
+	// groups run concurrently, each appending to its own event buffer.
+	for len(sc.groupEvents) < len(sc.groups) {
+		sc.groupEvents = append(sc.groupEvents, nil)
+	}
+	s.pool.Map(len(sc.groups), func(gi int, _ *query.Stats) error {
+		g := sc.groups[gi]
+		sc.groupEvents[gi] = g[0].q.fold(sc.groupEvents[gi][:0], g)
 		return nil
 	})
 
-	var events []Event
-	for _, evs := range groupEvents {
-		events = append(events, evs...)
+	// Order the events by (T, query, object). The concatenation of the
+	// groups is ascending by query, and each group's events are in fold
+	// order, so a stable sort by (T, query, object) equals an unstable
+	// sort that breaks the remaining ties by position in the
+	// concatenation.
+	sc.staged = sc.staged[:0]
+	for _, evs := range sc.groupEvents[:len(sc.groups)] {
+		for _, e := range evs {
+			sc.staged = append(sc.staged, stagedEvent{e, int32(len(sc.staged))})
+		}
 	}
-	slices.SortStableFunc(events, func(a, b Event) int {
+	slices.SortFunc(sc.staged, func(a, b stagedEvent) int {
 		if c := cmp.Compare(a.T, b.T); c != 0 {
 			return c
 		}
 		if c := cmp.Compare(a.Query, b.Query); c != 0 {
 			return c
 		}
-		return cmp.Compare(a.Object, b.Object)
+		if c := cmp.Compare(a.Object, b.Object); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.pos, b.pos)
 	})
+	var events []Event
+	if len(sc.staged) > 0 {
+		events = make([]Event, len(sc.staged))
+		for i := range sc.staged {
+			events[i] = sc.staged[i].Event
+		}
+	}
 
 	Metrics.Batches.Add(1)
 	Metrics.Updates.Add(int64(len(us)))
@@ -594,15 +682,15 @@ func (s *Stream) ApplyBatch(us []Update) ([]Event, error) {
 // shardApply runs phase A for one shard: write the shard's updates in batch
 // order and evaluate each against the monitors its old/new partitions
 // touch, at both the new and the previous position. Only evaluations that
-// change a monitor's result become deltas. The previous position is the
-// one every touched monitor last folded: a monitor not indexed on a
-// partition has +Inf distance there, so any update that could flip its
-// state touches it.
-func (s *Stream) shardApply(sh *streamShard, us []Update, idxs []int32) []delta {
+// change a monitor's result become deltas, appended to sc.deltas. The
+// previous position is the one every touched monitor last folded: a
+// monitor not indexed on a partition has +Inf distance there, so any
+// update that could flip its state touches it.
+func (s *Stream) shardApply(sh *streamShard, us []Update, idxs []int32, sc *shardScratch) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	var out []delta
-	var now, was site
+	out := sc.deltas[:0]
+	now, was := &sc.now, &sc.was
 	inf := math.Inf(1)
 	for _, i := range idxs {
 		u := us[i]
@@ -620,7 +708,7 @@ func (s *Stream) shardApply(sh *streamShard, us []Update, idxs []int32) []delta 
 		} else if known {
 			oldX, nOld = newX, nNew
 		}
-		newQ, oldQ := newX.qs, oldX.qs
+		newIDs, oldIDs := newX.ids, oldX.ids
 		// Merge the two qid-sorted lists, deduplicating queries relevant to
 		// both partitions; each distance reads the row of the list the
 		// query came from. A query only on the new partition's list was not
@@ -630,33 +718,33 @@ func (s *Stream) shardApply(sh *streamShard, us []Update, idxs []int32) []delta 
 		// partition merges the list with itself.
 		touched := int64(0)
 		a, b := 0, 0
-		for a < len(newQ) || b < len(oldQ) {
+		for a < len(newIDs) || b < len(oldIDs) {
 			var q *stQuery
 			dist, old := inf, inf
 			switch {
-			case b < len(oldQ) && (a >= len(newQ) || oldQ[b].id < newQ[a].id):
-				q = oldQ[b]
-				old = q.objDistRow(s.sp, &was, oldX.row(b, nOld))
+			case b < len(oldIDs) && (a >= len(newIDs) || oldIDs[b] < newIDs[a]):
+				q = oldX.qs[b]
+				old = q.objDistRow(s.sp, was, oldX.row(b, nOld))
 				b++
-			case b < len(oldQ) && oldQ[b].id == newQ[a].id:
-				q = newQ[a]
-				dist = q.objDistRow(s.sp, &now, newX.row(a, nNew))
-				old = q.objDistRow(s.sp, &was, oldX.row(b, nOld))
+			case b < len(oldIDs) && oldIDs[b] == newIDs[a]:
+				q = newX.qs[a]
+				dist = q.objDistRow(s.sp, now, newX.row(a, nNew))
+				old = q.objDistRow(s.sp, was, oldX.row(b, nOld))
 				a++
 				b++
 			default:
-				q = newQ[a]
-				dist = q.objDistRow(s.sp, &now, newX.row(a, nNew))
+				q = newX.qs[a]
+				dist = q.objDistRow(s.sp, now, newX.row(a, nNew))
 				a++
 			}
 			touched++
 			if q.changes(old, dist) {
-				out = append(out, delta{q: q, obj: u.ID, idx: i, dist: dist, t: u.T})
+				out = append(out, delta{q: q, qid: q.id, obj: u.ID, idx: i, dist: dist, t: u.T})
 			}
 		}
 		Metrics.Touched.Observe(touched)
 	}
-	return out
+	sc.deltas = out
 }
 
 // Remove drops an object (it left the building), emitting leave events
@@ -684,18 +772,19 @@ func (s *Stream) Remove(objID int32, t float64) []Event {
 	x, n := &s.partQ[prev.Part], len(was.enter)
 	for j, q := range x.qs { // ascending by qid
 		if q.changes(q.objDistRow(s.sp, &was, x.row(j, n)), inf) {
-			events = append(events, q.fold([]delta{{q: q, obj: objID, dist: inf, t: t}})...)
+			events = q.fold(events, []delta{{q: q, qid: q.id, obj: objID, dist: inf, t: t}})
 		}
 	}
 	return events
 }
 
 // fold is phase B for one query: apply its deltas in batch order to the
-// result state, emit membership events, and push them to subscribers.
-func (q *stQuery) fold(ds []delta) []Event {
+// result state, append the membership events to evs, and push them to
+// subscribers.
+func (q *stQuery) fold(evs []Event, ds []delta) []Event {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	var evs []Event
+	n0 := len(evs)
 	for i := range ds {
 		d := &ds[i]
 		if q.kind == kindRange {
@@ -713,8 +802,8 @@ func (q *stQuery) fold(ds []delta) []Event {
 		}
 		evs = q.foldKNN(evs, d)
 	}
-	if len(evs) > 0 && len(q.subs) > 0 {
-		q.pushLocked(evs)
+	if len(evs) > n0 && len(q.subs) > 0 {
+		q.pushLocked(evs[n0:])
 	}
 	return evs
 }

@@ -446,3 +446,46 @@ func TestMonitorResultConsistentUnderUpdates(t *testing.T) {
 		}
 	}
 }
+
+// TestStaircaseLandingUpdate posts a report without a partition on a
+// staircase's upper landing: the server resolves the staircase, as /range
+// does for the same point, and the update is applied (200 with the range
+// monitor's enter event), not rejected as outdoors.
+func TestStaircaseLandingUpdate(t *testing.T) {
+	f := testspaces.NewTwoFloor()
+	b, err := bundle.Build("twofloor", f.Space, bundle.Options{Engines: []string{"IDModel"}, Gamma: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tier, _ := newBundleTier(t, b, "IDModel", nil)
+	ts := httptest.NewServer(server.NewTenantServer(tier).Handler())
+	t.Cleanup(ts.Close)
+
+	var rng any
+	if code := getJSON(t, ts.URL+"/v1/range?x=21&y=5.5&floor=1&r=1", &rng); code != http.StatusOK {
+		t.Fatalf("range on the upper landing: status %d", code)
+	}
+	if code := postJSON(t, ts.URL+"/v1/monitors",
+		`{"id":1,"kind":"range","x":21,"y":5,"floor":1,"r":1,"t":0}`, nil); code != http.StatusCreated {
+		t.Fatalf("register on the landing: status %d", code)
+	}
+	var applied struct {
+		Applied int `json:"applied"`
+		Events  []struct {
+			Query  int32   `json:"query"`
+			Object int32   `json:"object"`
+			Enter  bool    `json:"enter"`
+			T      float64 `json:"t"`
+		} `json:"events"`
+	}
+	if code := postJSON(t, ts.URL+"/v1/updates",
+		`{"updates":[{"id":7,"x":21,"y":5.5,"floor":1,"t":1}]}`, &applied); code != http.StatusOK {
+		t.Fatalf("upper-landing update: status %d, want 200", code)
+	}
+	if applied.Applied != 1 || len(applied.Events) != 1 {
+		t.Fatalf("applied %d, events %+v; want 1 and one enter event", applied.Applied, applied.Events)
+	}
+	if e := applied.Events[0]; e.Query != 1 || e.Object != 7 || !e.Enter || e.T != 1 {
+		t.Fatalf("event %+v, want query 1 object 7 enter at t=1", e)
+	}
+}
