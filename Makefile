@@ -18,7 +18,8 @@ FUZZ_TARGETS = \
 	./internal/enginetest:FuzzDifferentialEngines \
 	./internal/moving:FuzzMonitorStream \
 	./internal/server:FuzzQueryResponseJSON \
-	./internal/server:FuzzUpdatesBody
+	./internal/server:FuzzUpdatesBody \
+	./internal/tenant:FuzzRouter
 
 .PHONY: verify verify-full build vet fmt-check test race perfbench-check cover fuzz-smoke bench-smoke perf bench-compare
 
@@ -85,11 +86,13 @@ bench-compare:
 
 # Quick compile-and-run pass over the heap and door-graph benchmarks, the
 # query, update and monitor-result handlers' allocation benchmarks, the
-# stream batch-apply and host-scan benchmarks (a handful of iterations
-# each) and the root package's ablation and extension benchmarks (one
-# iteration each), just to keep the benchmark code from rotting.
+# stream batch-apply and host-scan benchmarks, the committed router's
+# choose+observe hot path (a handful of iterations each) and the root
+# package's ablation and extension benchmarks (one iteration each), just to
+# keep the benchmark code from rotting.
 bench-smoke:
 	$(GO) test -run '^$$' -bench=. -benchtime=10x ./internal/pq/ ./internal/doorgraph/
 	$(GO) test -run '^$$' -bench='BenchmarkQueryHandler|BenchmarkUpdatesHandler|BenchmarkMonitorResult' -benchtime=10x -benchmem ./internal/server/
 	$(GO) test -run '^$$' -bench='BenchmarkApplyBatch|BenchmarkHostPartition' -benchtime=10x -benchmem ./internal/moving/ ./internal/indoor/
+	$(GO) test -run '^$$' -bench='BenchmarkRouterRouted' -benchtime=10x -benchmem ./internal/tenant/
 	$(GO) test -run '^$$' -bench=. -benchtime=1x .

@@ -64,8 +64,8 @@ func (cfg routeVenue) plan(sp *indoor.Space, n int) []exec.Op {
 
 // runRoute replays the identical skewed multi-venue stream through
 // tenant.Venue.Query pinned to each engine (the ?engine= override) and then
-// routed (each venue's router picks the engine per query class from its
-// observed latencies), one concurrent batch per venue per round. A warmup
+// routed (each venue's router commits per query class and band after a
+// paired explore), one concurrent batch per venue per round. A warmup
 // pass runs every engine over every stream first, so all modes meet
 // equally warm distance caches.
 func runRoute(sc *scenario, smoke bool) error {
@@ -83,12 +83,7 @@ func runRoute(sc *scenario, smoke bool) error {
 			Engines: engines, Objects: objects,
 		}
 	}
-	tier, err := tenant.New(specs, tenant.Options{
-		Seed: 1,
-		// Explore briefly and shadow-sample sparsely: explore and freshness
-		// samples are routed traffic too and land in the measured stream.
-		Router: tenant.RouterConfig{ExplorePerEngine: 3, ReevalEvery: 64, SampleEvery: 64},
-	})
+	tier, err := tenant.New(specs, tenant.Options{Seed: 1})
 	if err != nil {
 		return err
 	}
@@ -196,9 +191,12 @@ func runRoute(sc *scenario, smoke bool) error {
 			continue
 		}
 		for _, d := range ds {
-			sc.row(fmt.Sprintf("decision/%s/%s=%s", cfg.id, d.Op, d.Engine), map[string]float64{
-				"routed_queries": float64(d.N), "windows": float64(d.Windows),
-			})
+			for _, b := range d.Bands {
+				sc.row(fmt.Sprintf("decision/%s/%s/%s=%s", cfg.id, d.Op, b.Band, b.Engine), map[string]float64{
+					"routed_queries": float64(b.N), "explores": float64(b.Explores),
+					"reexplores": float64(b.Reexplores), "off_commit_share": float64(b.OffCommit) / float64(b.N),
+				})
+			}
 		}
 	}
 	return nil

@@ -13,8 +13,9 @@
 // -venues is a comma-separated list of id=source entries, where source is a
 // dataset name (CPH), gen:<seed> (a generated venue), or snap:<path> (a
 // snapshot artifact built offline with isqsnap). Every venue is seeded with
-// -objects random POIs drawn from -seed and routes each query class by
-// observed cost; -route-pin ENGINE pins every venue's router instead (the
+// -objects random POIs drawn from -seed and routes each query class and
+// parameter band to the engine a paired explore found fastest; -route-pin
+// ENGINE pins every venue's router instead (the
 // deterministic override). Plain isqserve serves the CPH dataset as the one
 // venue "CPH".
 //

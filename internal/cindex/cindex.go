@@ -106,27 +106,12 @@ func (ix *Index) WithOpenReach(open func(indoor.DoorID) bool, r *reach.Reach) qu
 	return &openView{Index: ix, g: ix.g.WithOpen(open).WithReach(r)}
 }
 
-// Host locates the partition containing p using the geometric layer.
+// Host locates the partition containing p using the geometric layer: the
+// R-tree filters partitions by MBR (Table 2's initialization) and the
+// space's host rule (indoor.HostBefore) picks among the containing ones, so
+// a point on a shared wall gets the host every other engine gets.
 func (ix *Index) Host(p indoor.Point) (indoor.PartitionID, bool) {
-	cands := ix.tree.SearchPoint(p.XY(), nil)
-	host := indoor.NoPartition
-	for _, c := range cands {
-		v := indoor.PartitionID(c)
-		part := ix.sp.Partition(v)
-		if p.Floor < part.Floor || p.Floor > part.TopFloor {
-			continue
-		}
-		if !part.Poly.Contains(p.XY()) {
-			continue
-		}
-		if part.Kind != indoor.Staircase {
-			return v, true
-		}
-		if host == indoor.NoPartition {
-			host = v
-		}
-	}
-	return host, host != indoor.NoPartition
+	return ix.sp.HostAmong(p, ix.tree.SearchPoint(p.XY(), nil))
 }
 
 // d2d resolves the door-to-door distance within v, honouring door direction

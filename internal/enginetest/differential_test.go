@@ -8,9 +8,13 @@ import (
 	"math/rand"
 	"testing"
 
+	"indoorsq/internal/cindex"
+	"indoorsq/internal/dataset"
 	"indoorsq/internal/indoor"
+	"indoorsq/internal/moving"
 	"indoorsq/internal/oracle"
 	"indoorsq/internal/query"
+	"indoorsq/internal/snapshot/bundle"
 	"indoorsq/internal/spacegen"
 )
 
@@ -50,6 +54,35 @@ func TestDifferentialVsOracle(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
 			runDifferential(t, seed, diffParams(seed), 3)
+		})
+	}
+	// The benchmark venues' boundary corpora. The CPH wall point
+	// (1750, 475) is where CINDEX's R-tree candidate order once picked a
+	// different host than the floor scan: its 5-NN answered object 47 at
+	// 247.11 instead of object 23 at 42.09.
+	for _, ds := range []string{"CPH", "MZB", "HSM"} {
+		ds := ds
+		t.Run("boundary="+ds, func(t *testing.T) {
+			t.Parallel()
+			info := dataset.Get(ds)
+			var engines []query.Engine
+			for _, name := range bundle.EngineNames {
+				eng, err := bundle.NewEngine(name, info.Space, bundle.Options{Gamma: info.Gamma})
+				if err != nil {
+					t.Fatal(err)
+				}
+				engines = append(engines, eng)
+			}
+			fail := func(format string, args ...any) {
+				t.Helper()
+				t.Fatalf("%s: %s", ds, fmt.Sprintf(format, args...))
+			}
+			var must []indoor.Point
+			if ds == "CPH" {
+				must = append(must, indoor.At(1750, 475, 0))
+			}
+			checkBoundary(fail, info.Space, spacegen.Objects(info.Space, 1, 64), engines,
+				rand.New(rand.NewSource(int64(len(ds)))), 40, must...)
 		})
 	}
 }
@@ -166,6 +199,102 @@ func runDifferential(t *testing.T, seed int64, params spacegen.Params, trials in
 			gotCtx, err := query.SPD(ctx, e, p, q, &st)
 			comparePath(fail, sp, trial, e.Name()+"Ctx", gotCtx, err, wantPath, wantErr)
 		}
+	}
+	checkBoundary(fail, sp, objs, engines, rng, 4)
+}
+
+// checkBoundary runs sp's boundary corpus (BoundaryPoints): CINDEX's R-tree
+// host lookup must pick HostPartition's host at every point, and at answers
+// points spread over the corpus (plus every must point) each engine's
+// range, kNN and SPD answers, and a moving.Stream's range and kNN monitor
+// results, must equal the oracle's.
+func checkBoundary(fail failFunc, sp *indoor.Space, objs []query.Object, engines []query.Engine, rng *rand.Rand, answers int, must ...indoor.Point) {
+	pts := BoundaryPoints(sp)
+	for _, e := range engines {
+		cx, ok := e.(*cindex.Index)
+		if !ok {
+			continue
+		}
+		for _, p := range pts {
+			want, _ := sp.HostPartition(p)
+			if got, _ := cx.Host(p); got != want {
+				fail("boundary %v: CIndex host %d, HostPartition %d", p, got, want)
+			}
+		}
+	}
+	ref := oracle.New(sp)
+	ref.SetObjects(objs)
+	for _, e := range engines {
+		e.SetObjects(objs)
+	}
+	stream := moving.NewStream(sp, moving.StreamOptions{})
+	defer stream.Close()
+	ups := make([]moving.Update, len(objs))
+	for i, o := range objs {
+		ups[i] = moving.Update{ID: o.ID, Loc: o.Loc, Part: o.Part, T: 1}
+	}
+	if _, err := stream.ApplyBatch(ups); err != nil {
+		fail("boundary stream seed: %v", err)
+	}
+	sample := append([]indoor.Point(nil), must...)
+	for i := 0; i < answers && len(pts) > 0; i++ {
+		sample = append(sample, pts[i*len(pts)/answers])
+	}
+	ctx := context.Background()
+	var st query.Stats
+	for i, p := range sample {
+		all, err := ref.AllDists(p)
+		if err != nil {
+			fail("boundary %v: oracle AllDists: %v", p, err)
+		}
+		radii := snapRadii(all, rng)
+		for _, r := range radii {
+			want, err := ref.Range(p, r, nil)
+			if err != nil {
+				fail("boundary %v: oracle Range(r=%g): %v", p, r, err)
+			}
+			for _, e := range engines {
+				if got, err := query.Range(ctx, e, p, r, &st); err != nil || !sameIDs(got, want) {
+					fail("boundary %v: %s Range(r=%g) = %v (%v), oracle %v", p, e.Name(), r, got, err, want)
+				}
+			}
+		}
+		ks := snapKs(all, len(objs), rng)
+		for _, k := range ks {
+			want, err := ref.KNN(p, k, nil)
+			if err != nil {
+				fail("boundary %v: oracle KNN(k=%d): %v", p, k, err)
+			}
+			for _, e := range engines {
+				got, err := query.KNN(ctx, e, p, k, &st)
+				if err != nil {
+					fail("boundary %v: %s KNN(k=%d): %v", p, e.Name(), k, err)
+				}
+				compareKNN(fail, i, fmt.Sprintf("boundary %v %s", p, e.Name()), k, got, want)
+			}
+		}
+		q := pts[rng.Intn(len(pts))]
+		wantPath, wantErr := ref.SPD(p, q, nil)
+		for _, e := range engines {
+			got, err := query.SPD(ctx, e, p, q, &st)
+			comparePath(fail, sp, i, fmt.Sprintf("boundary %v->%v %s", p, q, e.Name()), got, err, wantPath, wantErr)
+		}
+
+		// The stream hosts a monitor through HostPartition too.
+		r, k := radii[len(radii)/2], ks[len(ks)-1]
+		rq, kq := int32(2*i), int32(2*i+1)
+		if _, err := stream.Register(rq, p, r, 1); err != nil {
+			fail("boundary %v: stream Register: %v", p, err)
+		}
+		if _, err := stream.RegisterKNN(kq, p, k, 1); err != nil {
+			fail("boundary %v: stream RegisterKNN: %v", p, err)
+		}
+		wantIDs, _ := ref.Range(p, r, nil)
+		if got := stream.Result(rq); !sameIDs(got, wantIDs) {
+			fail("boundary %v: stream range(r=%g) %v, oracle %v", p, r, got, wantIDs)
+		}
+		wantKNN, _ := ref.KNN(p, k, nil)
+		compareKNN(fail, i, fmt.Sprintf("boundary %v stream", p), k, stream.Neighbors(kq), wantKNN)
 	}
 }
 

@@ -93,9 +93,10 @@ type Pool struct {
 	Obs *obs.Registry
 }
 
-// validate rejects ops that could never produce an answer, so a worker is
-// not burned on them.
-func validate(op Op) error {
+// Validate rejects ops that could never produce an answer (a negative or
+// NaN range radius, k < 1), so no worker or engine is burned on them; Do
+// applies it first.
+func Validate(op Op) error {
 	switch op.Kind {
 	case RangeQ:
 		if math.IsNaN(op.R) || op.R < 0 {
@@ -137,7 +138,7 @@ func (p *Pool) workers(n int) int {
 // or SPD and timed. Every single query and every batch op runs through it.
 func Do(ctx context.Context, eng query.Engine, op Op) Result {
 	var r Result
-	if r.Err = validate(op); r.Err != nil {
+	if r.Err = Validate(op); r.Err != nil {
 		return r
 	}
 	t0 := time.Now()

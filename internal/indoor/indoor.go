@@ -170,11 +170,44 @@ func (s *Space) OnFloor(floor int16) []PartitionID {
 	return s.byFloor[floor]
 }
 
+// HostBefore is the one host rule: of two partitions that both contain a
+// point (it lies on a wall they share, or on a staircase landing), a
+// non-staircase beats a staircase, then the lower id wins. HostPartition
+// and every other host lookup (CINDEX's R-tree filter) pick by it, so all
+// engines start from the same partition at boundary points.
+func HostBefore(a, b *Partition) bool {
+	if (a.Kind == Staircase) != (b.Kind == Staircase) {
+		return b.Kind == Staircase
+	}
+	return a.ID < b.ID
+}
+
+// HostAmong applies the host rule to candidate partition ids (in any order,
+// e.g. an R-tree's MBR hits): the winner among those on p's floor whose
+// polygon contains p.
+func (s *Space) HostAmong(p Point, cands []int32) (PartitionID, bool) {
+	var host *Partition
+	for _, c := range cands {
+		v := &s.parts[c]
+		if p.Floor < v.Floor || p.Floor > v.TopFloor || (host != nil && !HostBefore(v, host)) {
+			continue
+		}
+		if v.Poly.Contains(p.XY()) {
+			host = v
+		}
+	}
+	if host == nil {
+		return NoPartition, false
+	}
+	return host.ID, true
+}
+
 // HostPartition locates the partition containing p by sequentially scanning
 // the partitions of p's floor — the initialization step used by IDMODEL,
 // IDINDEX, IP-TREE and VIP-TREE (Sec. 4.1). The scan reads the floor's
-// packed MBR array in OnFloor order and tests a polygon only on an MBR hit.
-// Non-staircase partitions take precedence when footprints touch.
+// packed MBR array in OnFloor order (ascending id) and tests a polygon only
+// on an MBR hit; the first containing non-staircase is the HostBefore
+// winner, so the scan stops there.
 func (s *Space) HostPartition(p Point) (PartitionID, bool) {
 	if int(p.Floor) < 0 || int(p.Floor) >= len(s.byFloor) {
 		return NoPartition, false

@@ -136,7 +136,7 @@ func TestGenerationHammer(t *testing.T) {
 	venues := []*hammerVenue{north, south}
 	tier, err := tenant.New([]tenant.VenueSpec{northSpec, southSpec}, tenant.Options{
 		Seed:   3,
-		Router: tenant.RouterConfig{ExplorePerEngine: 1, ReevalEvery: 8, SampleEvery: 3},
+		Router: tenant.RouterConfig{ExplorePerEngine: 1, ReevalEvery: 8},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -274,8 +274,8 @@ func (s *TenantServer) failQuery(w http.ResponseWriter, err error, st *query.Sta
 }
 
 // queryCtx derives one query's context: request cancellation, the endpoint
-// timeout, and the admission budget. Venue.Query binds the venue registry,
-// so the router's evidence is fed automatically.
+// timeout, and the admission budget. Venue.Query binds the venue registry
+// and feeds the router.
 func (s *TenantServer) queryCtx(r *http.Request, endpoint string) (context.Context, context.CancelFunc) {
 	ctx := r.Context()
 	cancel := context.CancelFunc(func() {})
@@ -580,8 +580,9 @@ func (s *TenantServer) handleTrace(w http.ResponseWriter, r *http.Request, v *te
 }
 
 // handleRouteTable is the routing introspection endpoint: the decision
-// table per query class with the evidence (decayed p50/p95 per engine,
-// cumulative counts) behind each decision.
+// table per query class, with each parameter band's committed engine, the
+// paired explore means behind it, its explore and re-explore counts and
+// reason, and per engine the cumulative served and failed counts.
 func (s *TenantServer) handleRouteTable(w http.ResponseWriter, r *http.Request, v *tenant.Venue) {
 	s.writeJSON(w, http.StatusOK, map[string]any{
 		"venue":     v.ID,
@@ -652,8 +653,8 @@ func (s *TenantServer) handleSwap(w http.ResponseWriter, r *http.Request, v *ten
 }
 
 // handleMetrics scrapes one venue's registry in plain-text format: per
-// engine × query class counters and p50/p95/p99 latency quantiles (the
-// evidence the router reads), followed by the layer gauges.
+// engine × query class counters and p50/p95/p99 latency quantiles of the
+// served queries, followed by the layer gauges.
 func (s *TenantServer) handleMetrics(w http.ResponseWriter, r *http.Request, v *tenant.Venue) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.WriteHeader(http.StatusOK)

@@ -28,7 +28,7 @@ func newTenantTier(t *testing.T) *tenant.Tier {
 	}
 	tier, err := tenant.New([]tenant.VenueSpec{mk("north", 21), mk("south", 22)}, tenant.Options{
 		Seed:   7,
-		Router: tenant.RouterConfig{ExplorePerEngine: 1, ReevalEvery: 8, SampleEvery: 4},
+		Router: tenant.RouterConfig{ExplorePerEngine: 1, ReevalEvery: 8},
 	})
 	if err != nil {
 		t.Fatal(err)

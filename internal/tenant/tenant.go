@@ -8,8 +8,7 @@
 // cost-based Router, the continuous-query stream and the epoch are all
 // fields of the one *Venue a request loads, so no response can pair one
 // generation's answer with another's epoch or stream. The per-venue control
-// block (metrics registry, reload path) outlives swaps, so routing evidence
-// accumulated before a swap keeps steering traffic after it.
+// block (metrics registry, reload path) outlives swaps.
 package tenant
 
 import (
@@ -92,7 +91,8 @@ type Venue struct {
 	Fingerprint   uint64
 	FormatVersion uint32
 
-	engineList []string // canonical order
+	engineList []string       // canonical order
+	engines    []query.Engine // Engines in engineList order
 	// router is shared with the previous generation unless the swap
 	// changed the engine set.
 	router *Router
@@ -106,8 +106,8 @@ type Venue struct {
 }
 
 // venueCtl is the per-venue state that persists across generation swaps:
-// the metrics registry the routing evidence lives in, the router seed, and
-// the artifact a path-less swap reloads.
+// the metrics registry, the router seed, and the artifact a path-less swap
+// reloads.
 type venueCtl struct {
 	seed     int64
 	reg      *obs.Registry
@@ -292,6 +292,11 @@ func adoptBundle(id string, b *bundle.Bundle, objs []query.Object, ctl *venueCtl
 	for _, e := range b.Engines {
 		e.SetObjects(objs)
 	}
+	list := b.EngineList()
+	engines := make([]query.Engine, len(list))
+	for i, name := range list {
+		engines[i] = b.Engines[name]
+	}
 	return &Venue{
 		ID:            id,
 		Space:         b.Space,
@@ -301,7 +306,8 @@ func adoptBundle(id string, b *bundle.Bundle, objs []query.Object, ctl *venueCtl
 		Origin:        b.Origin,
 		Fingerprint:   b.Fingerprint,
 		FormatVersion: b.FormatVersion,
-		engineList:    b.EngineList(),
+		engineList:    list,
+		engines:       engines,
 		stream:        moving.NewStream(b.Space, moving.StreamOptions{}),
 		ctl:           ctl,
 	}
@@ -329,9 +335,10 @@ func (t *Tier) Venue(id string) (*Venue, bool) {
 // with moving.ErrStreamClosed instead of touching the new one.
 //
 // Pins are part of the serving contract: an artifact lacking a pinned
-// engine is refused. If the artifact changes the engine set the router is
-// replaced (its evidence keyed the old set), primed so pre-swap traffic
-// doesn't leak into its first window, and given the old router's pins.
+// engine is refused. The router and its pins carry over, and every (class,
+// band) re-opens explore, since the new generation's data may differ; if
+// the artifact changes the engine set the router is replaced (its state
+// indexes the old set) and given the old router's pins.
 func (t *Tier) SwapSnapshot(id, path string) (*Venue, error) {
 	sl, ok := t.slots[id]
 	if !ok {
@@ -362,7 +369,6 @@ func (t *Tier) SwapSnapshot(id, path string) (*Venue, error) {
 	nv.router = v.router
 	if !slices.Equal(v.engineList, nv.engineList) {
 		nv.router = NewRouter(nv.engineList, v.ctl.reg, v.ctl.seed, t.opts.Router)
-		nv.router.PrimeBaseline()
 		for op, eng := range pins {
 			if err := nv.router.Pin(op, eng); err != nil {
 				return nil, err
@@ -370,6 +376,9 @@ func (t *Tier) SwapSnapshot(id, path string) (*Venue, error) {
 		}
 	}
 	sl.cur.Store(nv)
+	if nv.router == v.router {
+		nv.router.Reset()
+	}
 	v.stream.Close()
 	return nv, nil
 }
@@ -392,18 +401,51 @@ func (v *Venue) Epoch() uint64 { return v.epoch }
 
 // Query answers one routed query on this generation and returns the
 // result plus the engine that served it. override names the engine (the
-// deterministic knob); "" lets the router choose for op's query class. The
-// venue registry is bound to ctx, so the query's latency lands in the
-// evidence the router reads. An engine this generation does not serve fails
-// with ErrUnknownEngine in Result.Err.
+// deterministic knob); "" lets the router choose for op's class and band.
+// The venue registry is bound to ctx, so /metrics counts the served query.
+// The result is the router's evidence: a paired explore slot also runs op
+// on every other engine (see explore), a committed route reports its NVD,
+// and pinned or overridden queries and ops exec.Validate rejects feed
+// nothing. An engine this generation does not serve fails with
+// ErrUnknownEngine in Result.Err.
 func (v *Venue) Query(ctx context.Context, op exec.Op, override string) (exec.Result, string) {
-	name := override
-	if name == "" {
-		name = v.router.Choose(op.Kind.String())
+	ctx = obs.WithRegistry(ctx, v.ctl.reg)
+	if override != "" {
+		eng, ok := v.Engines[override]
+		if !ok {
+			return exec.Result{Err: fmt.Errorf("%w: venue %q has no engine %q", ErrUnknownEngine, v.ID, override)}, override
+		}
+		return exec.Do(ctx, eng, op), override
 	}
-	eng, ok := v.Engines[name]
-	if !ok {
-		return exec.Result{Err: fmt.Errorf("%w: venue %q has no engine %q", ErrUnknownEngine, v.ID, name)}, name
+	if err := exec.Validate(op); err != nil {
+		return exec.Result{Err: err}, ""
 	}
-	return exec.Do(obs.WithRegistry(ctx, v.ctl.reg), eng, op), name
+	rt := v.router.Choose(&op)
+	res := exec.Do(ctx, v.engines[rt.Engine], op)
+	if rt.Explore {
+		v.explore(ctx, op, rt, res)
+	} else {
+		v.router.Observe(rt, &res)
+	}
+	return res, v.engineList[rt.Engine]
+}
+
+// explore completes a paired explore slot whose serving run is served: op
+// runs on every engine in the slot's seeded order, with neither the
+// registry nor a trace bound (only the served run is a query of the venue),
+// and every engine's time and NVD go to the router. An engine's time is the
+// better of two back-to-back runs, so a single preemption, GC assist or
+// cold cache line cannot decide a commit; a failed run's time counts too.
+func (v *Venue) explore(ctx context.Context, op exec.Op, rt Route, served exec.Result) {
+	samples := make([]Sample, len(v.engines))
+	bare := obs.With(ctx, obs.Bind{})
+	for _, e := range v.router.ExploreOrder(rt) {
+		res := served
+		if e != rt.Engine {
+			res = exec.Do(bare, v.engines[e], op)
+		}
+		again := exec.Do(bare, v.engines[e], op)
+		samples[e] = Sample{Elapsed: min(res.Elapsed, again.Elapsed), VisitedDoors: res.Stats.VisitedDoors}
+	}
+	v.router.Explored(rt, samples)
 }

@@ -41,7 +41,7 @@ func newTestTier(t *testing.T) *Tier {
 	t.Helper()
 	tier, err := New(testSpecs(), Options{
 		Seed:   99,
-		Router: RouterConfig{ExplorePerEngine: 1, ReevalEvery: 8, SampleEvery: 4},
+		Router: RouterConfig{ExplorePerEngine: 1, ReevalEvery: 8},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -114,8 +114,8 @@ func TestTierExploreOrderDeterministic(t *testing.T) {
 	for _, id := range a.VenueIDs() {
 		va, _ := a.Venue(id)
 		vb, _ := b.Venue(id)
-		for _, op := range RoutedOps {
-			oa, ob := va.Router().ops[op].order, vb.Router().ops[op].order
+		for k, op := range RoutedOps {
+			oa, ob := va.Router().orders[k], vb.Router().orders[k]
 			for i := range oa {
 				if oa[i] != ob[i] {
 					t.Fatalf("venue %q op %s: explore orders diverge: %v vs %v", id, op, oa, ob)
@@ -214,6 +214,38 @@ func TestVenueQuery(t *testing.T) {
 	}
 }
 
+// TestVenueExploreFinishes: explore queries that fail still count with
+// their elapsed time, so a band whose paired explore queries are all
+// cancelled commits anyway, and only the served run reaches the registry.
+func TestVenueExploreFinishes(t *testing.T) {
+	tier, err := New(testSpecs()[:1], Options{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, _ := tier.Venue("mall-a")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, op := range mixedOps(v, 9, 12) {
+		if op.Kind != exec.KNNQ {
+			continue
+		}
+		if res, _ := v.Query(ctx, op, ""); !errors.Is(res.Err, context.Canceled) {
+			t.Fatalf("cancelled query: %v", res.Err)
+		}
+	}
+	d := v.Router().Decisions()[exec.KNNQ]
+	if d.Mode != "exploit" || d.N != 4 || d.Bands[0].Explores != 1 {
+		t.Fatalf("cancelled explore did not commit: %+v", d)
+	}
+	var served int64
+	for _, ev := range d.Evidence {
+		served += ev.Queries
+	}
+	if served != 4 {
+		t.Fatalf("registry counted %d knn queries, want the 4 served", served)
+	}
+}
+
 // TestTierSwap snapshots one venue, swaps it in, and checks the epoch
 // advances, the object set carries over, the router (same engine set)
 // persists with its evidence, and the pre-swap generation stays usable.
@@ -255,6 +287,11 @@ func TestTierSwap(t *testing.T) {
 	}
 	if nv.Router() != routerBefore {
 		t.Fatal("swap with an unchanged engine set replaced the router")
+	}
+	// The routed range query committed its band (one paired explore
+	// query in the test config); the swap re-opens it.
+	if b := nv.Router().Decisions()[0].Bands[0]; b.Mode != "explore" || b.Explores != 1 || b.Reexplores != 1 {
+		t.Fatalf("swap did not re-open explore: %+v", b)
 	}
 	cur, _ := tier.Venue("mall-b")
 	if cur != nv {
