@@ -72,7 +72,7 @@ fuzz-smoke:
 	done
 
 # Runs every cmd/isqperf scenario (cache ctx obs graph reach snap route
-# move paper) at full size and writes one report. Each scenario's answer gate
+# host move paper) at full size and writes one report. Each scenario's answer gate
 # runs before its timing; the command exits non-zero, after writing the
 # report, if any scenario bound failed. `make test` runs the same gates on
 # tiny venues (TestSmoke).

@@ -15,6 +15,7 @@
 //	reach  reachability pruning vs SetReach(nil) twins, open and closed-wing venues
 //	snap   cold bundle build vs snapshot load, and hot swap under query load
 //	route  routed vs pinned-engine serving on a skewed multi-venue mix
+//	host   Space.HostPartition's scan vs CINDEX's R-tree host lookup on perfbench's venues
 //	move   the sharded moving.Stream vs the scan-all moving.Monitor
 //	paper  the paper's tasks A and B1–B7 over Table 5's grids, its claims as bounds
 //
@@ -55,6 +56,7 @@ var scenarios = []struct {
 	{"reach", runReach},
 	{"snap", runSnap},
 	{"route", runRoute},
+	{"host", runHost},
 	{"move", runMove},
 	{"paper", runPaper},
 }

@@ -58,7 +58,7 @@ func canon(evs []moving.Event) []moving.Event {
 // Monitor (serially) the identical updates plus interleaved removals, and
 // requires identical canonical event streams and final memberships.
 func streamGate(sp *indoor.Space, monitors []moveMonitor, updates []moving.Update, batch int) error {
-	st := moving.NewStream(sp, moving.StreamOptions{Shards: 8, Workers: 4})
+	st := moving.NewStream(sp, moving.StreamOptions{Shards: 8})
 	defer st.Close()
 	mon := moving.NewMonitor(sp)
 	if err := register(st.Register, monitors); err != nil {

@@ -279,8 +279,8 @@ type (
 	// inverted index, batched ingestion, standing range and kNN monitors,
 	// and delta-push subscriptions.
 	MovingStream = moving.Stream
-	// MovingStreamOptions configures a MovingStream (shards, workers,
-	// optional reachability pruning).
+	// MovingStreamOptions configures a MovingStream (shards, optional
+	// reachability pruning).
 	MovingStreamOptions = moving.StreamOptions
 	// MovingSub is a bounded subscription to one monitor's delta stream.
 	MovingSub = moving.Sub
@@ -298,7 +298,7 @@ type (
 func NewMovingMonitor(sp *Space) *MovingMonitor { return moving.NewMonitor(sp) }
 
 // NewMovingStream returns an empty sharded continuous-query stream over a
-// space. The zero options pick the default shard and worker counts.
+// space. The zero options pick the default shard count.
 func NewMovingStream(sp *Space, opts MovingStreamOptions) *MovingStream {
 	return moving.NewStream(sp, opts)
 }

@@ -71,7 +71,7 @@ type edgeStep struct {
 func runEdge(t *testing.T, sp *indoor.Space, opt moving.StreamOptions, steps []edgeStep) {
 	t.Helper()
 	st := moving.NewStream(sp, opt)
-	ref := moving.NewStream(sp, moving.StreamOptions{Shards: 1, Workers: 1})
+	ref := moving.NewStream(sp, moving.StreamOptions{Shards: 1})
 	mon := moving.NewMonitor(sp)
 	ora := oracle.New(sp)
 	cur := map[int32]moving.Update{}
@@ -246,8 +246,8 @@ func TestChangeOnlyEdgeCases(t *testing.T) {
 		}},
 	}
 	opts := map[string]moving.StreamOptions{
-		"no reach": {Shards: 4, Workers: 2},
-		"reach":    {Shards: 4, Workers: 2, Reach: reach.FromSpace(f.sp, nil, 1)},
+		"no reach": {Shards: 4},
+		"reach":    {Shards: 4, Reach: reach.FromSpace(f.sp, nil, 1)},
 	}
 	for _, c := range cases {
 		for name, opt := range opts {

@@ -87,7 +87,7 @@ func FuzzMonitorStream(f *testing.F) {
 			return
 		}
 		v := venues[int(data[0])%len(venues)]
-		opt := moving.StreamOptions{Shards: 1 + int(data[0]>>2)%4, Workers: 2}
+		opt := moving.StreamOptions{Shards: 1 + int(data[0]>>2)%4}
 		if data[0]&16 != 0 {
 			opt.Reach = v.rc
 		}

@@ -60,12 +60,12 @@ func newMetaFixture(t *testing.T) *metaFixture {
 	return fx
 }
 
-// run replays the fixture on a fresh Stream with the given shard/worker
-// counts and batch size, returning all emitted events (registrations
+// run replays the fixture on a fresh Stream with the given shard count
+// and batch size, returning all emitted events (registrations
 // included) and the final result set per query.
-func (fx *metaFixture) run(t *testing.T, shards, workers, batch int) ([]moving.Event, map[int32][]int32) {
+func (fx *metaFixture) run(t *testing.T, shards, batch int) ([]moving.Event, map[int32][]int32) {
 	t.Helper()
-	st := moving.NewStream(fx.sp, moving.StreamOptions{Shards: shards, Workers: workers})
+	st := moving.NewStream(fx.sp, moving.StreamOptions{Shards: shards})
 	var events []moving.Event
 	for _, q := range fx.rq {
 		evs, err := st.Register(q.qid, q.p, q.r, 0)
@@ -120,13 +120,13 @@ func diffFinal(t *testing.T, label string, got, want map[int32][]int32) {
 // TestMetamorphicShardsAndBatches asserts the tentpole determinism claim:
 // for an update stream with strictly increasing timestamps, the emitted
 // event stream — range and kNN monitors alike — is bit-identical across
-// shard counts {1,2,8}, worker counts, and batch sizes {1,64,4096}. The
-// {shards:1, workers:1, batch:1} run is serial evaluation; every other
+// shard counts {1,2,8} and batch sizes {1,64,4096}. The
+// {shards:1, batch:1} run is serial evaluation; every other
 // configuration must reproduce it exactly.
 func TestMetamorphicShardsAndBatches(t *testing.T) {
 	t.Parallel()
 	fx := newMetaFixture(t)
-	refEvents, refFinal := fx.run(t, 1, 1, 1)
+	refEvents, refFinal := fx.run(t, 1, 1)
 	if len(refEvents) == 0 {
 		t.Fatal("fixture produced no events; the suite is vacuous")
 	}
@@ -136,7 +136,7 @@ func TestMetamorphicShardsAndBatches(t *testing.T) {
 				continue
 			}
 			label := fmt.Sprintf("shards=%d batch=%d", shards, batch)
-			events, final := fx.run(t, shards, 4, batch)
+			events, final := fx.run(t, shards, batch)
 			diffEvents(t, label, events, refEvents)
 			diffFinal(t, label, final, refFinal)
 		}
@@ -170,7 +170,7 @@ func TestMetamorphicPermutation(t *testing.T) {
 	ticks = append(ticks, fx.us[lo:])
 
 	run := func(perm *rand.Rand) ([]moving.Event, map[int32][]int32) {
-		st := moving.NewStream(fx.sp, moving.StreamOptions{Shards: 4, Workers: 4})
+		st := moving.NewStream(fx.sp, moving.StreamOptions{Shards: 4})
 		var events []moving.Event
 		for _, q := range fx.rq {
 			evs, err := st.Register(q.qid, q.p, q.r, 0)
@@ -233,7 +233,7 @@ func TestMetamorphicIndexRows(t *testing.T) {
 	t.Parallel()
 	fx := newMetaFixture(t)
 	run := func(rc *reach.Reach) []moving.Event {
-		st := moving.NewStream(fx.sp, moving.StreamOptions{Shards: 4, Workers: 2, Reach: rc})
+		st := moving.NewStream(fx.sp, moving.StreamOptions{Shards: 4, Reach: rc})
 		mon := moving.NewMonitor(fx.sp)
 		var events []moving.Event
 		check := func(step string) {

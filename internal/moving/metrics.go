@@ -16,9 +16,6 @@ var Metrics struct {
 	Batches atomic.Int64
 	// Events counts emitted enter/leave events.
 	Events atomic.Int64
-	// ShardInFlight is the number of shard-apply tasks currently running —
-	// a gauge of ingestion fan-out pressure.
-	ShardInFlight atomic.Int64
 	// Touched is the per-update count of queries whose distance was
 	// evaluated — the quantity the inverted index exists to keep far below
 	// the number of registered queries.

@@ -132,7 +132,7 @@ func TestStreamApplyBatchConcurrentScratch(t *testing.T) {
 	want := make([][][]moving.Event, goroutines)
 	total := 0
 	for g := range script {
-		ref := moving.NewStream(sp, moving.StreamOptions{Shards: 1, Workers: 1})
+		ref := moving.NewStream(sp, moving.StreamOptions{Shards: 1})
 		register(ref)
 		for _, b := range script[g] {
 			evs, err := ref.ApplyBatch(b)
@@ -148,7 +148,7 @@ func TestStreamApplyBatchConcurrentScratch(t *testing.T) {
 		t.Fatalf("the replays emit only %d events", total)
 	}
 
-	st := moving.NewStream(sp, moving.StreamOptions{Shards: 8, Workers: 4})
+	st := moving.NewStream(sp, moving.StreamOptions{Shards: 8})
 	defer st.Close()
 	register(st)
 	var wg sync.WaitGroup

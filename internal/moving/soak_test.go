@@ -53,7 +53,7 @@ func TestStreamSoakConcurrent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v := &venue{sp: sp, st: moving.NewStream(sp, moving.StreamOptions{Shards: 8, Workers: 4})}
+		v := &venue{sp: sp, st: moving.NewStream(sp, moving.StreamOptions{Shards: 8})}
 		gen := workload.New(sp, seed*3)
 		for i := 0; i < permanents; i++ {
 			p, _ := gen.PointIn()
@@ -162,7 +162,7 @@ func TestStreamSoakConcurrent(t *testing.T) {
 		// position once. Membership at quiescence is a pure function of the
 		// final positions and the query set, so it must match the live
 		// stream that got there through 32k interleaved concurrent updates.
-		replay := moving.NewStream(v.sp, moving.StreamOptions{Shards: 1, Workers: 1})
+		replay := moving.NewStream(v.sp, moving.StreamOptions{Shards: 1})
 		for _, q := range v.perm {
 			var err error
 			if q.k > 0 {

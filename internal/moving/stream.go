@@ -24,13 +24,10 @@ const (
 )
 
 // StreamOptions configures a Stream. The zero value is usable: DefaultShards
-// object shards, GOMAXPROCS batch workers, no reach summary.
+// object shards, no reach summary.
 type StreamOptions struct {
 	// Shards is the number of object shards (<= 0 means DefaultShards).
 	Shards int
-	// Workers bounds the exec.Pool fan-out of ApplyBatch (<= 0 means
-	// GOMAXPROCS). Events are identical for any value.
-	Workers int
 	// Reach optionally gates registration: partitions its summary proves
 	// unreachable from the query point are skipped when deriving the
 	// inverted index. Purely an optimization — the derived index, and
@@ -47,18 +44,24 @@ const DefaultShards = 8
 // scan-all update path with a partition→query inverted index: an update
 // touches only the queries for which the object's old or new partition is
 // relevant (the query's host partition, or a partition with a finite field
-// entry on some enter door). Object state is sharded by FNV hash so batched
-// ingestion fans out across an exec.Pool, and the merged event stream is
-// bit-identical to a serial evaluation for any shard/worker count (for
-// update streams with strictly increasing timestamps; see ApplyBatch).
+// entry on some enter door). Object positions are sharded by FNV hash, one
+// lock per shard, so concurrent batches of different objects rarely
+// contend; each batch is applied in one pass on its caller's goroutine, and
+// its events are bit-identical to a serial evaluation for any shard count
+// (for update streams with strictly increasing timestamps; see ApplyBatch).
+//
+// Concurrent batches (and Remove calls) must report disjoint objects. An
+// update's position write and the folds of its changes into monitor state
+// are not under one lock, so two concurrent batches that move the same
+// object can fold out of order, and that object's membership in a monitor
+// can stay stale until its next membership flip there.
 //
 // Alongside continuous range monitors it supports standing kNN monitors and
 // per-query subscriptions receiving incremental enter/leave deltas.
 type Stream struct {
-	sp   *indoor.Space
-	rc   *reach.Reach
-	pool exec.Pool
-	nsh  int
+	sp  *indoor.Space
+	rc  *reach.Reach
+	nsh int
 
 	// mu guards queries, partQ, and closed. ApplyBatch/Remove hold it for
 	// read (registration topology is frozen during a batch); Register,
@@ -72,8 +75,9 @@ type Stream struct {
 
 	shards []streamShard
 
-	// scratch holds *batchScratch values: ApplyBatch's working memory,
-	// reused across batches (see batchScratch).
+	// scratch holds *sitePair values, the two positions an update is
+	// evaluated at, reused across batches so their buffers are not
+	// reallocated.
 	scratch sync.Pool
 }
 
@@ -83,7 +87,7 @@ type Stream struct {
 // len(Partition(P).Enter), holds qs[j].doorDist at P's enter doors in
 // Enter order, so evaluating an object in P reads one short contiguous run
 // per monitor instead of n scattered loads from a field that spans every
-// door of the venue. ids[j] == qs[j].id lets shardApply merge two entries
+// door of the venue. ids[j] == qs[j].id lets an update merge two entries
 // without dereferencing a monitor.
 type partIndex struct {
 	qs  []*stQuery
@@ -108,8 +112,8 @@ type stQuery struct {
 	k     int                  // kindKNN only
 	parts []indoor.PartitionID // relevant partitions (for unregister)
 
-	// mu guards everything below. Batch folding locks at most one query at
-	// a time, so query locks never nest.
+	// mu guards everything below. Folding locks one query at a time, so
+	// query locks never nest.
 	mu     sync.Mutex
 	inside []int32           // kindRange: current result, ascending
 	dists  map[int32]float64 // kindKNN: finite distance per known object
@@ -118,77 +122,24 @@ type stQuery struct {
 	subs   []*Sub
 }
 
-// delta is one (query, update) evaluation produced by phase A of a batch
-// and folded into query state by phase B: the object's new distance, +Inf
-// when it left the monitor's partitions or the building. Phase A emits a
-// delta only when it can change the monitor's result (see changes).
-type delta struct {
-	q    *stQuery
-	qid  int32 // q.id, so grouping sorts without dereferencing q
-	obj  int32
-	idx  int32 // index in the batch: per-query fold order
-	dist float64
-	t    float64
-}
-
-// batchScratch is ApplyBatch's working memory, taken from the Stream's
-// pool for one batch and put back after it, so a steady stream of batches
-// allocates none of it. release clears every *stQuery it holds before the
-// Put, so a pooled scratch never keeps an unregistered monitor alive. The
-// []Event a batch returns is always freshly allocated.
-type batchScratch struct {
-	byShard     [][]int32      // per shard: batch indexes of its updates
-	active      []int          // shards with at least one update
-	shard       []shardScratch // per shard: phase A's buffers
-	all         []delta        // every delta, grouped by query
-	groups      [][]delta      // per touched query: its deltas in batch order
-	groupEvents [][]Event      // per group: the events its fold emitted
-	staged      []stagedEvent  // every event with its arrival position
-}
-
-// shardScratch is one shard's phase A working memory: the deltas it emits
-// and the two positions it evaluates each update at.
-type shardScratch struct {
-	deltas   []delta
+// sitePair is the pooled working memory of one update: its new and its
+// previous position.
+type sitePair struct {
 	now, was site
 }
 
-// stagedEvent is an event with its position in the query-grouped
-// concatenation of a batch's events, the tie-break of the final sort.
-type stagedEvent struct {
-	Event
-	pos int32
-}
-
-// getScratch returns a scratch sized for the stream's shard count.
-func (s *Stream) getScratch() *batchScratch {
-	if sc, ok := s.scratch.Get().(*batchScratch); ok {
+// getSites returns a pooled sitePair.
+func (s *Stream) getSites() *sitePair {
+	if sc, ok := s.scratch.Get().(*sitePair); ok {
 		return sc
 	}
-	return &batchScratch{
-		byShard: make([][]int32, s.nsh),
-		shard:   make([]shardScratch, s.nsh),
-	}
-}
-
-// release clears the monitor pointers a batch left in sc and puts sc back
-// in the pool.
-func (s *Stream) release(sc *batchScratch) {
-	for si := range sc.shard {
-		clear(sc.shard[si].deltas)
-	}
-	clear(sc.all)
-	clear(sc.groups)
-	for gi := range sc.groupEvents {
-		sc.groupEvents[gi] = sc.groupEvents[gi][:0]
-	}
-	s.scratch.Put(sc)
+	return new(sitePair)
 }
 
 // holds reports whether an object at distance d belongs in the monitor's
 // result: within the radius for a range monitor, reachable at all for a
-// kNN monitor (whose r is +Inf). initialEval, phase A and fold all decide
-// membership through it.
+// kNN monitor (whose r is +Inf). initialEval, the change test and fold all
+// decide membership through it.
 func (q *stQuery) holds(d float64) bool {
 	return !math.IsInf(d, 1) && d <= q.r
 }
@@ -215,7 +166,6 @@ func NewStream(sp *indoor.Space, opt StreamOptions) *Stream {
 	s := &Stream{
 		sp:      sp,
 		rc:      opt.Reach,
-		pool:    exec.Pool{Workers: opt.Workers},
 		nsh:     nsh,
 		queries: make(map[int32]*stQuery),
 		partQ:   make([]partIndex, len(sp.Partitions())),
@@ -549,21 +499,18 @@ func (s *Stream) Apply(u Update) ([]Event, error) {
 // ApplyBatch absorbs a batch of position updates and returns the emitted
 // membership events sorted by (T, query, object). The whole batch is
 // validated up front; an invalid update rejects the batch with no state
-// change. Updates fan out across the object shards through the exec.Pool
-// (phase A: per-shard position writes, and distance evaluations of every
-// touched query at the new and previous positions, keeping only those that
-// change a result), then fold into per-query result state in batch order
-// (phase B), so for update streams with strictly increasing timestamps the
-// emitted events are bit-identical to applying the same updates one at a
-// time on a single shard — for any shard count, worker count, or batch
-// partitioning. Each object's updates land on one shard, preserving their
-// relative order; each query folds its deltas by batch index; and the final
-// sort key (T, query, object) is total because one timestamp is one update,
-// and one update yields at most one event per (query, object) pair: a kNN
-// update can emit a leave and an enter on one query, but for different
-// objects. When timestamps tie, events equal on (T, query, object) keep
-// their monitor's fold order, which is batch order, for any shard or
-// worker count.
+// change. The batch is applied in one pass, in batch order, on the caller's
+// goroutine: each update swaps the object's position under its shard lock,
+// evaluates the monitors its old and new partitions touch (see move), and
+// folds each change into that monitor's result at once. So for update
+// streams with strictly increasing timestamps the events are bit-identical
+// to applying the same updates one at a time — for any shard count or batch
+// partitioning — and the sort key (T, query, object) is total, because one
+// timestamp is one update, and one update yields at most one event per
+// (query, object) pair: a kNN update can emit a leave and an enter on one
+// query, but for different objects. When timestamps tie, events equal on
+// (T, query, object) share a query, so the stable sort keeps them in that
+// monitor's fold order, which is batch order.
 func (s *Stream) ApplyBatch(us []Update) ([]Event, error) {
 	if len(us) == 0 {
 		return nil, nil
@@ -578,173 +525,111 @@ func (s *Stream) ApplyBatch(us []Update) ([]Event, error) {
 	if s.closed {
 		return nil, ErrStreamClosed
 	}
-
-	sc := s.getScratch()
-	defer s.release(sc)
-
-	// Fan update indices out by object shard.
-	for si := range sc.byShard {
-		sc.byShard[si] = sc.byShard[si][:0]
-	}
+	sc := s.getSites()
+	defer s.scratch.Put(sc)
+	// Sized for about two events per update, what ingest traffic emits, so
+	// a batch's events are usually one allocation.
+	events := make([]Event, 0, 2*len(us))
 	for i := range us {
-		si := s.shardOf(us[i].ID)
-		sc.byShard[si] = append(sc.byShard[si], int32(i))
+		u := &us[i]
+		// The shard lock covers the position swap only: evaluation and
+		// fold run unlocked, so concurrent batches of other objects hashed
+		// to this shard do not wait for them.
+		sh := &s.shards[s.shardOf(u.ID)]
+		sh.mu.Lock()
+		prev, known := sh.cur[u.ID]
+		sh.cur[u.ID] = *u
+		sh.mu.Unlock()
+		sc.now.reset(s.sp, u.Part, u.Loc)
+		var was *site
+		if known {
+			sc.was.reset(s.sp, prev.Part, prev.Loc)
+			was = &sc.was
+		}
+		var touched int64
+		events, touched = s.move(events, u.ID, u.T, was, &sc.now)
+		Metrics.Touched.Observe(touched)
 	}
-	sc.active = sc.active[:0]
-	for si := range sc.byShard {
-		if len(sc.byShard[si]) > 0 {
-			sc.active = append(sc.active, si)
-		}
+	// Events come out in batch order, which is already (T, query, object)
+	// order unless timestamps tie or fall along the batch, or a kNN swap
+	// enters a lower id than it drops.
+	if !slices.IsSortedFunc(events, compareEvents) {
+		slices.SortStableFunc(events, compareEvents)
 	}
-
-	// Phase A: per-shard position writes + distance evaluation of every
-	// touched query. Deltas carry the batch index so phase B can fold them
-	// in batch order; no query state is touched yet.
-	s.pool.Map(len(sc.active), func(ai int, _ *query.Stats) error {
-		Metrics.ShardInFlight.Add(1)
-		defer Metrics.ShardInFlight.Add(-1)
-		si := sc.active[ai]
-		s.shardApply(&s.shards[si], us, sc.byShard[si], &sc.shard[si])
-		return nil
-	})
-
-	// Group deltas by query. (qid, batch index) is unique per delta — the
-	// touched set is deduplicated per update — so this order is total.
-	sc.all = sc.all[:0]
-	for _, si := range sc.active {
-		sc.all = append(sc.all, sc.shard[si].deltas...)
+	if len(events) == 0 {
+		events = nil
 	}
-	slices.SortFunc(sc.all, func(a, b delta) int {
-		if c := cmp.Compare(a.qid, b.qid); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.idx, b.idx)
-	})
-	sc.groups = sc.groups[:0]
-	for lo := 0; lo < len(sc.all); {
-		hi := lo + 1
-		for hi < len(sc.all) && sc.all[hi].qid == sc.all[lo].qid {
-			hi++
-		}
-		sc.groups = append(sc.groups, sc.all[lo:hi])
-		lo = hi
-	}
-
-	// Phase B: fold each query's deltas in batch order. Queries are
-	// independent (each owns its result state behind its own mutex), so
-	// groups run concurrently, each appending to its own event buffer.
-	for len(sc.groupEvents) < len(sc.groups) {
-		sc.groupEvents = append(sc.groupEvents, nil)
-	}
-	s.pool.Map(len(sc.groups), func(gi int, _ *query.Stats) error {
-		g := sc.groups[gi]
-		sc.groupEvents[gi] = g[0].q.fold(sc.groupEvents[gi][:0], g)
-		return nil
-	})
-
-	// Order the events by (T, query, object). The concatenation of the
-	// groups is ascending by query, and each group's events are in fold
-	// order, so a stable sort by (T, query, object) equals an unstable
-	// sort that breaks the remaining ties by position in the
-	// concatenation.
-	sc.staged = sc.staged[:0]
-	for _, evs := range sc.groupEvents[:len(sc.groups)] {
-		for _, e := range evs {
-			sc.staged = append(sc.staged, stagedEvent{e, int32(len(sc.staged))})
-		}
-	}
-	slices.SortFunc(sc.staged, func(a, b stagedEvent) int {
-		if c := cmp.Compare(a.T, b.T); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.Query, b.Query); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.Object, b.Object); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.pos, b.pos)
-	})
-	var events []Event
-	if len(sc.staged) > 0 {
-		events = make([]Event, len(sc.staged))
-		for i := range sc.staged {
-			events[i] = sc.staged[i].Event
-		}
-	}
-
 	Metrics.Batches.Add(1)
 	Metrics.Updates.Add(int64(len(us)))
 	Metrics.Events.Add(int64(len(events)))
 	return events, nil
 }
 
-// shardApply runs phase A for one shard: write the shard's updates in batch
-// order and evaluate each against the monitors its old/new partitions
-// touch, at both the new and the previous position. Only evaluations that
-// change a monitor's result become deltas, appended to sc.deltas. The
-// previous position is the one every touched monitor last folded: a
-// monitor not indexed on a partition has +Inf distance there, so any
-// update that could flip its state touches it.
-func (s *Stream) shardApply(sh *streamShard, us []Update, idxs []int32, sc *shardScratch) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	out := sc.deltas[:0]
-	now, was := &sc.now, &sc.was
-	inf := math.Inf(1)
-	for _, i := range idxs {
-		u := us[i]
-		prev, known := sh.cur[u.ID]
-		sh.cur[u.ID] = u
-		now.reset(s.sp, u.Part, u.Loc)
-		if known {
-			was.reset(s.sp, prev.Part, prev.Loc)
-		}
-		newX, nNew := &s.partQ[u.Part], len(now.enter)
-		oldX, nOld := &partIndex{}, 0
-		moved := known && prev.Part != u.Part
-		if moved {
-			oldX, nOld = &s.partQ[prev.Part], len(was.enter)
-		} else if known {
-			oldX, nOld = newX, nNew
-		}
-		newIDs, oldIDs := newX.ids, oldX.ids
-		// Merge the two qid-sorted lists, deduplicating queries relevant to
-		// both partitions; each distance reads the row of the list the
-		// query came from. A query only on the new partition's list was not
-		// indexed where the object stood, so its previous distance is +Inf;
-		// one only on the old list is not indexed where the object stands,
-		// so its new distance is +Inf. An object that stayed in its
-		// partition merges the list with itself.
-		touched := int64(0)
-		a, b := 0, 0
-		for a < len(newIDs) || b < len(oldIDs) {
-			var q *stQuery
-			dist, old := inf, inf
-			switch {
-			case b < len(oldIDs) && (a >= len(newIDs) || oldIDs[b] < newIDs[a]):
-				q = oldX.qs[b]
-				old = q.objDistRow(s.sp, was, oldX.row(b, nOld))
-				b++
-			case b < len(oldIDs) && oldIDs[b] == newIDs[a]:
-				q = newX.qs[a]
-				dist = q.objDistRow(s.sp, now, newX.row(a, nNew))
-				old = q.objDistRow(s.sp, was, oldX.row(b, nOld))
-				a++
-				b++
-			default:
-				q = newX.qs[a]
-				dist = q.objDistRow(s.sp, now, newX.row(a, nNew))
-				a++
-			}
-			touched++
-			if q.changes(old, dist) {
-				out = append(out, delta{q: q, qid: q.id, obj: u.ID, idx: i, dist: dist, t: u.T})
-			}
-		}
-		Metrics.Touched.Observe(touched)
+// compareEvents orders events by (T, query, object).
+func compareEvents(a, b Event) int {
+	if c := cmp.Compare(a.T, b.T); c != 0 {
+		return c
 	}
-	sc.deltas = out
+	if c := cmp.Compare(a.Query, b.Query); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Object, b.Object)
+}
+
+// move evaluates object obj's step from was (nil: it was unknown) to now
+// (nil: it left the building) against every monitor its old or new
+// partition touches, folds each change into the monitor at once, and
+// appends the events in ascending monitor id. It returns the events and the
+// number of monitors evaluated. A monitor's state records the object's last
+// evaluated distance, which is its distance at was: a monitor not indexed
+// on a partition has +Inf distance there, so any step that could flip its
+// state touches it.
+func (s *Stream) move(evs []Event, obj int32, t float64, was, now *site) ([]Event, int64) {
+	var none partIndex
+	newX, oldX := &none, &none
+	nNew, nOld := 0, 0
+	if now != nil {
+		newX, nNew = &s.partQ[now.part], len(now.enter)
+	}
+	if was != nil {
+		oldX, nOld = &s.partQ[was.part], len(was.enter)
+	}
+	newIDs, oldIDs := newX.ids, oldX.ids
+	// Merge the two qid-sorted lists, deduplicating queries relevant to
+	// both partitions; each distance reads the row of the list the query
+	// came from. A query only on the new partition's list was not indexed
+	// where the object stood, so its previous distance is +Inf; one only on
+	// the old list is not indexed where the object stands, so its new
+	// distance is +Inf. An object that stayed in its partition merges the
+	// list with itself.
+	inf := math.Inf(1)
+	touched := int64(0)
+	a, b := 0, 0
+	for a < len(newIDs) || b < len(oldIDs) {
+		var q *stQuery
+		dist, old := inf, inf
+		switch {
+		case b < len(oldIDs) && (a >= len(newIDs) || oldIDs[b] < newIDs[a]):
+			q = oldX.qs[b]
+			old = q.objDistRow(s.sp, was, oldX.row(b, nOld))
+			b++
+		case b < len(oldIDs) && oldIDs[b] == newIDs[a]:
+			q = newX.qs[a]
+			dist = q.objDistRow(s.sp, now, newX.row(a, nNew))
+			old = q.objDistRow(s.sp, was, oldX.row(b, nOld))
+			a++
+			b++
+		default:
+			q = newX.qs[a]
+			dist = q.objDistRow(s.sp, now, newX.row(a, nNew))
+			a++
+		}
+		touched++
+		if q.changes(old, dist) {
+			evs = q.fold(evs, obj, dist, t)
+		}
+	}
+	return evs, touched
 }
 
 // Remove drops an object (it left the building), emitting leave events
@@ -765,42 +650,33 @@ func (s *Stream) Remove(objID int32, t float64) []Event {
 	if !known {
 		return nil
 	}
-	var was site
-	was.reset(s.sp, prev.Part, prev.Loc)
-	inf := math.Inf(1)
-	var events []Event
-	x, n := &s.partQ[prev.Part], len(was.enter)
-	for j, q := range x.qs { // ascending by qid
-		if q.changes(q.objDistRow(s.sp, &was, x.row(j, n)), inf) {
-			events = q.fold(events, []delta{{q: q, qid: q.id, obj: objID, dist: inf, t: t}})
-		}
-	}
+	sc := s.getSites()
+	defer s.scratch.Put(sc)
+	sc.was.reset(s.sp, prev.Part, prev.Loc)
+	events, _ := s.move(nil, objID, t, &sc.was, nil)
 	return events
 }
 
-// fold is phase B for one query: apply its deltas in batch order to the
-// result state, append the membership events to evs, and push them to
+// fold applies the object's new distance dist to the monitor's result
+// state, appends the membership events to evs, and pushes them to
 // subscribers.
-func (q *stQuery) fold(evs []Event, ds []delta) []Event {
+func (q *stQuery) fold(evs []Event, obj int32, dist, t float64) []Event {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	n0 := len(evs)
-	for i := range ds {
-		d := &ds[i]
-		if q.kind == kindRange {
-			now := q.holds(d.dist)
-			j, was := slices.BinarySearch(q.inside, d.obj)
-			switch {
-			case now && !was:
-				q.inside = slices.Insert(q.inside, j, d.obj)
-				evs = append(evs, Event{Query: q.id, Object: d.obj, Enter: true, T: d.t})
-			case !now && was:
-				q.inside = slices.Delete(q.inside, j, j+1)
-				evs = append(evs, Event{Query: q.id, Object: d.obj, Enter: false, T: d.t})
-			}
-			continue
+	if q.kind == kindRange {
+		now := q.holds(dist)
+		j, was := slices.BinarySearch(q.inside, obj)
+		switch {
+		case now && !was:
+			q.inside = slices.Insert(q.inside, j, obj)
+			evs = append(evs, Event{Query: q.id, Object: obj, Enter: true, T: t})
+		case !now && was:
+			q.inside = slices.Delete(q.inside, j, j+1)
+			evs = append(evs, Event{Query: q.id, Object: obj, Enter: false, T: t})
 		}
-		evs = q.foldKNN(evs, d)
+	} else {
+		evs = q.foldKNN(evs, obj, dist, t)
 	}
 	if len(evs) > n0 && len(q.subs) > 0 {
 		q.pushLocked(evs[n0:])
@@ -808,28 +684,28 @@ func (q *stQuery) fold(evs []Event, ds []delta) []Event {
 	return evs
 }
 
-// foldKNN applies one delta to a kNN monitor. The top-k is recomputed (an
-// offer-order-independent scan of the known finite distances) only when the
-// delta can actually change it: the object is currently in the top, the top
-// is underfull, or the new distance beats the current k-th bound under the
-// (distance, id) tie-break.
-func (q *stQuery) foldKNN(evs []Event, d *delta) []Event {
-	finite := !math.IsInf(d.dist, 1)
-	_, had := q.dists[d.obj]
+// foldKNN applies the object's new distance dist to a kNN monitor. The
+// top-k is recomputed (an offer-order-independent scan of the known finite
+// distances) only when the change can actually alter it: the object is
+// currently in the top, the top is underfull, or the new distance beats the
+// current k-th bound under the (distance, id) tie-break.
+func (q *stQuery) foldKNN(evs []Event, obj int32, dist, t float64) []Event {
+	finite := !math.IsInf(dist, 1)
+	_, had := q.dists[obj]
 	if finite {
-		q.dists[d.obj] = d.dist
+		q.dists[obj] = dist
 	} else if had {
-		delete(q.dists, d.obj)
+		delete(q.dists, obj)
 	} else {
 		return evs // unreachable object was already absent: nothing changes
 	}
-	if !q.inTop[d.obj] {
+	if !q.inTop[obj] {
 		if !finite {
 			return evs // a non-member got farther: the top is untouched
 		}
 		if len(q.top) >= q.k {
 			kth := q.top[len(q.top)-1]
-			if d.dist > kth.Dist || (d.dist == kth.Dist && d.obj > kth.ID) {
+			if dist > kth.Dist || (dist == kth.Dist && obj > kth.ID) {
 				return evs // cannot displace the k-th under the tie-break
 			}
 		}
@@ -857,10 +733,10 @@ func (q *stQuery) foldKNN(evs []Event, d *delta) []Event {
 	slices.Sort(leaves)
 	slices.Sort(enters)
 	for _, id := range leaves {
-		evs = append(evs, Event{Query: q.id, Object: id, Enter: false, T: d.t})
+		evs = append(evs, Event{Query: q.id, Object: id, Enter: false, T: t})
 	}
 	for _, id := range enters {
-		evs = append(evs, Event{Query: q.id, Object: id, Enter: true, T: d.t})
+		evs = append(evs, Event{Query: q.id, Object: id, Enter: true, T: t})
 	}
 	q.top = newTop
 	q.inTop = newSet

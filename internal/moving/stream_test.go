@@ -56,7 +56,7 @@ func toUpdates(ms []spacegen.Motion) []moving.Update {
 
 // TestStreamMatchesMonitor is the core equivalence gate of the sharded
 // path: the same motion stream applied to the scan-all Monitor one update
-// at a time and to a multi-shard multi-worker Stream in batches must yield
+// at a time and to a multi-shard Stream in batches must yield
 // bit-identical event streams and result sets — registrations, moves,
 // partition crossings, and removals included.
 func TestStreamMatchesMonitor(t *testing.T) {
@@ -68,7 +68,7 @@ func TestStreamMatchesMonitor(t *testing.T) {
 		t.Fatal(err)
 	}
 	mon := moving.NewMonitor(sp)
-	st := moving.NewStream(sp, moving.StreamOptions{Shards: 4, Workers: 4})
+	st := moving.NewStream(sp, moving.StreamOptions{Shards: 4})
 	gen := workload.New(sp, 77)
 
 	var monEvents, stEvents []moving.Event
@@ -147,7 +147,7 @@ func TestStreamKNNVsOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := moving.NewStream(sp, moving.StreamOptions{Shards: 4, Workers: 2})
+	st := moving.NewStream(sp, moving.StreamOptions{Shards: 4})
 	ora := oracle.New(sp)
 	gen := workload.New(sp, 5)
 

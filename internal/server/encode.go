@@ -77,9 +77,12 @@ func appendNeighbors(b []byte, nn []query.Neighbor) ([]byte, bool) {
 }
 
 // appendEvents appends [{"query":..,"object":..,"enter":..,"t":..},...],
-// reporting false when a timestamp is not finite.
+// reporting false when a timestamp is not finite. Events come sorted by
+// time, a few per timestamp, so a timestamp bit-equal to the previous
+// event's copies that event's bytes instead of formatting the float again.
 func appendEvents(b []byte, evs []moving.Event) ([]byte, bool) {
 	b = append(b, '[')
+	var tLo, tHi int // b[tLo:tHi] is the previous event's timestamp
 	for i, e := range evs {
 		if i > 0 {
 			b = append(b, ',')
@@ -91,9 +94,15 @@ func appendEvents(b []byte, evs []moving.Event) ([]byte, bool) {
 		b = append(b, `,"enter":`...)
 		b = strconv.AppendBool(b, e.Enter)
 		b = append(b, `,"t":`...)
-		var ok bool
-		if b, ok = appendFloat(b, e.T); !ok {
-			return b, false
+		if i > 0 && math.Float64bits(e.T) == math.Float64bits(evs[i-1].T) {
+			b = append(b, b[tLo:tHi]...)
+		} else {
+			tLo = len(b)
+			var ok bool
+			if b, ok = appendFloat(b, e.T); !ok {
+				return b, false
+			}
+			tHi = len(b)
 		}
 		b = append(b, '}')
 	}

@@ -265,14 +265,13 @@ func (t *Tier) registerGauges(id string, reg *obs.Registry) {
 		"isq_reach_prune_skips":       i64(rm.PruneSkips.Load),
 		// The touched quantiles summarize the inverted index's selectivity:
 		// how many monitors each update actually reached.
-		"isq_moving_updates_total":  i64(mm.Updates.Load),
-		"isq_moving_batches_total":  i64(mm.Batches.Load),
-		"isq_moving_events_total":   i64(mm.Events.Load),
-		"isq_moving_shard_inflight": i64(mm.ShardInFlight.Load),
-		"isq_moving_touched_p50":    func() float64 { return float64(mm.Touched.Quantile(0.50)) },
-		"isq_moving_touched_p95":    func() float64 { return float64(mm.Touched.Quantile(0.95)) },
-		"isq_moving_monitors":       cur(func(v *Venue) float64 { return float64(v.stream.NumQueries()) }),
-		"isq_moving_objects":        cur(func(v *Venue) float64 { return float64(v.stream.NumObjects()) }),
+		"isq_moving_updates_total": i64(mm.Updates.Load),
+		"isq_moving_batches_total": i64(mm.Batches.Load),
+		"isq_moving_events_total":  i64(mm.Events.Load),
+		"isq_moving_touched_p50":   func() float64 { return float64(mm.Touched.Quantile(0.50)) },
+		"isq_moving_touched_p95":   func() float64 { return float64(mm.Touched.Quantile(0.95)) },
+		"isq_moving_monitors":      cur(func(v *Venue) float64 { return float64(v.stream.NumQueries()) }),
+		"isq_moving_objects":       cur(func(v *Venue) float64 { return float64(v.stream.NumObjects()) }),
 	} {
 		reg.RegisterGauge(name, fn)
 	}
