@@ -1,7 +1,8 @@
 # Development workflow. `make verify` is the tier-1 gate: build, vet,
 # formatting, the full test suite, the race subset that hammers the
-# engines and the batch executor concurrently, and the nested perfbench
-# module (which the root ./... patterns do not reach). `make verify-full` adds
+# engines and the batch executor concurrently, the nested perfbench
+# module (which the root ./... patterns do not reach) and a run of every
+# example program. `make verify-full` adds
 # the per-package coverage report and a fuzz smoke pass over every
 # native fuzz target.
 
@@ -21,9 +22,9 @@ FUZZ_TARGETS = \
 	./internal/server:FuzzUpdatesBody \
 	./internal/tenant:FuzzRouter
 
-.PHONY: verify verify-full build vet fmt-check test race perfbench-check cover fuzz-smoke bench-smoke perf bench-compare
+.PHONY: verify verify-full build vet fmt-check test race perfbench-check examples cover fuzz-smoke bench-smoke perf bench-compare
 
-verify: build vet fmt-check test race perfbench-check
+verify: build vet fmt-check test race perfbench-check examples
 
 verify-full: verify cover fuzz-smoke bench-smoke
 
@@ -49,6 +50,14 @@ race:
 # never compile it; it imports internal/query, the oracle and the server.
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test -count=1 ./...
+
+# Runs every program under examples/ and fails on the first non-zero exit.
+# Only the exit status is checked: model-compare and poisearch print timings.
+examples:
+	@set -e; for dir in examples/*/; do \
+		echo "example $${dir%/}"; \
+		$(GO) run ./$${dir%/} > /dev/null; \
+	done
 
 # Per-package coverage, teed to COVER_REPORT.txt for review. The moving
 # package (the continuous-query engine) carries a hard floor: its harness

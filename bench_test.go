@@ -7,6 +7,7 @@
 package indoorsq_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -32,8 +33,12 @@ func benchPoints(info *dataset.Info, n int) []indoor.Point {
 	return workload.New(info.Space, 2).Points(n)
 }
 
-func benchPairs(info *dataset.Info, s2t float64, n int) []workload.Pair {
-	return workload.New(info.Space, 3).SPDPairs(s2t, n)
+func benchPairs(b *testing.B, info *dataset.Info, s2t float64, n int) []workload.Pair {
+	pairs, err := workload.New(info.Space, 3).SPDPairs(context.Background(), s2t, n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return pairs
 }
 
 // --- Ablation benchmarks for the design choices called out in DESIGN.md ---
@@ -43,7 +48,7 @@ func benchPairs(info *dataset.Info, s2t float64, n int) []workload.Pair {
 // Dijkstra.
 func BenchmarkAblationLeafSize(b *testing.B) {
 	info := dataset.Get("SYN5")
-	pairs := benchPairs(info, info.DefaultS2T, 10)
+	pairs := benchPairs(b, info, info.DefaultS2T, 10)
 	for _, leaf := range []int{2, 4, 8, 16} {
 		tr := iptree.New(info.Space, iptree.Options{Gamma: info.Gamma, LeafSize: leaf, VIP: true})
 		tr.SetObjects(nil)
@@ -63,7 +68,7 @@ func BenchmarkAblationLeafSize(b *testing.B) {
 // whose >50-door corridor is exactly what γ exists for (Sec. 5.3).
 func BenchmarkAblationGamma(b *testing.B) {
 	info := dataset.Get("MZB")
-	pairs := benchPairs(info, info.DefaultS2T, 10)
+	pairs := benchPairs(b, info, info.DefaultS2T, 10)
 	for _, gamma := range []int{2, 4, 16, 1 << 20} {
 		tr := iptree.New(info.Space, iptree.Options{Gamma: gamma, VIP: true})
 		tr.SetObjects(nil)
@@ -107,7 +112,7 @@ func BenchmarkAblationEuclidPrune(b *testing.B) {
 // against the plain IP-tree on the routing workload it exists for.
 func BenchmarkAblationVIPMaterialization(b *testing.B) {
 	info := dataset.Get("HSM")
-	pairs := benchPairs(info, info.DefaultS2T, 10)
+	pairs := benchPairs(b, info, info.DefaultS2T, 10)
 	for _, vip := range []bool{false, true} {
 		tr := iptree.New(info.Space, iptree.Options{Gamma: info.Gamma, VIP: vip})
 		tr.SetObjects(nil)
@@ -139,18 +144,18 @@ func BenchmarkExtKeyword(b *testing.B) {
 	pts := benchPoints(info, 10)
 	b.Run("BooleanKNN", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := kw.BooleanKNN(pts[i%len(pts)], 5, nil, "cafe", "wifi"); err != nil {
+			if _, err := kw.BooleanKNN(context.Background(), pts[i%len(pts)], 5, nil, "cafe", "wifi"); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	pairs := benchPairs(info, info.DefaultS2T, 10)
+	pairs := benchPairs(b, info, info.DefaultS2T, 10)
 	required := []string{"atm", "cafe", "shop"}
 	for n := 0; n <= len(required); n++ {
 		b.Run(fmt.Sprintf("Route/words=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				pr := pairs[i%len(pairs)]
-				if _, err := kw.Route(pr.P, pr.Q, nil, required[:n]...); err != nil {
+				if _, err := kw.Route(context.Background(), pr.P, pr.Q, nil, required[:n]...); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -173,7 +178,7 @@ func BenchmarkExtUncertain(b *testing.B) {
 		ux := uncertain.New(cx, info.Space, uobjs, samples)
 		b.Run(fmt.Sprintf("ProbRange/samples=%d", samples), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := ux.ProbRange(pts[i%len(pts)], info.DefaultR, 0.5); err != nil {
+				if _, err := ux.ProbRange(context.Background(), pts[i%len(pts)], info.DefaultR, 0.5); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -234,7 +239,7 @@ func BenchmarkExtMultiStop(b *testing.B) {
 	for _, n := range []int{2, 4, 6, 8} {
 		b.Run(fmt.Sprintf("stops=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := pl.Optimized(pts[0], pts[1:1+n], pts[9], nil); err != nil {
+				if _, _, err := pl.Optimized(context.Background(), pts[0], pts[1:1+n], pts[9], nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -246,7 +251,7 @@ func BenchmarkExtMultiStop(b *testing.B) {
 // variants on SPDQ.
 func BenchmarkAblationCompactIDIndex(b *testing.B) {
 	info := dataset.Get("CPH")
-	pairs := benchPairs(info, info.DefaultS2T, 10)
+	pairs := benchPairs(b, info, info.DefaultS2T, 10)
 	for _, compact := range []bool{false, true} {
 		var eng query.Engine
 		if compact {

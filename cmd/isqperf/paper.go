@@ -76,13 +76,16 @@ func at(pts []indoor.Point, op exec.Op) []exec.Op {
 	return ops
 }
 
-func spdOps(info *dataset.Info, s2t float64) []exec.Op {
-	prs := workload.New(info.Space, paperSeed+int64(s2t*17)).SPDPairs(s2t, paperQueries)
+func spdOps(info *dataset.Info, s2t float64) ([]exec.Op, error) {
+	prs, err := workload.New(info.Space, paperSeed+int64(s2t*17)).SPDPairs(context.Background(), s2t, paperQueries)
+	if err != nil {
+		return nil, fmt.Errorf("%s s2t=%g pairs: %w", info.Name, s2t, err)
+	}
 	ops := make([]exec.Op, len(prs))
 	for i, pr := range prs {
 		ops[i] = exec.Op{Kind: exec.SPDQ, P: pr.P, Q: pr.Q}
 	}
-	return ops
+	return ops, nil
 }
 
 // defaults is one range and one kNN instance per query point at the
@@ -92,14 +95,15 @@ func defaults(info *dataset.Info) []exec.Op {
 	return append(at(pts, exec.Op{Kind: exec.RangeQ, R: info.DefaultR}), at(pts, exec.Op{Kind: exec.KNNQ, K: paperK})...)
 }
 
-func triple(task, ds, x string) paperSetting {
+func triple(task, ds, x string) (paperSetting, error) {
 	info := dataset.Get(ds)
-	return paperSetting{task, ds, x, paperObjects, append(defaults(info), spdOps(info, info.DefaultS2T)...)}
+	spd, err := spdOps(info, info.DefaultS2T)
+	return paperSetting{task, ds, x, paperObjects, append(defaults(info), spd...)}, err
 }
 
 // paperPlan lists every setting of tasks A and B1–B7 in the paper's task
 // order. smoke keeps only the CPH settings.
-func paperPlan(smoke bool) []paperSetting {
+func paperPlan(smoke bool) ([]paperSetting, error) {
 	keep := func(dss ...string) []string {
 		if !smoke {
 			return dss
@@ -115,7 +119,11 @@ func paperPlan(smoke bool) []paperSetting {
 	}
 	for _, n := range floorCounts {
 		for _, ds := range keep(fmt.Sprintf("SYN%d", n)) {
-			plan = append(plan, triple("B1", ds, fmt.Sprintf("n=%d", n)))
+			s, err := triple("B1", ds, fmt.Sprintf("n=%d", n))
+			if err != nil {
+				return nil, err
+			}
+			plan = append(plan, s)
 		}
 	}
 	for _, ds := range keep(queryDatasets...) {
@@ -137,16 +145,26 @@ func paperPlan(smoke bool) []paperSetting {
 	for _, ds := range keep(queryDatasets...) {
 		info := dataset.Get(ds)
 		for _, v := range info.S2TValues {
-			plan = append(plan, paperSetting{"B5", ds, fmt.Sprintf("s2t=%g", v), paperObjects, spdOps(info, v)})
+			ops, err := spdOps(info, v)
+			if err != nil {
+				return nil, err
+			}
+			plan = append(plan, paperSetting{"B5", ds, fmt.Sprintf("s2t=%g", v), paperObjects, ops})
 		}
 	}
-	for _, ds := range keep(topologyDatasets...) {
-		plan = append(plan, triple("B6", ds, ""))
+	for _, task := range []struct {
+		name string
+		dss  []string
+	}{{"B6", topologyDatasets}, {"B7", decompositionDatasets}} {
+		for _, ds := range keep(task.dss...) {
+			s, err := triple(task.name, ds, "")
+			if err != nil {
+				return nil, err
+			}
+			plan = append(plan, s)
+		}
 	}
-	for _, ds := range keep(decompositionDatasets...) {
-		plan = append(plan, triple("B7", ds, ""))
-	}
-	return plan
+	return plan, nil
 }
 
 // runPaper is the paper's evaluation (Sec. 5.4, Figs. 8–41): task A builds
@@ -184,7 +202,11 @@ func runPaper(sc *scenario, smoke bool) error {
 		return es, took, nil
 	}
 
-	tab := paperTab{plan: paperPlan(smoke), rows: map[string]map[string]float64{}}
+	plan, err := paperPlan(smoke)
+	if err != nil {
+		return err
+	}
+	tab := paperTab{plan: plan, rows: map[string]map[string]float64{}}
 	engines := map[string][]query.Engine{}
 	for _, s := range tab.plan {
 		info := dataset.Get(s.ds)

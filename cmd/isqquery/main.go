@@ -123,8 +123,11 @@ func main() {
 			case "knn":
 				ops = append(ops, exec.Op{Kind: exec.KNNQ, P: gen.Point(), K: 5})
 			case "spd":
-				pr := gen.SPDPairs(info.DefaultS2T, 1)[0]
-				ops = append(ops, exec.Op{Kind: exec.SPDQ, P: pr.P, Q: pr.Q})
+				prs, err := gen.SPDPairs(context.Background(), info.DefaultS2T, 1)
+				if err != nil {
+					log.Fatal(err)
+				}
+				ops = append(ops, exec.Op{Kind: exec.SPDQ, P: prs[0].P, Q: prs[0].Q})
 			default:
 				log.Fatalf("unknown random query type %q", *typ)
 			}

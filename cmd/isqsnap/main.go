@@ -19,6 +19,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -184,7 +185,10 @@ func cmdVerify(args []string) {
 	gen := workload.New(loaded.Space, *seed)
 	objs := gen.Objects(256)
 	pts := gen.Points(*queries)
-	pairs := gen.SPDPairs(0.5, *queries/2)
+	pairs, err := gen.SPDPairs(context.Background(), 0.5, *queries/2)
+	if err != nil {
+		log.Fatalf("FAIL workload: %v", err)
+	}
 	mismatches := 0
 	for _, name := range loaded.EngineList() {
 		le, re := loaded.Engines[name], rebuilt.Engines[name]

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -81,10 +82,13 @@ func main() {
 		log.Fatal(err)
 	}
 	w := indoorsq.NewWorkload(info.Space, 1)
-	pair := w.SPDPairs(1500, 1)[0]
+	pairs, err := w.SPDPairs(context.Background(), 1500, 1)
+	if err != nil {
+		log.Fatal(err)
+	}
 	cph := indoorsq.NewVIPTree(info.Space, info.Gamma)
 	cph.SetObjects(nil)
-	path, err := cph.SPD(pair.P, pair.Q, &st)
+	path, err := cph.SPD(pairs[0].P, pairs[0].Q, &st)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -18,6 +19,7 @@ func main() {
 		log.Fatal(err)
 	}
 	sp := info.Space
+	ctx := context.Background()
 
 	// Tag a reproducible object workload with service keywords.
 	w := indoorsq.NewWorkload(sp, 99)
@@ -37,7 +39,7 @@ func main() {
 	fmt.Printf("standing at (%.0f, %.0f)\n", me.X, me.Y)
 
 	// Nearest café with wifi.
-	nn, err := kw.BooleanKNN(me, 1, nil, "cafe", "wifi")
+	nn, err := kw.BooleanKNN(ctx, me, 1, nil, "cafe", "wifi")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -47,11 +49,14 @@ func main() {
 
 	// Route to a far point passing an ATM and a pharmacy.
 	target := w.Points(2)[1]
-	route, err := kw.Route(me, target, nil, "atm", "pharmacy")
+	route, err := kw.Route(ctx, me, target, nil, "atm", "pharmacy")
 	if err != nil {
 		log.Fatal(err)
 	}
-	plainRoute, _ := kw.Route(me, target, nil)
+	plainRoute, err := kw.Route(ctx, me, target, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("errand route: %.0fm visiting objects %v (plain route %.0fm)\n",
 		route.Path.Dist, route.Visits, plainRoute.Path.Dist)
 
@@ -71,7 +76,7 @@ func main() {
 	ux := indoorsq.NewUncertainIndex(indoorsq.NewCIndex(sp), sp, []indoorsq.UncertainObject{
 		{ID: 42, Center: plain[0].Loc, Radius: 5, Part: host},
 	}, 0)
-	res, err := ux.ProbRange(me, info.DefaultR, 0.2)
+	res, err := ux.ProbRange(ctx, me, info.DefaultR, 0.2)
 	if err != nil {
 		log.Fatal(err)
 	}

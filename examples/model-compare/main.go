@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -28,7 +29,10 @@ func main() {
 
 	objs := indoorsq.NewWorkload(sp, 11).Objects(1000)
 	pts := indoorsq.NewWorkload(sp, 12).Points(10)
-	pairs := indoorsq.NewWorkload(sp, 13).SPDPairs(info.DefaultS2T, 10)
+	pairs, err := indoorsq.NewWorkload(sp, 13).SPDPairs(context.Background(), info.DefaultS2T, 10)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	builders := []struct {
 		name  string

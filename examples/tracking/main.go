@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,11 +17,12 @@ func main() {
 		log.Fatal(err)
 	}
 	sp := info.Space
+	ctx := context.Background()
 
 	// A geofence: alert whenever a visitor comes within 150m (indoor
 	// walking distance) of the security desk.
 	desk := indoorsq.NewWorkload(sp, 5).Points(1)[0]
-	mon := indoorsq.NewMovingMonitor(sp)
+	mon := indoorsq.NewMovingStream(sp, indoorsq.MovingStreamOptions{})
 	if _, err := mon.Register(1, desk, 150, 0); err != nil {
 		log.Fatal(err)
 	}
@@ -36,7 +38,7 @@ func main() {
 	var stays []indoorsq.PositionUpdate
 	enters, leaves := 0, 0
 	for t := 1; t <= 300; t++ {
-		samples, err := sim.Step(1)
+		samples, err := sim.Step(ctx, 1)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -69,6 +71,10 @@ func main() {
 		fmt.Printf("v%d(%d visits) ", v.Part, v.Visits)
 	}
 	fmt.Println()
-	fmt.Printf("co-located visitor pairs: %d\n", len(logData.Join(0, 100)))
+	pairs, err := logData.Join(ctx, 0, 100)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("co-located visitor pairs: %d\n", len(pairs))
 	fmt.Printf("crowded partitions (>=2 simultaneous): %d\n", len(logData.Dense(0, 100, 2)))
 }

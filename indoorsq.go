@@ -269,8 +269,6 @@ func NewUncertainIndex(cx *CIndex, sp *Space, objs []UncertainObject, samples in
 // Moving-objects extension (Sec. 7 / conclusion): position-update streams
 // with continuous range monitoring, plus symbolic trajectory analytics.
 type (
-	// MovingMonitor evaluates continuous range queries over moving objects.
-	MovingMonitor = moving.Monitor
 	// MovingUpdate is one position report.
 	MovingUpdate = moving.Update
 	// MovingEvent is a membership change of a continuous query.
@@ -293,9 +291,6 @@ type (
 	// PositionUpdate is one symbolic position report.
 	PositionUpdate = trajectory.PositionUpdate
 )
-
-// NewMovingMonitor returns an empty continuous-query monitor over a space.
-func NewMovingMonitor(sp *Space) *MovingMonitor { return moving.NewMonitor(sp) }
 
 // NewMovingStream returns an empty sharded continuous-query stream over a
 // space. The zero options pick the default shard count.

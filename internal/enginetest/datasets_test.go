@@ -1,6 +1,7 @@
 package enginetest
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -38,7 +39,10 @@ func TestCrossEngineOnBenchmarkVenues(t *testing.T) {
 			}
 			rng := rand.New(rand.NewSource(99))
 			pts := gen.Points(8)
-			pairs := gen.SPDPairs(info.DefaultS2T, 4)
+			pairs, err := gen.SPDPairs(context.Background(), info.DefaultS2T, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
 			ref := engines[0]
 			var st query.Stats
 			for _, p := range pts {

@@ -169,8 +169,8 @@ func (p *Pool) Run(ctx context.Context, eng query.Engine, ops []Op) ([]Result, B
 	}
 	results := make([]Result, len(ops))
 	start := time.Now()
-	merged, _ := p.MapCtx(ctx, len(ops), func(opCtx context.Context, i int, st *query.Stats) error {
-		results[i] = Do(opCtx, eng, ops[i])
+	merged, _ := p.Map(len(ops), func(i int, st *query.Stats) error {
+		results[i] = Do(ctx, eng, ops[i])
 		st.Add(results[i].Stats)
 		return nil // per-op errors live in the Result, not the batch
 	})
@@ -257,16 +257,4 @@ func (p *Pool) Map(n int, fn func(i int, st *query.Stats) error) (query.Stats, e
 		return st, nil
 	}
 	return st, first.err
-}
-
-// MapCtx is Map with a context threaded to every invocation. It does not
-// skip items itself: once ctx is cancelled each remaining fn call is
-// expected to notice (query.Range/KNN/SPD fail immediately on a
-// cancelled context), which keeps Map's contract — every index runs, the
-// lowest-index error wins — while the batch drains in microseconds.
-func (p *Pool) MapCtx(ctx context.Context, n int, fn func(ctx context.Context, i int, st *query.Stats) error) (query.Stats, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return p.Map(n, func(i int, st *query.Stats) error { return fn(ctx, i, st) })
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"sync/atomic"
 	"testing"
 
 	"indoorsq/internal/exec"
@@ -86,27 +85,5 @@ func TestRunCtxBudget(t *testing.T) {
 	}
 	if batch.Cancelled != exhausted {
 		t.Fatalf("batch.Cancelled = %d, want %d", batch.Cancelled, exhausted)
-	}
-}
-
-// TestMapCtxThreadsContext asserts MapCtx hands every invocation the batch
-// context while preserving Map's run-everything contract.
-func TestMapCtxThreadsContext(t *testing.T) {
-	type key struct{}
-	ctx := context.WithValue(context.Background(), key{}, 42)
-	p := exec.Pool{Workers: 3}
-	var ran atomic.Int32
-	_, err := p.MapCtx(ctx, 10, func(got context.Context, i int, st *query.Stats) error {
-		if got.Value(key{}) != 42 {
-			t.Errorf("item %d: context not threaded", i)
-		}
-		ran.Add(1)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ran.Load(); got != 10 {
-		t.Fatalf("ran %d of 10 items", got)
 	}
 }

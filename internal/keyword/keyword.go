@@ -139,39 +139,14 @@ func (x *Index) wordIDs(words []string) ([]int32, bool) {
 	return out, true
 }
 
-// BooleanKNNCtx is BooleanKNN bounded by ctx and any query.Budget it
-// carries: the underlying filtered expansion aborts as soon as the context
-// is done or the budget exhausts.
-func (x *Index) BooleanKNNCtx(ctx context.Context, p indoor.Point, k int, st *query.Stats, words ...string) ([]query.Neighbor, error) {
+// BooleanKNN returns the k nearest objects containing all query words,
+// bounded by ctx and any query.Budget it carries: the filtered expansion
+// aborts as soon as the context is done or the budget exhausts.
+func (x *Index) BooleanKNN(ctx context.Context, p indoor.Point, k int, st *query.Stats, words ...string) ([]query.Neighbor, error) {
 	st = query.Track(ctx, st)
 	if err := st.Interrupted(); err != nil {
 		return nil, err
 	}
-	return x.BooleanKNN(p, k, st, words...)
-}
-
-// BooleanRangeCtx is BooleanRange bounded by ctx and any query.Budget it
-// carries.
-func (x *Index) BooleanRangeCtx(ctx context.Context, p indoor.Point, r float64, st *query.Stats, words ...string) ([]int32, error) {
-	st = query.Track(ctx, st)
-	if err := st.Interrupted(); err != nil {
-		return nil, err
-	}
-	return x.BooleanRange(p, r, st, words...)
-}
-
-// RouteCtx is Route bounded by ctx and any query.Budget it carries: the
-// (door, covered-keyword-set) Dijkstra aborts between state expansions.
-func (x *Index) RouteCtx(ctx context.Context, p, q indoor.Point, st *query.Stats, words ...string) (RouteResult, error) {
-	st = query.Track(ctx, st)
-	if err := st.Interrupted(); err != nil {
-		return RouteResult{}, err
-	}
-	return x.Route(p, q, st, words...)
-}
-
-// BooleanKNN returns the k nearest objects containing all query words.
-func (x *Index) BooleanKNN(p indoor.Point, k int, st *query.Stats, words ...string) ([]query.Neighbor, error) {
 	want, ok := x.wordIDs(words)
 	if !ok {
 		return nil, nil
@@ -180,8 +155,13 @@ func (x *Index) BooleanKNN(p indoor.Point, k int, st *query.Stats, words ...stri
 }
 
 // BooleanRange returns the objects within indoor distance r of p containing
-// all query words, in ascending id order.
-func (x *Index) BooleanRange(p indoor.Point, r float64, st *query.Stats, words ...string) ([]int32, error) {
+// all query words, in ascending id order, bounded by ctx and any
+// query.Budget it carries.
+func (x *Index) BooleanRange(ctx context.Context, p indoor.Point, r float64, st *query.Stats, words ...string) ([]int32, error) {
+	st = query.Track(ctx, st)
+	if err := st.Interrupted(); err != nil {
+		return nil, err
+	}
 	want, ok := x.wordIDs(words)
 	if !ok {
 		return nil, nil
@@ -223,8 +203,14 @@ type routeHop struct {
 // Route returns the shortest walk from p to q that visits, for each query
 // word, at least one object carrying it. It errors when more than
 // MaxRouteWords distinct words are given, and returns ErrUnreachable when
-// no such walk exists (missing keywords included).
-func (x *Index) Route(p, q indoor.Point, st *query.Stats, words ...string) (RouteResult, error) {
+// no such walk exists (missing keywords included). It is bounded by ctx and
+// any query.Budget it carries: the (door, covered-keyword-set) Dijkstra
+// aborts between state expansions.
+func (x *Index) Route(ctx context.Context, p, q indoor.Point, st *query.Stats, words ...string) (RouteResult, error) {
+	st = query.Track(ctx, st)
+	if err := st.Interrupted(); err != nil {
+		return RouteResult{}, err
+	}
 	want, known := x.wordIDs(words)
 	if len(want) > MaxRouteWords {
 		return RouteResult{}, fmt.Errorf("keyword: route supports at most %d words, got %d", MaxRouteWords, len(want))

@@ -16,13 +16,13 @@ func TestKeywordCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	if _, err := x.BooleanKNNCtx(ctx, p, 2, nil, "coffee"); !errors.Is(err, context.Canceled) {
-		t.Fatalf("BooleanKNNCtx(cancelled) = %v, want Canceled", err)
+	if _, err := x.BooleanKNN(ctx, p, 2, nil, "coffee"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("BooleanKNN(cancelled) = %v, want Canceled", err)
 	}
-	if _, err := x.BooleanRangeCtx(ctx, p, 12, nil, "coffee"); !errors.Is(err, context.Canceled) {
-		t.Fatalf("BooleanRangeCtx(cancelled) = %v, want Canceled", err)
+	if _, err := x.BooleanRange(ctx, p, 12, nil, "coffee"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("BooleanRange(cancelled) = %v, want Canceled", err)
 	}
-	if _, err := x.RouteCtx(ctx, p, p, nil, "atm"); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RouteCtx(cancelled) = %v, want Canceled", err)
+	if _, err := x.Route(ctx, p, p, nil, "atm"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Route(cancelled) = %v, want Canceled", err)
 	}
 }

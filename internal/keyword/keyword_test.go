@@ -1,6 +1,7 @@
 package keyword_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -52,12 +53,12 @@ func TestBooleanKNN(t *testing.T) {
 	var st query.Stats
 
 	// Nearest coffee: o1.
-	nn, err := x.BooleanKNN(p, 1, &st, "coffee")
+	nn, err := x.BooleanKNN(context.Background(), p, 1, &st, "coffee")
 	if err != nil || len(nn) != 1 || nn[0].ID != 1 {
 		t.Fatalf("BooleanKNN coffee = %v, %v", nn, err)
 	}
 	// Nearest coffee AND wifi: o2, although o1 is nearer.
-	nn, err = x.BooleanKNN(p, 1, &st, "coffee", "wifi")
+	nn, err = x.BooleanKNN(context.Background(), p, 1, &st, "coffee", "wifi")
 	if err != nil || len(nn) != 1 || nn[0].ID != 2 {
 		t.Fatalf("BooleanKNN coffee+wifi = %v, %v", nn, err)
 	}
@@ -65,12 +66,12 @@ func TestBooleanKNN(t *testing.T) {
 		t.Fatalf("dist = %g, want 10", nn[0].Dist)
 	}
 	// Unknown word: no results.
-	nn, err = x.BooleanKNN(p, 3, &st, "sushi")
+	nn, err = x.BooleanKNN(context.Background(), p, 3, &st, "sushi")
 	if err != nil || len(nn) != 0 {
 		t.Fatalf("BooleanKNN unknown = %v, %v", nn, err)
 	}
 	// No words: plain kNN.
-	nn, err = x.BooleanKNN(p, 2, &st)
+	nn, err = x.BooleanKNN(context.Background(), p, 2, &st)
 	if err != nil || len(nn) != 2 || nn[0].ID != 1 || nn[1].ID != 3 {
 		t.Fatalf("BooleanKNN no-words = %v, %v", nn, err)
 	}
@@ -80,14 +81,14 @@ func TestBooleanRange(t *testing.T) {
 	f := testspaces.NewStrip()
 	x := newIndex(f)
 	var st query.Stats
-	ids, err := x.BooleanRange(p, 12, &st, "coffee")
+	ids, err := x.BooleanRange(context.Background(), p, 12, &st, "coffee")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ids) != 2 || ids[0] != 1 || ids[1] != 2 {
 		t.Fatalf("BooleanRange coffee = %v", ids)
 	}
-	ids, err = x.BooleanRange(p, 5, &st, "coffee", "wifi")
+	ids, err = x.BooleanRange(context.Background(), p, 5, &st, "coffee", "wifi")
 	if err != nil || len(ids) != 0 {
 		t.Fatalf("BooleanRange tight = %v, %v", ids, err)
 	}
@@ -99,7 +100,7 @@ func TestRoutePlain(t *testing.T) {
 	x := newIndex(f)
 	var st query.Stats
 	q := indoor.At(7.5, 9, 0) // in R2
-	res, err := x.Route(p, q, &st)
+	res, err := x.Route(context.Background(), p, q, &st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestRouteWithDetour(t *testing.T) {
 	// the optimal walk leaves R5, detours to o3, then crosses to D4 and R4.
 	pStart := indoor.At(2.5, 2, 0) // R5
 	qEnd := indoor.At(17.5, 9, 0)  // R4
-	res, err := x.Route(pStart, qEnd, &st, "atm")
+	res, err := x.Route(context.Background(), pStart, qEnd, &st, "atm")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestRouteWithDetour(t *testing.T) {
 		t.Fatalf("route dist = %g, want %g", res.Path.Dist, want)
 	}
 	// Without the keyword the route is shorter.
-	plain, err := x.Route(pStart, qEnd, &st)
+	plain, err := x.Route(context.Background(), pStart, qEnd, &st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestRouteTwoKeywords(t *testing.T) {
 	var st query.Stats
 	pStart := indoor.At(2.5, 2, 0) // R5
 	qEnd := indoor.At(15, 2, 0)    // R7
-	res, err := x.Route(pStart, qEnd, &st, "atm", "coffee")
+	res, err := x.Route(context.Background(), pStart, qEnd, &st, "atm", "coffee")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestRouteTwoKeywords(t *testing.T) {
 		t.Fatalf("visits = %v must cover atm and coffee", res.Visits)
 	}
 	// Sanity: covering more keywords cannot be cheaper.
-	one, _ := x.Route(pStart, qEnd, &st, "atm")
+	one, _ := x.Route(context.Background(), pStart, qEnd, &st, "atm")
 	if res.Path.Dist < one.Path.Dist-1e-9 {
 		t.Fatalf("two-keyword route %g cheaper than one-keyword %g", res.Path.Dist, one.Path.Dist)
 	}
@@ -177,7 +178,7 @@ func TestRouteSamePartitionDirect(t *testing.T) {
 	var st query.Stats
 	a := indoor.At(1, 5, 0)
 	b := indoor.At(19, 5, 0)
-	res, err := x.Route(a, b, &st)
+	res, err := x.Route(context.Background(), a, b, &st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +186,7 @@ func TestRouteSamePartitionDirect(t *testing.T) {
 		t.Fatalf("direct route = %v", res.Path)
 	}
 	// Covering "atm" from inside the hall: o3 is in the hall itself.
-	res, err = x.Route(a, b, &st, "atm")
+	res, err = x.Route(context.Background(), a, b, &st, "atm")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,17 +204,17 @@ func TestRouteErrors(t *testing.T) {
 	f := testspaces.NewStrip()
 	x := newIndex(f)
 	var st query.Stats
-	if _, err := x.Route(indoor.At(-1, -1, 0), p, &st); err != query.ErrNoHost {
+	if _, err := x.Route(context.Background(), indoor.At(-1, -1, 0), p, &st); err != query.ErrNoHost {
 		t.Fatalf("bad source err = %v", err)
 	}
-	if _, err := x.Route(p, p, &st, "nonexistent"); err != query.ErrUnreachable {
+	if _, err := x.Route(context.Background(), p, p, &st, "nonexistent"); err != query.ErrUnreachable {
 		t.Fatalf("missing keyword err = %v", err)
 	}
 	many := make([]string, keyword.MaxRouteWords+1)
 	for i := range many {
 		many[i] = string(rune('a' + i))
 	}
-	if _, err := x.Route(p, p, &st, many...); err == nil {
+	if _, err := x.Route(context.Background(), p, p, &st, many...); err == nil {
 		t.Fatal("too many keywords must error")
 	}
 }
@@ -223,7 +224,7 @@ func TestRouteLegSum(t *testing.T) {
 	f := testspaces.NewStrip()
 	x := newIndex(f)
 	var st query.Stats
-	res, err := x.Route(indoor.At(2.5, 2, 0), indoor.At(15, 2, 0), &st, "coffee")
+	res, err := x.Route(context.Background(), indoor.At(2.5, 2, 0), indoor.At(15, 2, 0), &st, "coffee")
 	if err != nil {
 		t.Fatal(err)
 	}

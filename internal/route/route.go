@@ -52,15 +52,10 @@ func assemble(p, q indoor.Point, legs ...query.Path) query.Path {
 }
 
 // Via returns the walk p -> stops[0] -> ... -> stops[n-1] -> q visiting the
-// stops in the given order.
-func (pl *Planner) Via(p indoor.Point, stops []indoor.Point, q indoor.Point, st *query.Stats) (query.Path, error) {
-	return pl.ViaCtx(context.Background(), p, stops, q, st)
-}
-
-// ViaCtx is Via bounded by ctx (and any query.Budget it carries): every SPDQ
-// leg runs tracked, so cancellation interrupts the walk mid-leg and the
-// budget spans all legs together.
-func (pl *Planner) ViaCtx(ctx context.Context, p indoor.Point, stops []indoor.Point, q indoor.Point, st *query.Stats) (query.Path, error) {
+// stops in the given order, bounded by ctx (and any query.Budget it
+// carries): every SPDQ leg runs tracked, so cancellation interrupts the walk
+// mid-leg and the budget spans all legs together.
+func (pl *Planner) Via(ctx context.Context, p indoor.Point, stops []indoor.Point, q indoor.Point, st *query.Stats) (query.Path, error) {
 	st = query.Track(ctx, st)
 	if err := st.Interrupted(); err != nil {
 		return query.Path{}, err
@@ -85,16 +80,12 @@ func (pl *Planner) ViaCtx(ctx context.Context, p indoor.Point, stops []indoor.Po
 
 // Optimized returns the shortest walk p -> (all stops, any order) -> q
 // together with the visiting order (indexes into stops). It errors when
-// more than MaxStops waypoints are given or any leg is unreachable.
-func (pl *Planner) Optimized(p indoor.Point, stops []indoor.Point, q indoor.Point, st *query.Stats) (query.Path, []int, error) {
-	return pl.OptimizedCtx(context.Background(), p, stops, q, st)
-}
-
-// OptimizedCtx is Optimized bounded by ctx: the O(n²) pairwise SPDQ legs fan
-// out over the batch executor with ctx threaded to every shard, so
-// cancelling ctx interrupts the whole fan-out promptly. A query.Budget
-// carried by ctx bounds each leg individually (shards track independently).
-func (pl *Planner) OptimizedCtx(ctx context.Context, p indoor.Point, stops []indoor.Point, q indoor.Point, st *query.Stats) (query.Path, []int, error) {
+// more than MaxStops waypoints are given or any leg is unreachable. The
+// O(n²) pairwise SPDQ legs fan out over the batch executor, every leg under
+// ctx, so cancelling ctx interrupts the whole fan-out promptly. A
+// query.Budget carried by ctx bounds each leg individually (shards track
+// independently).
+func (pl *Planner) Optimized(ctx context.Context, p indoor.Point, stops []indoor.Point, q indoor.Point, st *query.Stats) (query.Path, []int, error) {
 	n := len(stops)
 	if n == 0 {
 		walk, err := query.SPD(ctx, pl.eng, p, q, st)
@@ -131,7 +122,7 @@ func (pl *Planner) OptimizedCtx(ctx context.Context, p indoor.Point, stops []ind
 			}
 		}
 	}
-	merged, err := pl.pool.MapCtx(ctx, len(jobs), func(ctx context.Context, i int, shard *query.Stats) error {
+	merged, err := pl.pool.Map(len(jobs), func(i int, shard *query.Stats) error {
 		leg, err := query.SPD(ctx, pl.eng, jobs[i].src, jobs[i].dst, shard)
 		if err != nil {
 			return fmt.Errorf("route: %s: %w", jobs[i].what, err)

@@ -20,11 +20,11 @@ func TestRouteCtxCancelled(t *testing.T) {
 	p := indoor.At(2.5, 8, 0)
 	w := []indoor.Point{indoor.At(7.5, 9, 0)}
 	q := indoor.At(12.5, 9, 0)
-	if _, err := pl.ViaCtx(ctx, p, w, q, nil); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ViaCtx(cancelled) = %v, want Canceled", err)
+	if _, err := pl.Via(ctx, p, w, q, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Via(cancelled) = %v, want Canceled", err)
 	}
-	if _, _, err := pl.OptimizedCtx(ctx, p, w, q, nil); !errors.Is(err, context.Canceled) {
-		t.Fatalf("OptimizedCtx(cancelled) = %v, want Canceled", err)
+	if _, _, err := pl.Optimized(ctx, p, w, q, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Optimized(cancelled) = %v, want Canceled", err)
 	}
 }
 
@@ -35,11 +35,11 @@ func TestRouteCtxBackgroundEquivalence(t *testing.T) {
 	p := indoor.At(2.5, 8, 0)
 	w := []indoor.Point{indoor.At(7.5, 9, 0)}
 	q := indoor.At(12.5, 9, 0)
-	walk, err := pl.ViaCtx(context.Background(), p, w, q, &st)
+	walk, err := pl.Via(context.Background(), p, w, q, &st)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(walk.Dist-21) > 1e-9 {
-		t.Fatalf("ViaCtx dist = %g, want 21", walk.Dist)
+		t.Fatalf("Via dist = %g, want 21", walk.Dist)
 	}
 }

@@ -1,6 +1,7 @@
 package route_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -26,7 +27,7 @@ func TestViaConcatenatesLegs(t *testing.T) {
 	p := indoor.At(2.5, 8, 0)  // R1
 	w := indoor.At(7.5, 9, 0)  // R2
 	q := indoor.At(12.5, 9, 0) // R3
-	walk, err := pl.Via(p, []indoor.Point{w}, q, &st)
+	walk, err := pl.Via(context.Background(), p, []indoor.Point{w}, q, &st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestOptimizedReorders(t *testing.T) {
 		indoor.At(17.5, 9, 0), // R4 (east)
 		indoor.At(2.5, 9, 0),  // R1 (west)
 	}
-	walk, order, err := pl.Optimized(p, stops, q, &st)
+	walk, order, err := pl.Optimized(context.Background(), p, stops, q, &st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestOptimizedReorders(t *testing.T) {
 		t.Fatalf("order = %v, want [1 0] (west first)", order)
 	}
 	// Compare against the naive order.
-	naive, err := pl.Via(p, stops, q, &st)
+	naive, err := pl.Via(context.Background(), p, stops, q, &st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestOptimizedReorders(t *testing.T) {
 		t.Fatalf("optimized %g should beat naive %g", walk.Dist, naive.Dist)
 	}
 	// And equals the explicitly good order.
-	good, _ := pl.Via(p, []indoor.Point{stops[1], stops[0]}, q, &st)
+	good, _ := pl.Via(context.Background(), p, []indoor.Point{stops[1], stops[0]}, q, &st)
 	if math.Abs(walk.Dist-good.Dist) > 1e-9 {
 		t.Fatalf("optimized %g != good order %g", walk.Dist, good.Dist)
 	}
@@ -76,7 +77,7 @@ func TestOptimizedZeroStops(t *testing.T) {
 	f := testspaces.NewStrip()
 	pl := planner(t, f)
 	var st query.Stats
-	walk, order, err := pl.Optimized(indoor.At(1, 5, 0), nil, indoor.At(19, 5, 0), &st)
+	walk, order, err := pl.Optimized(context.Background(), indoor.At(1, 5, 0), nil, indoor.At(19, 5, 0), &st)
 	if err != nil || len(order) != 0 {
 		t.Fatalf("zero stops: %v, %v", order, err)
 	}
@@ -96,7 +97,7 @@ func TestOptimizedMatchesBruteForce(t *testing.T) {
 		indoor.At(12.5, 9, 0), // R3
 		indoor.At(2.5, 2, 0),  // R5
 	}
-	walk, _, err := pl.Optimized(p, stops, q, &st)
+	walk, _, err := pl.Optimized(context.Background(), p, stops, q, &st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestOptimizedMatchesBruteForce(t *testing.T) {
 		for i, pi := range perm {
 			ordered[i] = stops[pi]
 		}
-		w, err := pl.Via(p, ordered, q, &st)
+		w, err := pl.Via(context.Background(), p, ordered, q, &st)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +133,7 @@ func TestOptimizedRespectsOneWayDoors(t *testing.T) {
 		indoor.At(15, 2, 0), // R7
 		indoor.At(7, 2, 0),  // R6
 	}
-	walk, order, err := pl.Optimized(p, stops, q, &st)
+	walk, order, err := pl.Optimized(context.Background(), p, stops, q, &st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,14 +151,14 @@ func TestErrors(t *testing.T) {
 	eng.SetObjects(nil)
 	pl := route.New(eng)
 	var st query.Stats
-	if _, err := pl.Via(indoor.At(-1, -1, 0), nil, indoor.At(1, 5, 0), &st); err == nil {
+	if _, err := pl.Via(context.Background(), indoor.At(-1, -1, 0), nil, indoor.At(1, 5, 0), &st); err == nil {
 		t.Fatal("outdoor source must fail")
 	}
 	many := make([]indoor.Point, route.MaxStops+1)
 	for i := range many {
 		many[i] = indoor.At(1, 5, 0)
 	}
-	if _, _, err := pl.Optimized(indoor.At(1, 5, 0), many, indoor.At(1, 5, 0), &st); err == nil {
+	if _, _, err := pl.Optimized(context.Background(), indoor.At(1, 5, 0), many, indoor.At(1, 5, 0), &st); err == nil {
 		t.Fatal("too many stops must fail")
 	}
 }

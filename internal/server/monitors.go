@@ -9,6 +9,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -56,17 +57,19 @@ type updateRequest struct {
 	Updates []updateJSON `json:"updates"`
 }
 
-// registerMonitor validates and registers one monitor on mov.
-func registerMonitor(mov *moving.Stream, req monitorRequest) ([]moving.Event, error) {
+// registerMonitor validates and registers one monitor on mov. The
+// registration Dijkstra runs under ctx while holding the stream's write
+// lock, so a client that hangs up stops blocking ingest at the next poll.
+func registerMonitor(ctx context.Context, mov *moving.Stream, req monitorRequest) ([]moving.Event, error) {
 	p := indoor.At(req.X, req.Y, req.Floor)
 	switch req.Kind {
 	case "", "range":
 		if req.R < 0 {
 			return nil, fmt.Errorf("%w: radius %v", errBadRequest, req.R)
 		}
-		return mov.Register(req.ID, p, req.R, req.T)
+		return mov.RegisterCtx(ctx, req.ID, p, req.R, req.T)
 	case "knn":
-		return mov.RegisterKNN(req.ID, p, req.K, req.T)
+		return mov.RegisterKNNCtx(ctx, req.ID, p, req.K, req.T)
 	default:
 		return nil, fmt.Errorf("%w: kind %q (want range or knn)", errBadRequest, req.Kind)
 	}
@@ -169,7 +172,7 @@ func (s *TenantServer) handleMonitorCreate(w http.ResponseWriter, r *http.Reques
 		s.fail(w, err)
 		return
 	}
-	evs, err := registerMonitor(v.Stream(), req)
+	evs, err := registerMonitor(r.Context(), v.Stream(), req)
 	if err != nil {
 		s.fail(w, err)
 		return

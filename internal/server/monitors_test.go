@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -232,6 +233,42 @@ func TestMonitorStreamNDJSON(t *testing.T) {
 	// Streaming an unknown monitor is a 404.
 	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/monitors/99/stream"); code != http.StatusNotFound {
 		t.Fatalf("unknown stream: status %d", code)
+	}
+}
+
+// TestMonitorRegisterCancelled posts range and kNN monitors under an
+// already-cancelled request context: registration holds the stream's write
+// lock across its Dijkstra, so it must honour the request context, answer
+// 499, and leave nothing behind. The same ids then register normally.
+func TestMonitorRegisterCancelled(t *testing.T) {
+	srv, ts := newCtxServer(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	bodies := []string{
+		`{"id":1,"kind":"range","x":2.5,"y":8,"floor":0,"r":5,"t":0}`,
+		`{"id":2,"kind":"knn","x":2.5,"y":8,"floor":0,"k":2,"t":0}`,
+	}
+	for _, body := range bodies {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, "/v1/monitors", strings.NewReader(body)).WithContext(ctx)
+		srv.Handler().ServeHTTP(rec, req)
+		if rec.Code != server.StatusClientClosedRequest {
+			t.Fatalf("cancelled register %s: status %d, want %d", body, rec.Code, server.StatusClientClosedRequest)
+		}
+	}
+	var list struct {
+		Monitors []moving.MonitorInfo `json:"monitors"`
+	}
+	if code := getJSON(t, ts.URL+"/v1/monitors", &list); code != http.StatusOK {
+		t.Fatalf("list: status %d", code)
+	}
+	if len(list.Monitors) != 0 {
+		t.Fatalf("cancelled registrations left monitors %+v", list.Monitors)
+	}
+	for _, body := range bodies {
+		if code := postJSON(t, ts.URL+"/v1/monitors", body, nil); code != http.StatusCreated {
+			t.Fatalf("re-register %s: status %d", body, code)
+		}
 	}
 }
 

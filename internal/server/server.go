@@ -273,10 +273,10 @@ func (s *TenantServer) failQuery(w http.ResponseWriter, err error, st *query.Sta
 	s.writeJSON(w, statusOf(err), he)
 }
 
-// queryCtx derives one query's context: request cancellation, the endpoint
+// queryContext derives one query's context: request cancellation, the endpoint
 // timeout, and the admission budget. Venue.Query binds the venue registry
 // and feeds the router.
-func (s *TenantServer) queryCtx(r *http.Request, endpoint string) (context.Context, context.CancelFunc) {
+func (s *TenantServer) queryContext(r *http.Request, endpoint string) (context.Context, context.CancelFunc) {
 	ctx := r.Context()
 	cancel := context.CancelFunc(func() {})
 	if d, ok := s.timeouts[endpoint]; ok {
@@ -364,7 +364,7 @@ func (s *TenantServer) runQuery(r *http.Request, q url.Values, v *tenant.Venue, 
 	if err != nil {
 		return op, exec.Result{Err: err}, ""
 	}
-	ctx, cancel := s.queryCtx(r, kind.String())
+	ctx, cancel := s.queryContext(r, kind.String())
 	defer cancel()
 	if tr != nil {
 		ctx = obs.WithTrace(ctx, tr)

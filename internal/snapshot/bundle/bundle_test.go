@@ -1,6 +1,7 @@
 package bundle_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -78,7 +79,10 @@ func TestRoundTripBitIdentical(t *testing.T) {
 		objs := spacegen.Objects(sp, seed+1, params.Objects)
 		gen := workload.New(sp, seed*31)
 		pts := gen.Points(6)
-		pairs := gen.SPDPairs(0.5, 4)
+		pairs, err := gen.SPDPairs(context.Background(), 0.5, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
 
 		for _, name := range bundle.EngineNames {
 			fe, le := fresh.Engines[name], loaded.Engines[name]

@@ -148,16 +148,10 @@ type Pair struct {
 const joinCheckEvery = 4096
 
 // Join returns the object pairs that were in the same partition with
-// overlapping presence within [t1, t2), sorted.
-func (l *Log) Join(t1, t2 float64) []Pair {
-	out, _ := l.JoinCtx(context.Background(), t1, t2)
-	return out
-}
-
-// JoinCtx is Join bounded by ctx: the O(n²) per-partition pair scan polls
-// the context every joinCheckEvery candidate pairs, so a join over a large
-// tracking log can be cancelled or deadline-bounded.
-func (l *Log) JoinCtx(ctx context.Context, t1, t2 float64) ([]Pair, error) {
+// overlapping presence within [t1, t2), sorted. The O(n²) per-partition
+// pair scan polls ctx every joinCheckEvery candidate pairs, so a join over
+// a large tracking log can be cancelled or deadline-bounded.
+func (l *Log) Join(ctx context.Context, t1, t2 float64) ([]Pair, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

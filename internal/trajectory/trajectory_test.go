@@ -1,6 +1,7 @@
 package trajectory_test
 
 import (
+	"context"
 	"testing"
 
 	"indoorsq/internal/indoor"
@@ -56,20 +57,27 @@ func TestTopVisited(t *testing.T) {
 
 func TestJoin(t *testing.T) {
 	l := demoLog(t)
+	join := func(t1, t2 float64) []trajectory.Pair {
+		pairs, err := l.Join(context.Background(), t1, t2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pairs
+	}
 	// o1+o2 overlap in the lobby (5-10) and cafe (15-20); o2+o4 overlap in
 	// the cafe (21-22).
-	pairs := l.Join(0, 30)
+	pairs := join(0, 30)
 	want := []trajectory.Pair{{A: 1, B: 2}, {A: 2, B: 4}}
 	if len(pairs) != 2 || pairs[0] != want[0] || pairs[1] != want[1] {
 		t.Fatalf("Join = %v", pairs)
 	}
 	// A window covering only o4's minute finds just that pair.
-	pairs = l.Join(21, 22)
+	pairs = join(21, 22)
 	if len(pairs) != 1 || pairs[0] != (trajectory.Pair{A: 2, B: 4}) {
 		t.Fatalf("Join window = %v", pairs)
 	}
 	// Disjoint stays produce no pair.
-	pairs = l.Join(0, 4.9)
+	pairs = join(0, 4.9)
 	if len(pairs) != 0 {
 		t.Fatalf("early Join = %v", pairs)
 	}

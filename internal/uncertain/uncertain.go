@@ -168,15 +168,10 @@ func (x *Index) sampleDist(dist []float64, p indoor.Point, vp indoor.PartitionID
 
 // ProbRange returns the objects whose probability of being within indoor
 // distance r of p is at least tau (0 < tau <= 1), with their probabilities,
-// ordered by descending probability then id.
-func (x *Index) ProbRange(p indoor.Point, r, tau float64) ([]Result, error) {
-	return x.ProbRangeCtx(context.Background(), p, r, tau)
-}
-
-// ProbRangeCtx is ProbRange bounded by ctx: the door Dijkstra and the
-// per-object sample scoring both poll the context, so a cancelled or expired
-// query aborts mid-computation.
-func (x *Index) ProbRangeCtx(ctx context.Context, p indoor.Point, r, tau float64) ([]Result, error) {
+// ordered by descending probability then id. The door Dijkstra and the
+// per-object sample scoring both poll ctx, so a cancelled or expired query
+// aborts mid-computation.
+func (x *Index) ProbRange(ctx context.Context, p indoor.Point, r, tau float64) ([]Result, error) {
 	vp, ok := x.cx.Host(p)
 	if !ok {
 		return nil, query.ErrNoHost
@@ -220,15 +215,10 @@ func (x *Index) ProbRangeCtx(ctx context.Context, p indoor.Point, r, tau float64
 
 // ExpectedKNN returns the k objects with the smallest expected indoor
 // distance from p (mean over reachable samples); objects with no reachable
-// sample are skipped.
-func (x *Index) ExpectedKNN(p indoor.Point, k int) ([]Result, error) {
-	return x.ExpectedKNNCtx(context.Background(), p, k)
-}
-
-// ExpectedKNNCtx is ExpectedKNN bounded by ctx; its unbounded door Dijkstra
-// (the expected distance needs every reachable door) is exactly the kind of
+// sample are skipped. It is bounded by ctx: its unbounded door Dijkstra (the
+// expected distance needs every reachable door) is exactly the kind of
 // venue-wide sweep a deadline should be able to cut short.
-func (x *Index) ExpectedKNNCtx(ctx context.Context, p indoor.Point, k int) ([]Result, error) {
+func (x *Index) ExpectedKNN(ctx context.Context, p indoor.Point, k int) ([]Result, error) {
 	if k <= 0 {
 		return nil, nil
 	}

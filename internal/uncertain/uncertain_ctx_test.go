@@ -19,11 +19,11 @@ func TestUncertainCtxCancelled(t *testing.T) {
 	cancel()
 
 	p := indoor.At(2.5, 8, 0)
-	if _, err := x.ProbRangeCtx(ctx, p, 1.5, 0.5); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ProbRangeCtx(cancelled) = %v, want Canceled", err)
+	if _, err := x.ProbRange(ctx, p, 1.5, 0.5); !errors.Is(err, context.Canceled) {
+		t.Fatalf("ProbRange(cancelled) = %v, want Canceled", err)
 	}
-	if _, err := x.ExpectedKNNCtx(ctx, p, 1); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ExpectedKNNCtx(cancelled) = %v, want Canceled", err)
+	if _, err := x.ExpectedKNN(ctx, p, 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("ExpectedKNN(cancelled) = %v, want Canceled", err)
 	}
 }
 
@@ -33,8 +33,8 @@ func TestUncertainCtxBackgroundEquivalence(t *testing.T) {
 		{ID: 1, Center: indoor.At(2.5, 9, 0), Radius: 0, Part: f.R1},
 	}, 13)
 	p := indoor.At(2.5, 8, 0)
-	res, err := x.ProbRangeCtx(context.Background(), p, 1.5, 0.5)
+	res, err := x.ProbRange(context.Background(), p, 1.5, 0.5)
 	if err != nil || len(res) != 1 || res[0].ID != 1 || res[0].Value != 1 {
-		t.Fatalf("ProbRangeCtx = %v, %v", res, err)
+		t.Fatalf("ProbRange = %v, %v", res, err)
 	}
 }

@@ -1,6 +1,7 @@
 package uncertain_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -23,7 +24,7 @@ func TestProbRangeCertainObject(t *testing.T) {
 		{ID: 1, Center: indoor.At(2.5, 9, 0), Radius: 0, Part: f.R1},
 	}, 13)
 	p := indoor.At(2.5, 8, 0)
-	res, err := x.ProbRange(p, 1.5, 0.5)
+	res, err := x.ProbRange(context.Background(), p, 1.5, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +32,7 @@ func TestProbRangeCertainObject(t *testing.T) {
 		t.Fatalf("ProbRange = %v", res)
 	}
 	// Out of range: empty.
-	res, err = x.ProbRange(p, 0.5, 0.5)
+	res, err = x.ProbRange(context.Background(), p, 0.5, 0.5)
 	if err != nil || len(res) != 0 {
 		t.Fatalf("ProbRange tight = %v, %v", res, err)
 	}
@@ -46,7 +47,7 @@ func TestProbRangePartialOverlap(t *testing.T) {
 	}, 13)
 	p := indoor.At(2.5, 6.5, 0) // inside R1, below the center
 	// r = 2.0: center (1.5 away) and the near half of the disk qualify.
-	res, err := x.ProbRange(p, 2.0, 0.01)
+	res, err := x.ProbRange(context.Background(), p, 2.0, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestProbRangePartialOverlap(t *testing.T) {
 		t.Fatalf("partial overlap should give 0 < prob < 1, got %g", res[0].Value)
 	}
 	// Higher tau filters it out.
-	res, _ = x.ProbRange(p, 2.0, 0.99)
+	res, _ = x.ProbRange(context.Background(), p, 2.0, 0.99)
 	if len(res) != 0 {
 		t.Fatalf("tau filter failed: %v", res)
 	}
@@ -72,7 +73,7 @@ func TestProbRangeClipsToPartition(t *testing.T) {
 	}, 13)
 	// From the hall: every surviving sample needs the door D1.
 	p := indoor.At(2.5, 5, 0)
-	res, err := x.ProbRange(p, 8, 0.01)
+	res, err := x.ProbRange(context.Background(), p, 8, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestExpectedKNNOrdering(t *testing.T) {
 		{ID: 3, Center: indoor.At(17.5, 9, 0), Radius: 0.5, Part: f.R4},
 	}, 9)
 	p := indoor.At(2.5, 8, 0)
-	res, err := x.ExpectedKNN(p, 2)
+	res, err := x.ExpectedKNN(context.Background(), p, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,14 +120,14 @@ func TestUncertainUnreachableExcluded(t *testing.T) {
 	x := uncertain.New(cindex.New(sp), sp, []uncertain.Object{
 		{ID: 1, Center: indoor.At(2, 6, 0), Radius: 1, Part: room},
 	}, 9)
-	res, err := x.ProbRange(indoor.At(5, 2, 0), 100, 0.01)
+	res, err := x.ProbRange(context.Background(), indoor.At(5, 2, 0), 100, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res) != 0 {
 		t.Fatalf("unreachable uncertain object returned: %v", res)
 	}
-	nn, err := x.ExpectedKNN(indoor.At(5, 2, 0), 3)
+	nn, err := x.ExpectedKNN(context.Background(), indoor.At(5, 2, 0), 3)
 	if err != nil || len(nn) != 0 {
 		t.Fatalf("ExpectedKNN over unreachable = %v, %v", nn, err)
 	}
@@ -135,13 +136,13 @@ func TestUncertainUnreachableExcluded(t *testing.T) {
 func TestUncertainErrors(t *testing.T) {
 	f := testspaces.NewStrip()
 	x := newIndex(f, nil, 5)
-	if _, err := x.ProbRange(indoor.At(-9, -9, 0), 5, 0.5); err != query.ErrNoHost {
+	if _, err := x.ProbRange(context.Background(), indoor.At(-9, -9, 0), 5, 0.5); err != query.ErrNoHost {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := x.ExpectedKNN(indoor.At(-9, -9, 0), 3); err != query.ErrNoHost {
+	if _, err := x.ExpectedKNN(context.Background(), indoor.At(-9, -9, 0), 3); err != query.ErrNoHost {
 		t.Fatalf("err = %v", err)
 	}
-	if res, err := x.ExpectedKNN(indoor.At(2.5, 8, 0), 0); err != nil || res != nil {
+	if res, err := x.ExpectedKNN(context.Background(), indoor.At(2.5, 8, 0), 0); err != nil || res != nil {
 		t.Fatalf("k=0 = %v, %v", res, err)
 	}
 	if x.Len() != 0 {

@@ -120,14 +120,10 @@ func (s *Sim) legLen(a *agent) float64 {
 
 // Step advances the simulation by dt seconds and returns one sample per
 // agent. Agents reaching their destination immediately start a new walk.
-func (s *Sim) Step(dt float64) ([]Sample, error) {
-	return s.StepCtx(context.Background(), dt)
-}
-
-// StepCtx is Step bounded by ctx: the per-agent re-routing SPDQs run under
-// it, and the context is polled between agents, so one tick over a large
-// crowd can be cancelled or deadline-bounded mid-sweep.
-func (s *Sim) StepCtx(ctx context.Context, dt float64) ([]Sample, error) {
+// The per-agent re-routing SPDQs run under ctx, and ctx is polled between
+// agents, so one tick over a large crowd can be cancelled or
+// deadline-bounded mid-sweep.
+func (s *Sim) Step(ctx context.Context, dt float64) ([]Sample, error) {
 	s.now += dt
 	out := make([]Sample, 0, len(s.ags))
 	for _, a := range s.ags {

@@ -10,11 +10,11 @@ func TestStepCtxCancelled(t *testing.T) {
 	sim, _ := newSim(t, 5, 1.4, 11)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := sim.StepCtx(ctx, 1); !errors.Is(err, context.Canceled) {
-		t.Fatalf("StepCtx(cancelled) = %v, want Canceled", err)
+	if _, err := sim.Step(ctx, 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Step(cancelled) = %v, want Canceled", err)
 	}
 	// The sim stays usable after an interrupted tick.
-	samples, err := sim.StepCtx(context.Background(), 1)
+	samples, err := sim.Step(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package walker_test
 
 import (
+	"context"
 	"testing"
 
 	"indoorsq/internal/idindex"
@@ -26,7 +27,7 @@ func newSim(t *testing.T, agents int, speed float64, seed int64) (*walker.Sim, *
 func TestSamplesStayIndoors(t *testing.T) {
 	sim, sp := newSim(t, 10, 1.4, 7)
 	for step := 0; step < 100; step++ {
-		samples, err := sim.Step(1)
+		samples, err := sim.Step(context.Background(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +54,7 @@ func TestSpeedBoundsDisplacement(t *testing.T) {
 	sim, _ := newSim(t, 5, 2.0, 11)
 	prev := map[int32]indoor.Point{}
 	for step := 0; step < 50; step++ {
-		samples, err := sim.Step(1)
+		samples, err := sim.Step(context.Background(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,13 +74,13 @@ func TestSpeedBoundsDisplacement(t *testing.T) {
 
 func TestAgentsActuallyMove(t *testing.T) {
 	sim, _ := newSim(t, 3, 1.4, 5)
-	first, err := sim.Step(1)
+	first, err := sim.Step(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	moved := false
 	for step := 0; step < 30 && !moved; step++ {
-		samples, err := sim.Step(1)
+		samples, err := sim.Step(context.Background(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,8 +102,8 @@ func TestDeterministicBySeed(t *testing.T) {
 	simA, _ := newSim(t, 4, 1.4, 42)
 	simB, _ := newSim(t, 4, 1.4, 42)
 	for step := 0; step < 20; step++ {
-		a, err1 := simA.Step(1)
-		b, err2 := simB.Step(1)
+		a, err1 := simA.Step(context.Background(), 1)
+		b, err2 := simB.Step(context.Background(), 1)
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
 		}
@@ -125,7 +126,7 @@ func TestFeedsDownstream(t *testing.T) {
 	var updates []trajectory.PositionUpdate
 	events := 0
 	for step := 0; step < 200; step++ {
-		samples, err := sim.Step(1)
+		samples, err := sim.Step(context.Background(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}

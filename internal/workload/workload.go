@@ -127,18 +127,11 @@ type Pair struct {
 // SPDPairs generates n source-target pairs whose indoor distance
 // approximates s2t (within ±15%, best effort): a random source p is chosen,
 // doors are expanded from p as in the paper, and a target q is sampled
-// beyond a door whose distance approaches s2t.
-func (g *Generator) SPDPairs(s2t float64, n int) []Pair {
-	pairs, _ := g.SPDPairsCtx(context.Background(), s2t, n)
-	return pairs
-}
-
-// SPDPairsCtx is SPDPairs bounded by ctx: generation polls the context
-// between candidate sources (each candidate runs a bounded door Dijkstra),
-// so an oversized or unlucky workload build can be cancelled or
-// deadline-bounded. The pairs generated so far are returned alongside the
-// context's error.
-func (g *Generator) SPDPairsCtx(ctx context.Context, s2t float64, n int) ([]Pair, error) {
+// beyond a door whose distance approaches s2t. Generation polls ctx between
+// candidate sources (each candidate runs a bounded door Dijkstra), so an
+// oversized or unlucky workload build can be cancelled or deadline-bounded;
+// the pairs generated so far are returned alongside the context's error.
+func (g *Generator) SPDPairs(ctx context.Context, s2t float64, n int) ([]Pair, error) {
 	pairs := make([]Pair, 0, n)
 	for len(pairs) < n {
 		pr, ok, err := g.spdPair(ctx, s2t)

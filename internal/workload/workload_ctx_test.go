@@ -14,9 +14,9 @@ func TestSPDPairsCtxCancelled(t *testing.T) {
 	g := workload.New(sp, 3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	pairs, err := g.SPDPairsCtx(ctx, 40, 8)
+	pairs, err := g.SPDPairs(ctx, 40, 8)
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("SPDPairsCtx(cancelled) = %v, want Canceled", err)
+		t.Fatalf("SPDPairs(cancelled) = %v, want Canceled", err)
 	}
 	if len(pairs) != 0 {
 		t.Fatalf("pre-cancelled generation produced %d pairs", len(pairs))
@@ -26,11 +26,11 @@ func TestSPDPairsCtxCancelled(t *testing.T) {
 func TestSPDPairsCtxBackgroundEquivalence(t *testing.T) {
 	sp := testspaces.RandomGrid(5, 4, 4, 2, 6, 0.2)
 	g := workload.New(sp, 3)
-	pairs, err := g.SPDPairsCtx(context.Background(), 40, 4)
+	pairs, err := g.SPDPairs(context.Background(), 40, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(pairs) != 4 {
-		t.Fatalf("SPDPairsCtx produced %d pairs, want 4", len(pairs))
+		t.Fatalf("SPDPairs produced %d pairs, want 4", len(pairs))
 	}
 }

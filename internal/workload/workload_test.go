@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -67,7 +68,10 @@ func TestSPDPairsApproximateS2T(t *testing.T) {
 	sp := testspaces.RandomGrid(5, 6, 6, 2, 10, 0)
 	g := New(sp, 11)
 	const s2t = 60.0
-	pairs := g.SPDPairs(s2t, 10)
+	pairs, err := g.SPDPairs(context.Background(), s2t, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(pairs) != 10 {
 		t.Fatalf("got %d pairs", len(pairs))
 	}
@@ -96,7 +100,10 @@ func TestSPDPairsSmallSpace(t *testing.T) {
 	// s2t larger than the whole space: best-effort pairs still come back.
 	sp := testspaces.NewStrip().Space
 	g := New(sp, 2)
-	pairs := g.SPDPairs(500, 3)
+	pairs, err := g.SPDPairs(context.Background(), 500, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(pairs) != 3 {
 		t.Fatalf("got %d pairs", len(pairs))
 	}
