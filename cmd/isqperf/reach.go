@@ -92,7 +92,7 @@ func runReach(sc *scenario, smoke bool) error {
 				open = sch.At(night)
 			}
 			start := time.Now()
-			reach.FromSpace(sp, open, 0)
+			reach.FromSpace(sp, open)
 			buildMs := ms(time.Since(start))
 			if regime == "night" {
 				eM := temporal.NewIDModel(mP, sch, night)

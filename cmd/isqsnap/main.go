@@ -6,12 +6,14 @@
 // Usage:
 //
 //	isqsnap build -o venue.isq [-dataset CPH] [-engines IDModel,IDIndex,CIndex,IPTree,VIPTree]
-//	              [-compact] [-workers 0] [-no-warm]
+//	              [-compact] [-no-warm]
 //	isqsnap inspect venue.isq
 //	isqsnap verify [-queries 32] [-seed 1] venue.isq
 //
 // build constructs the named dataset and every selected engine, then writes
-// one artifact (atomically). inspect prints the header and per-section
+// one artifact (atomically). Construction runs over GOMAXPROCS workers (the
+// GOMAXPROCS environment variable sets it); the artifact is byte-identical
+// for every value. inspect prints the header and per-section
 // layout without loading anything. verify fully loads the artifact, then
 // rebuilds the same engines from the loaded space and checks a query sample
 // answers bit-identically — the strongest offline guarantee that a replica
@@ -65,7 +67,6 @@ func cmdBuild(args []string) {
 		ds      = fs.String("dataset", "CPH", "benchmark dataset")
 		names   = fs.String("engines", strings.Join(bundle.EngineNames, ","), "engines to materialize")
 		compact = fs.Bool("compact", false, "build IDINDEX with float32 matrices")
-		workers = fs.Int("workers", 0, "construction parallelism (0 = GOMAXPROCS)")
 		noWarm  = fs.Bool("no-warm", false, "omit the warm distance-cache pages")
 	)
 	fs.Parse(args)
@@ -81,7 +82,6 @@ func cmdBuild(args []string) {
 		Engines: strings.Split(*names, ","),
 		Gamma:   info.Gamma,
 		Compact: *compact,
-		Workers: *workers,
 	})
 	if err != nil {
 		log.Fatal(err)

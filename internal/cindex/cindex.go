@@ -78,7 +78,7 @@ func NewOpts(sp *indoor.Space, opt Options) *Index {
 		}
 		ix.size += int64(len(ix.links[vi])) * 8
 	}
-	ix.reach = reach.FromSpace(sp, nil, 0)
+	ix.reach = reach.FromSpace(sp, nil)
 	ix.size += ix.tree.SizeBytes() + sp.BaseSizeBytes() + sp.GeomSizeBytes() + ix.reach.SizeBytes()
 	ix.g = traverse.New(sp, ix.Host, ix.d2d, true).WithReach(ix.reach)
 	return ix

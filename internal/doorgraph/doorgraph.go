@@ -46,10 +46,6 @@ type Graph struct {
 	scratch sync.Pool // *Scratch sized for N
 }
 
-// Build derives the door graph of a space using one worker per available
-// CPU. The result is identical to a sequential build.
-func Build(sp *indoor.Space) *Graph { return BuildWorkers(sp, 0) }
-
 // chunkRows is one build chunk's forward rows, buffered in final edge order:
 // doors [lo, hi) contributed rowLen[di-lo] edges each, laid out back to back
 // in to/w. Because chunk contents depend only on the doors they cover, the
@@ -61,24 +57,24 @@ type chunkRows struct {
 	w      []float64
 }
 
-// BuildWorkers derives the door graph with an explicit worker count
-// (workers <= 0 means GOMAXPROCS). One chunked parallel pass computes every
-// edge weight exactly once, buffering each chunk's rows in final order;
-// row lengths are then prefix-summed into the offset array and the buffers
-// copied into the flat CSR arrays — no per-row append growth on the final
-// arrays and, more importantly, a single distance-cache lookup per edge
-// (a separate counting pass would double them, and at 10^5 doors the
-// lookups dominate the build). The reverse adjacency is then derived from
-// the forward rows in ascending source-door order, preserving the
-// historical edge order exactly.
-func BuildWorkers(sp *indoor.Space, workers int) *Graph {
+// Build derives the door graph of a space over GOMAXPROCS workers; the
+// result is identical to a sequential build. One chunked parallel pass
+// computes every edge weight exactly once, buffering each chunk's rows in
+// final order; row lengths are then prefix-summed into the offset array
+// and the buffers copied into the flat CSR arrays — no per-row append
+// growth on the final arrays and, more importantly, a single
+// distance-cache lookup per edge (a separate counting pass would double
+// them, and at 10^5 doors the lookups dominate the build). The reverse
+// adjacency is then derived from the forward rows in ascending source-door
+// order, preserving the historical edge order exactly.
+func Build(sp *indoor.Space) *Graph {
 	n := sp.NumDoors()
 	g := &Graph{N: n}
 
 	// Pass 1: enumerate and weigh every forward edge, chunk-buffered.
 	var mu sync.Mutex
 	var chunks []chunkRows
-	exec.Chunks(n, workers, func(lo, hi int) {
+	exec.Chunks(n, func(lo, hi int) {
 		b := chunkRows{lo: lo, hi: hi, rowLen: make([]int32, hi-lo)}
 		for di := lo; di < hi; di++ {
 			d := indoor.DoorID(di)

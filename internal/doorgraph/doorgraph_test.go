@@ -116,7 +116,7 @@ func TestSizeBytesExact(t *testing.T) {
 	}
 }
 
-// TestBuildPublishesMetrics asserts BuildWorkers records the last-built
+// TestBuildPublishesMetrics asserts Build records the last-built
 // graph's footprint in the process-wide gauges.
 func TestBuildPublishesMetrics(t *testing.T) {
 	g := Build(testspaces.NewStrip().Space)

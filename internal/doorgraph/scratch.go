@@ -17,7 +17,7 @@ var Metrics struct {
 	Sweeps atomic.Int64
 	// Settled counts doors settled (popped final) across all sweeps.
 	Settled atomic.Int64
-	// Doors, Edges and Bytes describe the last graph BuildWorkers
+	// Doors, Edges and Bytes describe the last graph Build
 	// completed: door count, directed edge count, and exact CSR footprint.
 	Doors atomic.Int64
 	Edges atomic.Int64

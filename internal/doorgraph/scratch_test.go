@@ -3,18 +3,22 @@ package doorgraph
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"indoorsq/internal/testspaces"
 )
 
-// TestBuildWorkersDeterministic asserts the parallel edge derivation yields
-// byte-identical CSR arrays regardless of the worker count.
-func TestBuildWorkersDeterministic(t *testing.T) {
+// TestBuildDeterministicAcrossGOMAXPROCS asserts the parallel edge derivation yields
+// byte-identical CSR arrays regardless of GOMAXPROCS.
+func TestBuildDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	sp := testspaces.RandomGrid(7, 4, 5, 2, 7, 0.25)
-	ref := BuildWorkers(sp, 1)
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	ref := Build(sp)
 	for _, w := range []int{2, 4, 8} {
-		g := BuildWorkers(sp, w)
+		runtime.GOMAXPROCS(w)
+		g := Build(sp)
 		if !reflect.DeepEqual(ref.fwd, g.fwd) {
 			t.Fatalf("Fwd CSR differs at workers=%d", w)
 		}

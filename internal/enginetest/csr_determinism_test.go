@@ -2,6 +2,7 @@ package enginetest
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"indoorsq/internal/doorgraph"
@@ -15,12 +16,14 @@ import (
 const csrSeeds = 24
 
 // TestDoorGraphDeterministicAcrossWorkers pins the PR 1 guarantee on the
-// flattened representation: for any worker count, BuildWorkers must emit
+// flattened representation: for any GOMAXPROCS, Build must emit
 // bitwise-identical CSR arrays — same offsets, same target order, and
 // Float64bits-identical weights — and full Dijkstra sweeps from every
 // source must produce Float64bits-identical distance matrices in both
 // directions.
 func TestDoorGraphDeterministicAcrossWorkers(t *testing.T) {
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	for seed := int64(1); seed <= csrSeeds; seed++ {
 		seed := seed
 		params := diffParams(seed)
@@ -28,9 +31,11 @@ func TestDoorGraphDeterministicAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed=%d params=%s: generate: %v", seed, params, err)
 		}
-		ref := doorgraph.BuildWorkers(sp, 1)
+		runtime.GOMAXPROCS(1)
+		ref := doorgraph.Build(sp)
 		for _, workers := range []int{2, 3, 8} {
-			g := doorgraph.BuildWorkers(sp, workers)
+			runtime.GOMAXPROCS(workers)
+			g := doorgraph.Build(sp)
 			if g.N != ref.N || g.NumEdges() != ref.NumEdges() {
 				t.Fatalf("seed=%d workers=%d: shape %d/%d != %d/%d",
 					seed, workers, g.N, g.NumEdges(), ref.N, ref.NumEdges())

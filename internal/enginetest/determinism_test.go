@@ -3,6 +3,7 @@ package enginetest
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"indoorsq/internal/cindex"
@@ -14,32 +15,24 @@ import (
 	"indoorsq/internal/testspaces"
 )
 
-// TestParallelConstructionDeterministic builds every engine sequentially and
-// with a parallel worker pool over the same seeded synthetic dataset and
-// asserts the two builds answer RQ/kNN/SPDQ identically — the engine-level
+// TestParallelConstructionDeterministic builds every engine at GOMAXPROCS=1
+// and at GOMAXPROCS=8 over the same seeded synthetic dataset and asserts
+// the two builds answer RQ/kNN/SPDQ identically — the engine-level
 // counterpart of the matrix-identity tests in idindex and iptree.
 func TestParallelConstructionDeterministic(t *testing.T) {
 	sp := testspaces.RandomGrid(13, 4, 5, 2, 7, 0.2)
 	treeOpt := iptree.Options{LeafSize: 3, Fanout: 2, Gamma: 4}
 	vipOpt := treeOpt
 	vipOpt.VIP = true
-	seqTree, parTree := treeOpt, treeOpt
-	seqTree.Workers, parTree.Workers = 1, 8
-	seqVIP, parVIP := vipOpt, vipOpt
-	seqVIP.Workers, parVIP.Workers = 1, 8
 
-	// IDModel and CIndex construct without a worker pool; building them
-	// twice still pins down that their construction is deterministic.
-	pairs := []struct {
-		name     string
-		seq, par query.Engine
-	}{
-		{"IDModel", idmodel.New(sp), idmodel.New(sp)},
-		{"IDIndex", idindex.NewWorkers(sp, 1), idindex.NewWorkers(sp, 8)},
-		{"CIndex", cindex.New(sp), cindex.New(sp)},
-		{"IPTree", iptree.New(sp, seqTree), iptree.New(sp, parTree)},
-		{"VIPTree", iptree.New(sp, seqVIP), iptree.New(sp, parVIP)},
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	build := func(procs int) []query.Engine {
+		runtime.GOMAXPROCS(procs)
+		return []query.Engine{idmodel.New(sp), idindex.New(sp), cindex.New(sp),
+			iptree.New(sp, treeOpt), iptree.New(sp, vipOpt)}
 	}
+	seqs, pars := build(1), build(8)
 
 	rng := rand.New(rand.NewSource(42))
 	objs := randomObjects(sp, rng, 60)
@@ -53,9 +46,9 @@ func TestParallelConstructionDeterministic(t *testing.T) {
 		pts = append(pts, indoor.At(c.X, c.Y, v.Floor))
 	}
 
-	for _, pr := range pairs {
-		pr := pr
-		t.Run(pr.name, func(t *testing.T) {
+	for i, name := range []string{"IDModel", "IDIndex", "CIndex", "IPTree", "VIPTree"} {
+		pr := struct{ seq, par query.Engine }{seqs[i], pars[i]}
+		t.Run(name, func(t *testing.T) {
 			pr.seq.SetObjects(objs)
 			pr.par.SetObjects(objs)
 			if pr.seq.SizeBytes() != pr.par.SizeBytes() {

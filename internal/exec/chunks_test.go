@@ -1,20 +1,29 @@
 package exec
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 )
 
+// setProcs sets GOMAXPROCS to w for the rest of the test; t.Cleanup
+// restores the previous value.
+func setProcs(t *testing.T, w int) {
+	prev := runtime.GOMAXPROCS(w)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // TestChunksCoversExactlyOnce asserts every index in [0, n) is visited by
-// exactly one chunk, for degenerate and parallel worker counts alike.
+// exactly one chunk, for sequential and parallel GOMAXPROCS alike.
 func TestChunksCoversExactlyOnce(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 7, 64, 1000} {
-		for _, workers := range []int{-1, 0, 1, 2, 3, 8, 64, 2000} {
+		for _, procs := range []int{1, 2, 3, 8, 64} {
+			setProcs(t, procs)
 			seen := make([]int32, n)
 			var mu sync.Mutex
-			Chunks(n, workers, func(lo, hi int) {
+			Chunks(n, func(lo, hi int) {
 				if lo < 0 || hi > n || lo >= hi {
-					t.Errorf("n=%d workers=%d: bad range [%d,%d)", n, workers, lo, hi)
+					t.Errorf("n=%d procs=%d: bad range [%d,%d)", n, procs, lo, hi)
 					return
 				}
 				mu.Lock()
@@ -25,7 +34,7 @@ func TestChunksCoversExactlyOnce(t *testing.T) {
 			})
 			for i, c := range seen {
 				if c != 1 {
-					t.Fatalf("n=%d workers=%d: index %d visited %d times", n, workers, i, c)
+					t.Fatalf("n=%d procs=%d: index %d visited %d times", n, procs, i, c)
 				}
 			}
 		}
@@ -35,9 +44,10 @@ func TestChunksCoversExactlyOnce(t *testing.T) {
 // TestChunksConcurrentSum exercises the feed under the race detector with
 // workers accumulating into disjoint range-owned state.
 func TestChunksConcurrentSum(t *testing.T) {
+	setProcs(t, 8)
 	const n = 100000
 	out := make([]int, n)
-	Chunks(n, 8, func(lo, hi int) {
+	Chunks(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = i * 2
 		}

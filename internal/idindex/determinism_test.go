@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"indoorsq/internal/spacegen"
@@ -12,12 +13,15 @@ import (
 
 // TestParallelBuildDeterministic asserts parallel construction produces
 // distance, order and first-hop matrices byte-identical to a sequential
-// (one-worker) build.
+// (GOMAXPROCS=1) build.
 func TestParallelBuildDeterministic(t *testing.T) {
 	sp := testspaces.RandomGrid(9, 4, 5, 2, 7, 0.25)
-	seq := NewWorkers(sp, 1)
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	seq := New(sp)
 	for _, w := range []int{2, 4, 8} {
-		par := NewWorkers(sp, w)
+		runtime.GOMAXPROCS(w)
+		par := New(sp)
 		if !reflect.DeepEqual(seq.d2d, par.d2d) {
 			t.Fatalf("d2d differs at workers=%d", w)
 		}
@@ -36,6 +40,8 @@ func TestParallelBuildDeterministic(t *testing.T) {
 // harness sweeps. Distances are compared at the Float64bits level so even a
 // sign-of-zero or NaN-payload divergence between worker counts would fail.
 func TestParallelBuildDeterministicSpacegen(t *testing.T) {
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		p := spacegen.Params{
@@ -52,9 +58,11 @@ func TestParallelBuildDeterministicSpacegen(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed=%d: generate: %v", seed, err)
 		}
-		seq := NewWorkers(sp, 1)
+		runtime.GOMAXPROCS(1)
+		seq := New(sp)
 		for _, w := range []int{3, 8} {
-			par := NewWorkers(sp, w)
+			runtime.GOMAXPROCS(w)
+			par := New(sp)
 			for i := range seq.d2d {
 				if math.Float64bits(seq.d2d[i]) != math.Float64bits(par.d2d[i]) {
 					t.Fatalf("seed=%d workers=%d: d2d[%d] %x != %x",

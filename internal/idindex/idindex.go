@@ -44,19 +44,14 @@ type Index struct {
 
 // New builds the IDINDEX over a space, precomputing all global door-to-door
 // distances (the paper's costliest construction, Sec. 6.1).
-func New(sp *indoor.Space) *Index { return build(sp, false, 0) }
-
-// NewWorkers builds the IDINDEX with an explicit construction worker count
-// (workers <= 0 means GOMAXPROCS). The distance, order and first-hop
-// matrices are identical for every worker count.
-func NewWorkers(sp *indoor.Space, workers int) *Index { return build(sp, false, workers) }
+func New(sp *indoor.Space) *Index { return build(sp, false) }
 
 // NewCompact builds the IDINDEX with float32 distance matrices, halving the
 // dominant memory term (Sec. 6.1 flags the matrices as hard to fit in
 // memory at scale) at the cost of ~1e-7 relative distance error.
-func NewCompact(sp *indoor.Space) *Index { return build(sp, true, 0) }
+func NewCompact(sp *indoor.Space) *Index { return build(sp, true) }
 
-func build(sp *indoor.Space, compact bool, workers int) *Index {
+func build(sp *indoor.Space, compact bool) *Index {
 	n := sp.NumDoors()
 	ix := &Index{
 		sp:  sp,
@@ -70,10 +65,10 @@ func build(sp *indoor.Space, compact bool, workers int) *Index {
 		ix.d2d = make([]float64, n*n)
 	}
 
-	// Door graph shared by the n Dijkstra sweeps, built with the same
-	// worker budget, and the reachability condensation derived from it.
-	dg := doorgraph.BuildWorkers(sp, workers)
-	ix.reach = reach.FromGraph(dg, sp, workers)
+	// Door graph shared by the n Dijkstra sweeps, and the reachability
+	// condensation derived from it.
+	dg := doorgraph.Build(sp)
+	ix.reach = reach.FromGraph(dg, sp)
 
 	// One Dijkstra per source door, fanned out as chunked source ranges
 	// (exec.Chunks): every chunk writes disjoint matrix rows, so no
@@ -81,7 +76,7 @@ func build(sp *indoor.Space, compact bool, workers int) *Index {
 	// deterministic because row src depends only on src. Each chunk reuses
 	// a pooled scratch across its sources, so the sweeps allocate nothing
 	// per source.
-	exec.Chunks(n, workers, func(lo, hi int) {
+	exec.Chunks(n, func(lo, hi int) {
 		s := dg.AcquireScratch()
 		defer dg.ReleaseScratch(s)
 		dist := make([]float64, n)

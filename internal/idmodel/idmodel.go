@@ -77,7 +77,7 @@ func New(sp *indoor.Space) *Model {
 	m.size += int64(sp.NumDoors())*48 + int64(sp.NumPartitions())*32 // graph vertexes/edges
 	m.size += sp.BaseSizeBytes() + sp.GeomSizeBytes()
 
-	m.reach = reach.FromSpace(sp, nil, 0)
+	m.reach = reach.FromSpace(sp, nil)
 	m.size += m.reach.SizeBytes()
 	m.g = traverse.New(sp, sp.HostPartition, m.d2dStats, false).WithReach(m.reach)
 	return m

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"indoorsq/internal/spacegen"
@@ -12,18 +13,18 @@ import (
 
 // TestParallelBuildDeterministic asserts parallel construction fills every
 // node matrix, the VIP materialization, and the routing tables identically
-// to a sequential (one-worker) build.
+// to a sequential (GOMAXPROCS=1) build.
 func TestParallelBuildDeterministic(t *testing.T) {
 	sp := testspaces.RandomGrid(9, 4, 5, 2, 7, 0.25)
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	for _, vip := range []bool{false, true} {
 		opt := Options{LeafSize: 3, Fanout: 2, Gamma: 4, VIP: vip}
-		optSeq := opt
-		optSeq.Workers = 1
-		seq := New(sp, optSeq)
+		runtime.GOMAXPROCS(1)
+		seq := New(sp, opt)
 		for _, w := range []int{2, 4, 8} {
-			optPar := opt
-			optPar.Workers = w
-			par := New(sp, optPar)
+			runtime.GOMAXPROCS(w)
+			par := New(sp, opt)
 			if len(seq.nodes) != len(par.nodes) {
 				t.Fatalf("vip=%v workers=%d: node count %d != %d", vip, w, len(par.nodes), len(seq.nodes))
 			}
@@ -71,6 +72,8 @@ func eqBits(a, b []float64) bool {
 // differential harness sweeps, comparing every leaf, non-leaf, and VIP
 // materialization matrix at the Float64bits level across worker counts.
 func TestParallelBuildDeterministicSpacegen(t *testing.T) {
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		p := spacegen.Params{
@@ -87,12 +90,12 @@ func TestParallelBuildDeterministicSpacegen(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed=%d: generate: %v", seed, err)
 		}
-		opt := Options{LeafSize: 3, Fanout: 2, Gamma: 4, VIP: true, Workers: 1}
+		opt := Options{LeafSize: 3, Fanout: 2, Gamma: 4, VIP: true}
+		runtime.GOMAXPROCS(1)
 		seq := New(sp, opt)
 		for _, w := range []int{3, 8} {
-			optPar := opt
-			optPar.Workers = w
-			par := New(sp, optPar)
+			runtime.GOMAXPROCS(w)
+			par := New(sp, opt)
 			if len(seq.nodes) != len(par.nodes) {
 				t.Fatalf("seed=%d workers=%d: node count %d != %d", seed, w, len(par.nodes), len(seq.nodes))
 			}

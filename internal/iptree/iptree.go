@@ -42,9 +42,6 @@ type Options struct {
 	Fanout int
 	// VIP enables the VIP-TREE leaf materialization.
 	VIP bool
-	// Workers bounds the construction worker pool (<= 0: GOMAXPROCS). The
-	// resulting matrices are identical for every worker count.
-	Workers int
 }
 
 func (o Options) withDefaults() Options {
@@ -438,8 +435,8 @@ func (t *Tree) ancestors(id int32) []int32 {
 // graph and populates every node matrix, the VIP materialization, and the
 // path-reconstruction routing tables.
 func (t *Tree) fillMatrices() {
-	dg := doorgraph.BuildWorkers(t.sp, t.opt.Workers)
-	t.reach = reach.FromGraph(dg, t.sp, t.opt.Workers)
+	dg := doorgraph.Build(t.sp)
+	t.reach = reach.FromGraph(dg, t.sp)
 
 	// Every door that appears as an access door anywhere.
 	need := make(map[indoor.DoorID]bool)
@@ -484,7 +481,7 @@ func (t *Tree) fillMatrices() {
 	// Chunked index ranges instead of one channel op per door; each chunk
 	// writes matrix rows owned by its doors only, so any worker count
 	// produces identical matrices.
-	exec.Chunks(len(doors), t.opt.Workers, func(lo, hi int) {
+	exec.Chunks(len(doors), func(lo, hi int) {
 		// Two pooled scratches per chunk: the forward and reverse
 		// sweeps of one door must be readable at the same time while
 		// the matrices are filled.

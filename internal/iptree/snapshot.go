@@ -21,7 +21,7 @@ func (t *Tree) AppendTo(w *snapshot.Writer, tag uint32) {
 	sec.I64(int64(t.opt.LeafSize))
 	sec.I64(int64(t.opt.Fanout))
 	sec.Bool(t.opt.VIP)
-	sec.I64(int64(t.opt.Workers))
+	sec.I64(0) // v1 slot of the retired construction worker count; always 0
 	sec.I64(int64(t.root))
 	sec.I32s(t.partLeaf)
 	sec.U64(uint64(len(t.nodes)))
@@ -76,7 +76,7 @@ func LoadFrom(r *snapshot.Reader, tag uint32, sp *indoor.Space, rch *reach.Reach
 	t.opt.LeafSize = int(sec.I64())
 	t.opt.Fanout = int(sec.I64())
 	t.opt.VIP = sec.Bool()
-	t.opt.Workers = int(sec.I64())
+	sec.I64() // retired v1 slot (see AppendTo)
 	t.root = int32(sec.I64())
 	t.partLeaf = sec.I32s()
 	numNodes := sec.Int()

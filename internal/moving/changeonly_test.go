@@ -247,7 +247,7 @@ func TestChangeOnlyEdgeCases(t *testing.T) {
 	}
 	opts := map[string]moving.StreamOptions{
 		"no reach": {Shards: 4},
-		"reach":    {Shards: 4, Reach: reach.FromSpace(f.sp, nil, 1)},
+		"reach":    {Shards: 4, Reach: reach.FromSpace(f.sp, nil)},
 	}
 	for _, c := range cases {
 		for name, opt := range opts {

@@ -39,7 +39,7 @@ func buildFuzzVenues() []fuzzVenue {
 		if err != nil {
 			panic(err)
 		}
-		v := fuzzVenue{sp: sp, rc: reach.FromSpace(sp, nil, 1)}
+		v := fuzzVenue{sp: sp, rc: reach.FromSpace(sp, nil)}
 		gen := workload.New(sp, s.seed*31)
 		for i := 0; i < 64; i++ {
 			p, part := gen.PointIn()

@@ -304,5 +304,5 @@ func TestMetamorphicIndexRows(t *testing.T) {
 	if len(plain) == 0 {
 		t.Fatal("fixture produced no events; the suite is vacuous")
 	}
-	diffEvents(t, "reach summary", run(reach.FromSpace(fx.sp, nil, 1)), plain)
+	diffEvents(t, "reach summary", run(reach.FromSpace(fx.sp, nil)), plain)
 }

@@ -23,7 +23,7 @@
 // to a strictly lower one. Downstream summaries are therefore completed by
 // a single ascending-id pass, after a chunked parallel pass (exec.Chunks)
 // fills each SCC's direct summary; chunk boundaries only ever split between
-// SCCs, so the output is byte-identical for any worker count.
+// SCCs, so the output is byte-identical for any GOMAXPROCS.
 package reach
 
 import (
@@ -89,8 +89,7 @@ type Reach struct {
 // distance is +Inf are kept), so the summary is sound for every engine.
 // A non-nil open filter excludes closed doors entirely — their SCC is -1
 // and no edge touches them — which is the temporal per-hour rebuild path.
-// workers <= 0 means GOMAXPROCS; the result is identical for any count.
-func FromSpace(sp *indoor.Space, open func(indoor.DoorID) bool, workers int) *Reach {
+func FromSpace(sp *indoor.Space, open func(indoor.DoorID) bool) *Reach {
 	n := sp.NumDoors()
 	var excl []bool
 	if open != nil {
@@ -102,7 +101,7 @@ func FromSpace(sp *indoor.Space, open func(indoor.DoorID) bool, workers int) *Re
 	closed := func(d int32) bool { return excl != nil && excl[d] }
 
 	cnt := make([]int32, n+1)
-	exec.Chunks(n, workers, func(lo, hi int) {
+	exec.Chunks(n, func(lo, hi int) {
 		for di := lo; di < hi; di++ {
 			if closed(int32(di)) {
 				continue
@@ -128,7 +127,7 @@ func FromSpace(sp *indoor.Space, open func(indoor.DoorID) bool, workers int) *Re
 		off[i+1] = int32(total)
 	}
 	to := make([]int32, total)
-	exec.Chunks(n, workers, func(lo, hi int) {
+	exec.Chunks(n, func(lo, hi int) {
 		for di := lo; di < hi; di++ {
 			if closed(int32(di)) {
 				continue
@@ -144,7 +143,7 @@ func FromSpace(sp *indoor.Space, open func(indoor.DoorID) bool, workers int) *Re
 			}
 		}
 	})
-	return build(sp, adjacency{off: off, to: to}, excl, workers)
+	return build(sp, adjacency{off: off, to: to}, excl)
 }
 
 // FromGraph builds the summary over the exact edge set of a built door
@@ -152,7 +151,7 @@ func FromSpace(sp *indoor.Space, open func(indoor.DoorID) bool, workers int) *Re
 // IP/VIP-TREE, which derive their matrices from the same graph: there,
 // summary-unreachable coincides with matrix-+Inf rather than merely
 // bounding it.
-func FromGraph(g *doorgraph.Graph, sp *indoor.Space, workers int) *Reach {
+func FromGraph(g *doorgraph.Graph, sp *indoor.Space) *Reach {
 	n := g.N
 	off := make([]int32, n+1)
 	for d := 0; d < n; d++ {
@@ -160,13 +159,13 @@ func FromGraph(g *doorgraph.Graph, sp *indoor.Space, workers int) *Reach {
 		off[d+1] = off[d] + int32(len(row))
 	}
 	to := make([]int32, off[n])
-	exec.Chunks(n, workers, func(lo, hi int) {
+	exec.Chunks(n, func(lo, hi int) {
 		for d := lo; d < hi; d++ {
 			row, _ := g.FwdRow(d)
 			copy(to[off[d]:off[d+1]], row)
 		}
 	})
-	return build(sp, adjacency{off: off, to: to}, nil, workers)
+	return build(sp, adjacency{off: off, to: to}, nil)
 }
 
 // tarjan assigns SCC ids in pop order (reverse topological: cross-SCC edges
@@ -241,7 +240,7 @@ func tarjan(adj adjacency, excl []bool) ([]int32, int) {
 	return scc, numSCC
 }
 
-func build(sp *indoor.Space, adj adjacency, excl []bool, workers int) *Reach {
+func build(sp *indoor.Space, adj adjacency, excl []bool) *Reach {
 	n := len(adj.off) - 1
 	np := sp.NumPartitions()
 	r := &Reach{n: n, np: np}
@@ -281,8 +280,8 @@ func build(sp *indoor.Space, adj adjacency, excl []bool, workers int) *Reach {
 	// Direct summaries: everything enterable through the SCC's own doors.
 	// Chunk boundaries fall between SCCs, each SCC's row is written by
 	// exactly one worker in a fixed member/partition order, and MBR union
-	// is running min/max — byte-identical output for any worker count.
-	exec.Chunks(numSCC, workers, func(lo, hi int) {
+	// is running min/max — byte-identical output for any GOMAXPROCS.
+	exec.Chunks(numSCC, func(lo, hi int) {
 		for c := lo; c < hi; c++ {
 			var row []uint64
 			if r.parts != nil {

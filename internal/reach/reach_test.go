@@ -2,6 +2,7 @@ package reach
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"indoorsq/internal/doorgraph"
@@ -54,7 +55,7 @@ func newChain(t *testing.T) *chain {
 
 func TestChainCondensation(t *testing.T) {
 	c := newChain(t)
-	r := FromSpace(c.sp, nil, 0)
+	r := FromSpace(c.sp, nil)
 	if got := r.NumSCCs(); got != 3 {
 		t.Fatalf("NumSCCs = %d, want 3", got)
 	}
@@ -101,7 +102,7 @@ func TestChainCondensation(t *testing.T) {
 
 func TestOpenFilterExcludesDoors(t *testing.T) {
 	c := newChain(t)
-	r := FromSpace(c.sp, func(d indoor.DoorID) bool { return d != c.dAB }, 0)
+	r := FromSpace(c.sp, func(d indoor.DoorID) bool { return d != c.dAB })
 	if got := r.SCCOf(c.dAB); got != -1 {
 		t.Fatalf("closed door SCC = %d, want -1", got)
 	}
@@ -121,7 +122,7 @@ func TestOpenFilterExcludesDoors(t *testing.T) {
 
 func TestMBRPrune(t *testing.T) {
 	c := newChain(t)
-	r := FromSpace(c.sp, nil, 0)
+	r := FromSpace(c.sp, nil)
 	p := indoor.At(1, 2, 0) // inside A1, 4m west of the B cluster
 	if !r.MBRPrune(c.dB, p, 3.9) {
 		t.Error("dB's downstream region is 4m away; limit 3.9 should prune")
@@ -148,7 +149,7 @@ func TestBudgetFallback(t *testing.T) {
 	defer func() { partsBudget = old }()
 
 	c := newChain(t)
-	r := FromSpace(c.sp, nil, 0)
+	r := FromSpace(c.sp, nil)
 	if r.HasParts() {
 		t.Fatal("bitmap should be dropped at zero budget")
 	}
@@ -167,7 +168,7 @@ func TestBudgetFallback(t *testing.T) {
 
 func TestFromDoors(t *testing.T) {
 	c := newChain(t)
-	r := FromSpace(c.sp, nil, 0)
+	r := FromSpace(c.sp, nil)
 
 	f := r.FromDoors([]indoor.DoorID{c.dB}, nil)
 	if f.CanReachPart(c.a1) {
@@ -204,20 +205,23 @@ func genParams() spacegen.Params {
 	}
 }
 
-// TestWorkerDeterminism pins the byte-identical-for-any-worker-count
+// TestWorkerDeterminism pins the byte-identical-for-any-GOMAXPROCS
 // contract of both builders.
 func TestWorkerDeterminism(t *testing.T) {
 	sp, err := spacegen.Generate(7, genParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := FromSpace(sp, nil, 1)
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	ref := FromSpace(sp, nil)
 	dg := doorgraph.Build(sp)
-	refG := FromGraph(dg, sp, 1)
+	refG := FromGraph(dg, sp)
 	for _, workers := range []int{2, 3, 8} {
+		runtime.GOMAXPROCS(workers)
 		for name, pair := range map[string][2]*Reach{
-			"FromSpace": {ref, FromSpace(sp, nil, workers)},
-			"FromGraph": {refG, FromGraph(dg, sp, workers)},
+			"FromSpace": {ref, FromSpace(sp, nil)},
+			"FromGraph": {refG, FromGraph(dg, sp)},
 		} {
 			a, b := pair[0], pair[1]
 			if a.numSCC != b.numSCC {
@@ -254,7 +258,7 @@ func TestAgainstBruteForce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := FromSpace(sp, nil, 0)
+	r := FromSpace(sp, nil)
 	if !r.HasParts() {
 		t.Fatal("bitmap expected on this venue size")
 	}
@@ -316,7 +320,7 @@ func BenchmarkFromSpace(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		FromSpace(sp, nil, 0)
+		FromSpace(sp, nil)
 	}
 }
 
@@ -331,7 +335,7 @@ func TestRunPrunedReachFilter(t *testing.T) {
 		t.Fatal(err)
 	}
 	dg := doorgraph.Build(sp)
-	r := FromGraph(dg, sp, 0)
+	r := FromGraph(dg, sp)
 	if !r.HasParts() {
 		t.Fatal("expected a partition bitmap on a generated venue")
 	}

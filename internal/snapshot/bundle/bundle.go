@@ -38,12 +38,6 @@ type Options struct {
 	Gamma int
 	// Compact builds IDINDEX with float32 matrices.
 	Compact bool
-	// Workers bounds construction parallelism (<= 0: GOMAXPROCS). Results
-	// are identical for every worker count.
-	Workers int
-	// WarmCache includes the door-pair distance-cache pages accumulated on
-	// the build-side space, so a replica boots with the cache pre-filled.
-	WarmCache bool
 }
 
 func (o Options) withDefaults() Options {
@@ -102,9 +96,13 @@ func (b *Bundle) EngineList() []string {
 }
 
 // Build cold-constructs a bundle over a space: the door graph and both reach
-// summaries once, then every selected engine through its ordinary
-// constructor (NewEngine) — so a built bundle's engines are exactly what
-// the paper evaluation measures.
+// summaries that the bundle itself carries, then every selected engine
+// through its ordinary constructor (NewEngine) — so a built bundle's
+// engines are exactly what the paper evaluation measures. Each engine
+// constructor derives its own door graph or reach summary again: IDINDEX
+// and both trees each rebuild the door graph and FromGraph, IDMODEL and
+// CINDEX each rebuild FromSpace. Construction runs over GOMAXPROCS
+// workers; the result is identical for every GOMAXPROCS.
 func Build(name string, sp *indoor.Space, opt Options) (*Bundle, error) {
 	opt = opt.withDefaults()
 	b := &Bundle{
@@ -117,9 +115,9 @@ func Build(name string, sp *indoor.Space, opt Options) (*Bundle, error) {
 
 		FormatVersion: snapshot.Version,
 	}
-	b.Graph = doorgraph.BuildWorkers(sp, opt.Workers)
-	b.ReachGraph = reach.FromGraph(b.Graph, sp, opt.Workers)
-	b.ReachSpace = reach.FromSpace(sp, nil, opt.Workers)
+	b.Graph = doorgraph.Build(sp)
+	b.ReachGraph = reach.FromGraph(b.Graph, sp)
+	b.ReachSpace = reach.FromSpace(sp, nil)
 	for _, name := range opt.Engines {
 		e, err := NewEngine(name, sp, opt)
 		if err != nil {
@@ -131,8 +129,8 @@ func Build(name string, sp *indoor.Space, opt Options) (*Bundle, error) {
 }
 
 // NewEngine cold-constructs one engine over a space through its ordinary
-// constructor, honouring opt's Gamma, Compact and Workers; opt.Engines and
-// opt.WarmCache are ignored. Build calls it once per selected engine.
+// constructor, honouring opt's Gamma and Compact; opt.Engines is ignored.
+// Build calls it once per selected engine.
 func NewEngine(name string, sp *indoor.Space, opt Options) (query.Engine, error) {
 	switch name {
 	case "IDModel":
@@ -141,13 +139,13 @@ func NewEngine(name string, sp *indoor.Space, opt Options) (query.Engine, error)
 		if opt.Compact {
 			return idindex.NewCompact(sp), nil
 		}
-		return idindex.NewWorkers(sp, opt.Workers), nil
+		return idindex.New(sp), nil
 	case "CIndex":
 		return cindex.New(sp), nil
 	case "IPTree":
-		return iptree.New(sp, iptree.Options{Gamma: opt.Gamma, Workers: opt.Workers}), nil
+		return iptree.New(sp, iptree.Options{Gamma: opt.Gamma}), nil
 	case "VIPTree":
-		return iptree.New(sp, iptree.Options{Gamma: opt.Gamma, VIP: true, Workers: opt.Workers}), nil
+		return iptree.New(sp, iptree.Options{Gamma: opt.Gamma, VIP: true}), nil
 	}
 	return nil, fmt.Errorf("bundle: unknown engine %q", name)
 }

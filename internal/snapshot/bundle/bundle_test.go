@@ -1,12 +1,15 @@
 package bundle_test
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -292,5 +295,34 @@ func TestSnapshotSkipsUnbuiltEngines(t *testing.T) {
 	}
 	if len(loaded.Engines) != 2 || loaded.Engines["CIndex"] == nil || loaded.Engines["VIPTree"] == nil {
 		t.Fatalf("loaded engines: %v", loaded.EngineList())
+	}
+}
+
+// TestArtifactBytesAcrossProcs builds one generated venue with all five
+// engines at GOMAXPROCS 1 and 2, each over a freshly generated space (as two
+// isqsnap processes would), and requires byte-identical artifacts, warm
+// distance-cache pages included.
+func TestArtifactBytesAcrossProcs(t *testing.T) {
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	var arts [2][]byte
+	for i, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		sp, err := spacegen.Generate(5, corpusParams(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := bundle.Build("corpus", sp, bundle.Options{Gamma: 4})
+		if err != nil {
+			t.Fatalf("GOMAXPROCS=%d: build: %v", procs, err)
+		}
+		var buf bytes.Buffer
+		if err := b.Write(bufio.NewWriter(&buf), true); err != nil {
+			t.Fatalf("GOMAXPROCS=%d: write: %v", procs, err)
+		}
+		arts[i] = buf.Bytes()
+	}
+	if !bytes.Equal(arts[0], arts[1]) {
+		t.Fatalf("artifact differs between GOMAXPROCS 1 (%d bytes) and 2 (%d bytes)", len(arts[0]), len(arts[1]))
 	}
 }

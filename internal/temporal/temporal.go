@@ -181,10 +181,10 @@ func (e *Engine) rebuild(hour float64, force bool) {
 	e.closed = closed
 	open := openFunc(closed)
 	if e.m != nil {
-		e.r = reach.FromSpace(e.m.Space(), open, 0)
+		e.r = reach.FromSpace(e.m.Space(), open)
 		e.base = e.m.WithOpenReach(open, e.r)
 	} else {
-		e.r = reach.FromSpace(e.ix.Space(), open, 0)
+		e.r = reach.FromSpace(e.ix.Space(), open)
 		e.base = e.ix.WithOpenReach(open, e.r)
 	}
 }

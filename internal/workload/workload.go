@@ -6,6 +6,7 @@ package workload
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 
@@ -124,23 +125,39 @@ type Pair struct {
 	Dist float64
 }
 
+// ErrNoPair reports that SPDPairs gave up after maxMisses draws in a row
+// found no target near s2t — typically a venue with no door within 1.2·s2t
+// of any source.
+var ErrNoPair = errors.New("workload: no SPD pair near s2t")
+
+// maxMisses bounds the consecutive failed pair draws of one SPDPairs call.
+// The longest run any draw in this repository makes is 3,135 (isqsnap
+// verify's s2t 0.5 on HSM), so the bound cuts short no draw that succeeds.
+const maxMisses = 10000
+
 // SPDPairs generates n source-target pairs whose indoor distance
 // approximates s2t (within ±15%, best effort): a random source p is chosen,
 // doors are expanded from p as in the paper, and a target q is sampled
 // beyond a door whose distance approaches s2t. Generation polls ctx between
 // candidate sources (each candidate runs a bounded door Dijkstra), so an
 // oversized or unlucky workload build can be cancelled or deadline-bounded;
-// the pairs generated so far are returned alongside the context's error.
+// the pairs generated so far are returned alongside the context's error, or
+// alongside ErrNoPair after maxMisses failed draws in a row.
 func (g *Generator) SPDPairs(ctx context.Context, s2t float64, n int) ([]Pair, error) {
 	pairs := make([]Pair, 0, n)
-	for len(pairs) < n {
+	for misses := 0; len(pairs) < n; {
 		pr, ok, err := g.spdPair(ctx, s2t)
 		if err != nil {
 			return pairs, err
 		}
-		if ok {
-			pairs = append(pairs, pr)
+		if !ok {
+			if misses++; misses == maxMisses {
+				return pairs, ErrNoPair
+			}
+			continue
 		}
+		pairs = append(pairs, pr)
+		misses = 0
 	}
 	return pairs, nil
 }
