@@ -82,9 +82,11 @@ fuzz-smoke:
 
 # Runs every cmd/isqperf scenario (cache ctx obs graph reach snap route
 # host move paper) at full size and writes one report. Each scenario's answer gate
-# runs before its timing; the command exits non-zero, after writing the
-# report, if any scenario bound failed. `make test` runs the same gates on
-# tiny venues (TestSmoke).
+# runs before its timing. Every bound gets a verdict: pass, fail, or (a
+# timing bound whose interval straddles its limit) unresolved. The command
+# logs the count of each, then exits 1, after writing the report, if any
+# bound failed or is unresolved. `make test` runs the same gates on tiny
+# venues (TestSmoke).
 perf:
 	$(GO) run ./cmd/isqperf -o BENCH_PERF.json
 

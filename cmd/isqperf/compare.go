@@ -26,8 +26,9 @@ func readReport(path string) (*report, error) {
 // value, the new value and the change in percent of the old one, in the
 // old report's row order with metrics sorted by name. A metric one side
 // lacks shows "-". Rows only one report has are listed after the table,
-// then every bound whose pass/fail differs between the two and every
-// bound only one report has.
+// then every bound whose verdict differs between the two, with its value
+// and (for a timing bound) its interval on each side, and every bound only
+// one report has.
 func compare(w io.Writer, oldRep, newRep *report) error {
 	type key struct{ scenario, row string }
 	newRows := map[key]row{}
@@ -92,22 +93,21 @@ func compare(w io.Writer, oldRep, newRep *report) error {
 		}
 	}
 
-	newBounds := map[key]bool{}
+	newBounds := map[key]bound{}
 	for _, sc := range newRep.Scenarios {
 		for _, b := range sc.Bounds {
-			newBounds[key{sc.Name, b.Name}] = b.Pass
+			newBounds[key{sc.Name, b.Name}] = b
 		}
 	}
-	verdict := map[bool]string{true: "pass", false: "FAIL"}
 	for _, sc := range oldRep.Scenarios {
 		for _, b := range sc.Bounds {
 			k := key{sc.Name, b.Name}
-			pass, ok := newBounds[k]
+			nb, ok := newBounds[k]
 			switch {
 			case !ok:
 				fmt.Fprintf(w, "bound only in old: %s %s\n", sc.Name, b.Name)
-			case pass != b.Pass:
-				fmt.Fprintf(w, "bound %s %s: %s -> %s\n", sc.Name, b.Name, verdict[b.Pass], verdict[pass])
+			case nb.verdict() != b.verdict():
+				fmt.Fprintf(w, "bound %s %s: %v -> %v\n", sc.Name, b.Name, b, nb)
 			}
 			delete(newBounds, k)
 		}

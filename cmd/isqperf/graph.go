@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"math"
-	"testing"
 
 	"indoorsq/internal/cindex"
 	"indoorsq/internal/doorgraph"
@@ -71,13 +70,8 @@ func runGraphScale(sc *scenario, gs graphScale, smoke bool) error {
 		"rows": float64(rows), "cols": float64(cols), "partitions": float64(sp.NumPartitions()),
 		"doors": float64(n), "edges": float64(g.NumEdges()), "graph_bytes": float64(g.SizeBytes()),
 	})
-	reps := 5
-	if n > 50_000 {
-		reps = 3
-	}
-	sc.row(name+"/doorgraph_build", map[string]float64{
-		"ms": ms(timeBest(reps, func() { g = doorgraph.Build(sp) })),
-	})
+	build := estimate(side{1, func() { g = doorgraph.Build(sp) }})[0]
+	sc.row(name+"/doorgraph_build", map[string]float64{"ms": build.median() / 1e6, "samples": float64(len(build.ns))})
 
 	srcs := make([]int32, 64)
 	for i := range srcs {
@@ -89,25 +83,23 @@ func runGraphScale(sc *scenario, gs graphScale, smoke bool) error {
 	eng := cindex.New(sp)
 	pts := workload.New(sp, 1).Points(32)
 	var st query.Stats
-	m := runBest(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s.Run(g, srcs[i%len(srcs)], i%2 == 1)
-		}
-	}, func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			tgt[0] = srcs[(i+17)%len(srcs)]
-			s.RunTargets(g, srcs[i%len(srcs)], false, tgt)
-		}
-	}, func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			eng.SPD(pts[i%len(pts)], pts[(i+1)%len(pts)], &st)
-		}
-	})
+	// Each side cycles through its sources or points, one per call.
+	var si, ti, pi int
+	m := estimate(side{1, func() {
+		s.Run(g, srcs[si%len(srcs)], si%2 == 1)
+		si++
+	}}, side{1, func() {
+		tgt[0] = srcs[(ti+17)%len(srcs)]
+		s.RunTargets(g, srcs[ti%len(srcs)], false, tgt)
+		ti++
+	}}, side{1, func() {
+		eng.SPD(pts[pi%len(pts)], pts[(pi+1)%len(pts)], &st)
+		pi++
+	}})
 	for i, r := range []string{"sweep_single_source", "sweep_single_target", "cindex_spdq"} {
-		sc.row(name+"/"+r, map[string]float64{"ns_op": m[i].ns, "bytes_op": m[i].bytes, "allocs_op": m[i].allocs})
+		sc.row(name+"/"+r, map[string]float64{
+			"ns_op": m[i].median(), "bytes_op": m[i].bytes, "allocs_op": m[i].allocs, "samples": float64(len(m[i].ns)),
+		})
 	}
 	sc.bound(name+" sweep allocs_op == 0", m[0].allocs+m[1].allocs, m[0].allocs == 0 && m[1].allocs == 0)
 	return nil

@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand/v2"
+	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
-	"testing"
 	"time"
 
 	"indoorsq/internal/exec"
@@ -15,48 +17,190 @@ import (
 	"indoorsq/internal/query"
 )
 
-// rounds is the N of every interleaved best-of-N timing.
-const rounds = 5
+// The estimator's constants, shared by every timed row: nothing about the
+// estimate can be set per scenario, per row or from outside.
+const (
+	// maxRounds bounds the round count of one estimate; each round gives
+	// one sample of every side (see estimate).
+	maxRounds = 200
+	// minRounds is taken whatever budget says, so a side whose unit is
+	// slow (a build) still gets a median of several samples.
+	minRounds = 5
+	// budget is the wall time after which an estimate starts no new
+	// round once it has minRounds.
+	budget = 3 * time.Second
+	// sampleTime is the length one sample aims at, n shared by every side
+	// and calibrated once.
+	sampleTime = 2 * time.Millisecond
+	// resamples and bootSeed fix the bootstrap of every interval.
+	resamples = 2000
+	bootSeed  = 1
+	// gcSlack is the heap growth, in bytes, after which the estimator
+	// collects between two samples. The collector is otherwise off, so no
+	// collection lands inside a timed sample.
+	gcSlack = 64 << 20
+)
 
-// mb is one testing.Benchmark observation.
-type mb struct {
-	ns, bytes, allocs float64
+// side is one timed body of an estimate: each call of run does ops
+// operations (a pass over a query list, one sweep, one build), and every
+// per-op figure divides by it.
+type side struct {
+	ops int
+	run func()
 }
 
-func bench(f func(*testing.B)) mb {
-	r := testing.Benchmark(f)
-	return mb{
-		ns:     float64(r.T.Nanoseconds()) / float64(r.N),
-		bytes:  float64(r.AllocedBytesPerOp()),
-		allocs: float64(r.AllocsPerOp()),
-	}
+// timing is what the estimator measured of one side: the ns per op of each
+// round's sample, in round order, and the bytes and allocations per op
+// over all its samples, whole numbers as testing.B reports them. They are
+// counted over all samples, not per sample: a 2 ms sample of a 64-query
+// pass that averages 15.95 allocations per query reads 16 whenever it
+// meets four stray allocations, which a longer count dilutes.
+type timing struct {
+	ns            []float64
+	bytes, allocs float64
 }
 
-// runBest runs the loops interleaved, rounds times (every other round in
-// reverse order, so no side always runs first), and keeps each loop's
-// fastest ns/op with the highest allocs/op it ever showed: the noise floor
-// of every side under the same cache and scheduler conditions. The garbage
-// collector is off meanwhile, so a collection started by one side's
-// garbage cannot land in the other side's timing; testing.Benchmark still
-// collects before each measurement.
-func runBest(loops ...func(*testing.B)) []mb {
+func (t timing) median() float64 { return median(t.ns) }
+
+// estimate times sides round by round, interleaved. A warm-up calibration
+// picks one n for all sides, so a sample runs a side's unit n times, about
+// sampleTime. A round samples every side twice, in mirrored order (A B B A
+// for two sides), and keeps each side's faster sample: the mirror cancels
+// a drift that is linear over the round, and the faster of two drops a
+// sample that the scheduler preempted. The order alternates by round
+// (B A A B next), so no side always runs first. Rounds continue until
+// maxRounds, or until budget has passed and minRounds are taken. Round r
+// gives sample r of every side, which is what pairs them.
+func estimate(sides ...side) []timing {
 	prev := debug.SetGCPercent(-1)
 	defer debug.SetGCPercent(prev)
-	best := make([]mb, len(loops))
-	for r := 0; r < rounds; r++ {
-		for j := range loops {
+	runtime.GC()
+	var mem runtime.MemStats
+	runtime.ReadMemStats(&mem)
+	floor := mem.HeapAlloc
+	sample := func(s side, n int) (time.Duration, uint64, uint64) {
+		runtime.ReadMemStats(&mem)
+		if mem.HeapAlloc > floor+gcSlack {
+			runtime.GC()
+			runtime.ReadMemStats(&mem)
+			floor = mem.HeapAlloc
+		}
+		mallocs, bytes := mem.Mallocs, mem.TotalAlloc
+		start := time.Now()
+		for i := 0; i < n; i++ {
+			s.run()
+		}
+		took := time.Since(start)
+		runtime.ReadMemStats(&mem)
+		return took, mem.Mallocs - mallocs, mem.TotalAlloc - bytes
+	}
+
+	// Calibration is warm-up and is discarded: caches fill and first-touch
+	// costs land here.
+	n := 1
+	for {
+		var took time.Duration
+		for _, s := range sides {
+			d, _, _ := sample(s, n)
+			took += d
+		}
+		want := time.Duration(len(sides)) * sampleTime
+		if took >= want/2 {
+			break
+		}
+		next := int(float64(n) * 1.2 * float64(want) / float64(max(took, 1)))
+		n = min(max(next, n+1), 100*n)
+	}
+
+	out := make([]timing, len(sides))
+	mallocs, bytes := make([]uint64, len(sides)), make([]uint64, len(sides))
+	start := time.Now()
+	for r := 0; r < maxRounds && (r < minRounds || time.Since(start) < budget); r++ {
+		best := make([]time.Duration, len(sides))
+		for j := range 2 * len(sides) {
 			i := j
+			if j >= len(sides) {
+				i = 2*len(sides) - 1 - j
+			}
 			if r%2 == 1 {
-				i = len(loops) - 1 - j
+				i = len(sides) - 1 - i
 			}
-			m := bench(loops[i])
-			if r == 0 || m.ns < best[i].ns {
-				best[i].ns, best[i].bytes = m.ns, m.bytes
+			took, m, b := sample(sides[i], n)
+			if j < len(sides) || took < best[i] {
+				best[i] = took
 			}
-			best[i].allocs = math.Max(best[i].allocs, m.allocs)
+			mallocs[i] += m
+			bytes[i] += b
+		}
+		for i, s := range sides {
+			out[i].ns = append(out[i].ns, float64(best[i].Nanoseconds())/float64(n*s.ops))
 		}
 	}
-	return best
+	for i, s := range sides {
+		ops := uint64(2 * len(out[i].ns) * n * s.ops)
+		out[i].allocs, out[i].bytes = float64(mallocs[i]/ops), float64(bytes[i]/ops)
+	}
+	return out
+}
+
+func median(xs []float64) float64 {
+	if len(xs) == 0 {
+		return math.NaN()
+	}
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	if len(s)%2 == 1 {
+		return s[len(s)/2]
+	}
+	return (s[len(s)/2-1] + s[len(s)/2]) / 2
+}
+
+// delta is the median of the paired relative differences after/before - 1
+// in percent, with its bootstrap 95% interval [lo, hi]; positive when
+// after is slower.
+type delta struct {
+	pct, lo, hi float64
+}
+
+// pairedDelta pairs before and after sample by sample (same round), takes
+// the median of the per-round relative differences and bootstraps it: the
+// 2.5th and 97.5th percentiles of the medians of resamples redraws of the
+// differences, with replacement, from a fixed seed.
+func pairedDelta(before, after []float64) delta {
+	diffs := make([]float64, len(before))
+	for i := range before {
+		diffs[i] = deltaPct(before[i], after[i])
+	}
+	rng := rand.New(rand.NewPCG(bootSeed, uint64(len(diffs))))
+	meds := make([]float64, resamples)
+	draw := make([]float64, len(diffs))
+	for b := range meds {
+		for i := range draw {
+			draw[i] = diffs[rng.IntN(len(diffs))]
+		}
+		meds[b] = median(draw)
+	}
+	slices.Sort(meds)
+	return delta{median(diffs), meds[resamples*25/1000], meds[resamples*975/1000-1]}
+}
+
+// The verdicts of a bound.
+const (
+	pass       = "pass"
+	fail       = "fail"
+	unresolved = "unresolved"
+)
+
+// atMost decides "delta <= limit" from d's interval: pass only if all of
+// it meets the limit, fail only if all of it misses, unresolved otherwise.
+func atMost(d delta, limit float64) string {
+	switch {
+	case d.hi <= limit:
+		return pass
+	case d.lo > limit:
+		return fail
+	}
+	return unresolved
 }
 
 func deltaPct(before, after float64) float64 {
@@ -66,34 +210,29 @@ func deltaPct(before, after float64) float64 {
 	return 100 * (after - before) / before
 }
 
-// pair times before against after with runBest and records one row; its
-// ns_op_delta_pct is positive when after is slower.
-func (sc *scenario) pair(name string, before, after func(*testing.B)) (mb, mb) {
-	m := runBest(before, after)
-	b, a := m[0], m[1]
-	sc.row(name, map[string]float64{
-		"before_ns_op": b.ns, "before_bytes_op": b.bytes, "before_allocs_op": b.allocs,
-		"after_ns_op": a.ns, "after_bytes_op": a.bytes, "after_allocs_op": a.allocs,
-		"ns_op_delta_pct": deltaPct(b.ns, a.ns),
-	})
-	return b, a
+// pairMetrics is the row of one before/after comparison: each side's
+// median ns/op and its bytes and allocs per op, the paired delta with its
+// interval, and the number of paired samples.
+func pairMetrics(b, a timing, d delta) map[string]float64 {
+	return map[string]float64{
+		"before_ns_op": b.median(), "before_bytes_op": b.bytes, "before_allocs_op": b.allocs,
+		"after_ns_op": a.median(), "after_bytes_op": a.bytes, "after_allocs_op": a.allocs,
+		"ns_op_delta_pct": d.pct, "ns_op_delta_pct_lo": d.lo, "ns_op_delta_pct_hi": d.hi,
+		"samples": float64(len(b.ns)),
+	}
 }
 
-// timeBest is the fastest of reps wall-clock runs of f, for work too slow
-// for testing.Benchmark.
-func timeBest(reps int, f func()) time.Duration {
-	best := time.Duration(math.MaxInt64)
-	for i := 0; i < reps; i++ {
-		start := time.Now()
-		f()
-		best = min(best, time.Since(start))
-	}
-	return best
+// pair times before against after and records one row.
+func (sc *scenario) pair(name string, before, after side) (timing, timing, delta) {
+	t := estimate(before, after)
+	d := pairedDelta(t[0].ns, t[1].ns)
+	sc.row(name, pairMetrics(t[0], t[1], d))
+	return t[0], t[1], d
 }
 
 func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 
-// mixOps is n rounds of one range, one kNN and one SPD query over pts.
+// mixOps is n triples of one range, one kNN and one SPD query over pts.
 func mixOps(pts []indoor.Point, n int, r float64, k int) []exec.Op {
 	ops := make([]exec.Op, 0, 3*n)
 	for i := 0; i < n; i++ {
@@ -116,16 +255,15 @@ func opsOf(ops []exec.Op, kind exec.Kind) []exec.Op {
 	return out
 }
 
-// loop is a benchmark body running ops round robin, one per iteration,
-// through runOp.
-func loop(ctx context.Context, e query.Engine, ops []exec.Op) func(*testing.B) {
-	return func(b *testing.B) {
-		var st query.Stats
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			runOp(ctx, e, &ops[i%len(ops)], &st)
+// passOf is a side that runs ops once per call through runOp, one op per
+// query.
+func passOf(ctx context.Context, e query.Engine, ops []exec.Op) side {
+	var st query.Stats
+	return side{len(ops), func() {
+		for i := range ops {
+			runOp(ctx, e, &ops[i], &st)
 		}
-	}
+	}}
 }
 
 // runOp runs op on e through query.Range/KNN/SPD under ctx, or straight

@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"strings"
-	"testing"
 
 	"indoorsq/internal/cindex"
 	"indoorsq/internal/enginetest"
@@ -76,13 +75,12 @@ func runHost(sc *scenario, smoke bool) error {
 		if smoke {
 			continue
 		}
-		lookups := func(host func(indoor.Point) (indoor.PartitionID, bool)) func(*testing.B) {
-			return func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					host(pts[i%len(pts)])
+		lookups := func(host func(indoor.Point) (indoor.PartitionID, bool)) side {
+			return side{len(pts), func() {
+				for _, p := range pts {
+					host(p)
 				}
-			}
+			}}
 		}
 		sc.pair("host/"+v.id, lookups(sp.HostPartition), lookups(ix.Host))
 	}

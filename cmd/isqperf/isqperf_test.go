@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"slices"
@@ -39,8 +40,9 @@ func TestSmoke(t *testing.T) {
 	}
 
 	// compare on two tiny reports written to disk: one shared row with a
-	// metric on each side only, one row per side, a bound that holds, one
-	// that flips and one per side.
+	// metric on each side only, one row per side, a bound that holds, an
+	// exact one that flips (its old side written before verdicts, with
+	// pass alone), a timing one that turns unresolved and one per side.
 	dir := t.TempDir()
 	write := func(name string, rep *report) string {
 		data, err := json.Marshal(rep)
@@ -56,14 +58,22 @@ func TestSmoke(t *testing.T) {
 	oldRep, err := readReport(write("old.json", &report{Scenarios: []*scenario{{Name: "move", Rows: []row{
 		{"a", map[string]float64{"ups": 200, "gone": 1}},
 		{"b", map[string]float64{"ups": 5}},
-	}, Bounds: []bound{{"flips", 0, true}, {"holds", 0, true}, {"dropped", 1, false}}}}}))
+	}, Bounds: []bound{
+		{Name: "flips", Value: 0, Pass: true}, {Name: "holds", Verdict: pass, Pass: true},
+		{Name: "timed", Value: 0.5, Interval: []float64{-0.25, 1.5}, Verdict: pass, Pass: true},
+		{Name: "dropped", Value: 1, Verdict: fail},
+	}}}}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	newRep, err := readReport(write("new.json", &report{Scenarios: []*scenario{{Name: "move", Rows: []row{
 		{"a", map[string]float64{"ups": 250, "added": 3}},
 		{"c", map[string]float64{"ups": 7}},
-	}, Bounds: []bound{{"holds", 0, true}, {"flips", 2, false}, {"new", 0, true}}}}}))
+	}, Bounds: []bound{
+		{Name: "holds", Verdict: pass, Pass: true}, {Name: "flips", Value: 2, Verdict: fail},
+		{Name: "timed", Value: 1.75, Interval: []float64{1.25, 2.5}, Verdict: unresolved},
+		{Name: "new", Verdict: pass, Pass: true},
+	}}}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +92,8 @@ func TestSmoke(t *testing.T) {
 		"move a ups 200 250 +25.0",
 		"only in old: move b",
 		"only in new: move c",
-		"bound move flips: pass -> FAIL",
+		"bound move flips: pass 0 -> fail 2",
+		"bound move timed: pass 0.5 [-0.25, 1.5] -> unresolved 1.75 [1.25, 2.5]",
 		"bound only in old: move dropped",
 		"bound only in new: move new",
 	}
@@ -153,5 +164,86 @@ func TestGateDetectsDivergence(t *testing.T) {
 	got[3].Err = errors.New("some other failure")
 	if err := sameResults(ops, want(), got, 1e-6); err == nil {
 		t.Fatal("different SPD error accepted")
+	}
+}
+
+// TestVerdictRule decides "delta <= 2" on synthetic paired samples: the
+// same seeded noise on every before sample, after scaled by a known factor
+// with noise of its own.
+func TestVerdictRule(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 7))
+	paired := func(scale, noise float64) delta {
+		before, after := make([]float64, 200), make([]float64, 200)
+		for i := range before {
+			before[i] = 1000 * (1 + 0.02*rng.NormFloat64())
+			after[i] = before[i] * scale * (1 + noise*rng.NormFloat64())
+		}
+		return pairedDelta(before, after)
+	}
+	for _, c := range []struct {
+		name         string
+		scale, noise float64
+		want         string
+	}{
+		{"equal sides", 1, 0.01, pass},
+		{"5% slower", 1.05, 0.01, fail},
+		{"2% slower, interval straddles the limit", 1.02, 0.01, unresolved},
+		{"equal sides, too noisy to decide", 1, 0.25, unresolved},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			d := paired(c.scale, c.noise)
+			if !(d.lo <= d.pct && d.pct <= d.hi) {
+				t.Fatalf("median %.3g outside its interval [%.3g, %.3g]", d.pct, d.lo, d.hi)
+			}
+			if got := atMost(d, 2); got != c.want {
+				t.Errorf("delta %.3g [%.3g, %.3g] <= 2: %s, want %s", d.pct, d.lo, d.hi, got, c.want)
+			}
+		})
+	}
+
+	// The interval is a pure function of the samples.
+	before := []float64{10, 11, 9, 10, 12, 10, 11}
+	after := []float64{11, 12, 10, 10, 13, 11, 12}
+	if a, b := pairedDelta(before, after), pairedDelta(before, after); a != b {
+		t.Errorf("two bootstraps of the same samples differ: %v, %v", a, b)
+	}
+}
+
+var spinSink float64
+
+// spin is a side whose unit is iters dependent floating-point steps.
+func spin(iters int) side {
+	return side{1, func() {
+		x := spinSink
+		for i := 0; i < iters; i++ {
+			x = x*0.999999 + 1
+		}
+		spinSink = x
+	}}
+}
+
+// TestEstimatorLive times real loops with the estimator's own constants:
+// an injected 5% delay must resolve as a failure of "<= 2%", and one loop
+// timed against itself must never resolve as a failure, in each of three
+// repeats.
+func TestEstimatorLive(t *testing.T) {
+	if testing.Short() {
+		t.Skip("times real loops for a few seconds")
+	}
+	const iters = 20000
+	for rep := 0; rep < 3; rep++ {
+		tm := estimate(spin(iters), spin(iters*105/100))
+		d := pairedDelta(tm[0].ns, tm[1].ns)
+		t.Logf("repeat %d: 5%% delay: %.3g [%.3g, %.3g] over %d samples: %s", rep, d.pct, d.lo, d.hi, len(tm[0].ns), atMost(d, 2))
+		if atMost(d, 2) != fail {
+			t.Errorf("repeat %d: 5%% delay did not resolve as a failure of <= 2", rep)
+		}
+		same := spin(iters)
+		tm = estimate(same, same)
+		d = pairedDelta(tm[0].ns, tm[1].ns)
+		t.Logf("repeat %d: one loop against itself: %.3g [%.3g, %.3g] over %d samples: %s", rep, d.pct, d.lo, d.hi, len(tm[0].ns), atMost(d, 2))
+		if atMost(d, 2) == fail {
+			t.Errorf("repeat %d: one loop against itself resolved as a failure of <= 2", rep)
+		}
 	}
 }

@@ -21,10 +21,20 @@
 //
 // Every scenario first runs its answer gate: the two sides of each
 // comparison answer the same exec.Op list and sameResults must hold, else
-// the run aborts before any timing. Each scenario's bounds are then written
-// into the report as pass/fail, and a full run exits non-zero after writing
-// the report if any bound failed. -smoke runs every gate on tiny venues
-// with no timing and no bounds.
+// the run aborts before any timing. Every timed figure then comes from one
+// estimator (estimate in harness.go): many short samples, interleaved
+// across the sides being compared with the order alternating by round, the
+// garbage collector kept out of every sample. A side reports its median;
+// a before/after row also reports the median paired difference with a
+// seeded bootstrap 95% interval (ns_op_delta_pct, _lo, _hi).
+//
+// Each scenario's bounds are written into the report with a verdict. A
+// timing bound passes only if its whole interval meets the limit, fails
+// only if the whole interval misses it, and is unresolved otherwise; an
+// exact bound (allocations, counts) passes or fails. A full run logs the
+// count of each verdict and exits 1 after writing the report if any bound
+// failed or is unresolved. -smoke runs every gate on tiny venues with no
+// timing and no bounds.
 //
 // The report (standard output unless -o is given) is one JSON document: the
 // runner fingerprint, then per scenario its name, params, gate, bounds and
@@ -32,7 +42,8 @@
 //
 // compare reads two such reports and prints the old value, the new value
 // and the change in percent for every (scenario, row, metric), then the
-// rows only one of them has.
+// rows only one of them has, then every bound whose verdict changed, with
+// its value and interval on each side.
 package main
 
 import (
@@ -82,11 +93,37 @@ type scenario struct {
 	Rows   []row          `json:"rows"`
 }
 
-// bound is one acceptance criterion of a scenario, checked in full mode.
+// bound is one acceptance criterion of a scenario, checked in full mode,
+// with its verdict: pass, fail or unresolved. A timing bound is decided
+// from its value's bootstrap interval, held in Interval as [lo, hi]:
+// unresolved when the interval straddles the limit. Other bounds are
+// exact and pass or fail. Pass is true exactly when the verdict is pass;
+// reports written before verdicts existed carry Pass alone.
 type bound struct {
-	Name  string  `json:"name"`
-	Value float64 `json:"value"`
-	Pass  bool    `json:"pass"`
+	Name     string    `json:"name"`
+	Value    float64   `json:"value"`
+	Interval []float64 `json:"interval,omitempty"`
+	Verdict  string    `json:"verdict"`
+	Pass     bool      `json:"pass"`
+}
+
+// verdict is b's verdict, derived from Pass in a report without one.
+func (b bound) verdict() string {
+	switch {
+	case b.Verdict != "":
+		return b.Verdict
+	case b.Pass:
+		return pass
+	}
+	return fail
+}
+
+// String is b's verdict and value, with the interval of a timing bound.
+func (b bound) String() string {
+	if len(b.Interval) == 2 {
+		return fmt.Sprintf("%s %.4g [%.4g, %.4g]", b.verdict(), b.Value, b.Interval[0], b.Interval[1])
+	}
+	return fmt.Sprintf("%s %.4g", b.verdict(), b.Value)
 }
 
 type row struct {
@@ -108,13 +145,28 @@ func (sc *scenario) row(name string, metrics map[string]float64) {
 	logf("[%s] %s:%s", sc.Name, name, b.String())
 }
 
-func (sc *scenario) bound(name string, value float64, pass bool) {
-	sc.Bounds = append(sc.Bounds, bound{name, value, pass})
-	verdict := "pass"
-	if !pass {
-		verdict = "FAIL"
+// bound records an exact bound: it passes or fails on value alone.
+func (sc *scenario) bound(name string, value float64, ok bool) {
+	verdict := fail
+	if ok {
+		verdict = pass
 	}
-	logf("[%s] bound %s: %.4g %s", sc.Name, name, value, verdict)
+	sc.record(bound{Name: name, Value: value, Verdict: verdict})
+}
+
+// boundAtMost records the timing bound "name <= limit", decided from d's
+// interval (see atMost).
+func (sc *scenario) boundAtMost(name string, d delta, limit float64) {
+	sc.record(bound{
+		Name: fmt.Sprintf("%s <= %g", name, limit), Value: d.pct,
+		Interval: []float64{d.lo, d.hi}, Verdict: atMost(d, limit),
+	})
+}
+
+func (sc *scenario) record(b bound) {
+	b.Pass = b.Verdict == pass
+	sc.Bounds = append(sc.Bounds, b)
+	logf("[%s] bound %s: %v", sc.Name, b.Name, b)
 }
 
 func logf(format string, args ...any) {
@@ -235,16 +287,17 @@ func main() {
 		logf("wrote %s", *out)
 	}
 
-	failed := 0
+	counts := map[string]int{}
 	for _, sc := range rep.Scenarios {
 		for _, b := range sc.Bounds {
-			if !b.Pass {
-				logf("bound failed: %s: %s = %.4g", sc.Name, b.Name, b.Value)
-				failed++
+			counts[b.verdict()]++
+			if b.verdict() != pass {
+				logf("bound %s %s: %v", sc.Name, b.Name, b)
 			}
 		}
 	}
-	if failed > 0 {
+	logf("bounds: %d pass, %d fail, %d unresolved", counts[pass], counts[fail], counts[unresolved])
+	if counts[fail]+counts[unresolved] > 0 {
 		os.Exit(1)
 	}
 }

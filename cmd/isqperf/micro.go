@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"fmt"
-	"testing"
 
 	"indoorsq/internal/cindex"
 	"indoorsq/internal/exec"
@@ -90,7 +89,7 @@ func runCache(sc *scenario, smoke bool) error {
 	// steady state is the amortized behaviour the cache exists for.
 	for _, c := range classes {
 		ops := opsOf(m.ops, c.kind)
-		sc.pair(c.name, loop(nil, uncached, ops), loop(nil, cached, ops))
+		sc.pair(c.name, passOf(nil, uncached, ops), passOf(nil, cached, ops))
 	}
 
 	cv := indoor.PartitionID(-1)
@@ -109,17 +108,16 @@ func runCache(sc *scenario, smoke bool) error {
 			m.sp.WithinDoorsCached(cv, a, b)
 		}
 	}
-	_, warm := sc.pair("d2d_kernel_concave", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			m.sp.WithinDoors(cv, doors[i%len(doors)], doors[(i+1)%len(doors)])
+	next := func(i int) indoor.DoorID { return doors[(i+1)%len(doors)] }
+	_, warm, _ := sc.pair("d2d_kernel_concave", side{len(doors), func() {
+		for i, a := range doors {
+			m.sp.WithinDoors(cv, a, next(i))
 		}
-	}, func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			m.sp.WithinDoorsCached(cv, doors[i%len(doors)], doors[(i+1)%len(doors)])
+	}}, side{len(doors), func() {
+		for i, a := range doors {
+			m.sp.WithinDoorsCached(cv, a, next(i))
 		}
-	})
+	}})
 	sc.bound("d2d_kernel_concave warm cached allocs_op == 0", warm.allocs, warm.allocs == 0)
 
 	cs := m.sp.DistCache().Stats()
@@ -154,12 +152,12 @@ func runCtx(sc *scenario, smoke bool) error {
 	}
 	m.warm(e)
 	spd := opsOf(m.ops, exec.SPDQ)
-	b, a := sc.pair("spd", loop(nil, e, spd), loop(live, e, spd))
-	sc.bound("spd ns_op_delta_pct <= 2", deltaPct(b.ns, a.ns), deltaPct(b.ns, a.ns) <= 2)
-	sc.pair("spd_budget", loop(nil, e, spd), loop(budget, e, spd))
+	_, _, d := sc.pair("spd", passOf(nil, e, spd), passOf(live, e, spd))
+	sc.boundAtMost("spd ns_op_delta_pct", d, 2)
+	sc.pair("spd_budget", passOf(nil, e, spd), passOf(budget, e, spd))
 	for _, c := range classes[1:] {
 		ops := opsOf(m.ops, c.kind)
-		sc.pair(c.name, loop(nil, e, ops), loop(live, e, ops))
+		sc.pair(c.name, passOf(nil, e, ops), passOf(live, e, ops))
 	}
 	return nil
 }
@@ -187,22 +185,20 @@ func runObs(sc *scenario, smoke bool) error {
 	}
 	m.warm(e)
 	spd := opsOf(m.ops, exec.SPDQ)
-	dis, en := sc.pair("spd", loop(live, e, spd), loop(enabled, e, spd))
-	sc.bound("spd ns_op_delta_pct <= 2", deltaPct(dis.ns, en.ns), deltaPct(dis.ns, en.ns) <= 2)
-	sc.pair("spd_traced", loop(live, e, spd), func(b *testing.B) {
-		var st query.Stats
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			op := &spd[i%len(spd)]
-			query.SPD(obs.WithTrace(enabled, obs.NewTrace()), e, op.P, op.Q, &st)
+	_, _, d := sc.pair("spd", passOf(live, e, spd), passOf(enabled, e, spd))
+	sc.boundAtMost("spd ns_op_delta_pct", d, 2)
+	var st query.Stats
+	sc.pair("spd_traced", passOf(live, e, spd), side{len(spd), func() {
+		for i := range spd {
+			query.SPD(obs.WithTrace(enabled, obs.NewTrace()), e, spd[i].P, spd[i].Q, &st)
 		}
-	})
+	}})
 	for _, c := range classes[1:] {
 		ops := opsOf(m.ops, c.kind)
-		sc.pair(c.name, loop(live, e, ops), loop(enabled, e, ops))
+		sc.pair(c.name, passOf(live, e, ops), passOf(enabled, e, ops))
 	}
 	// The disabled path must allocate exactly what the plain entry points do.
-	pl, dis := sc.pair("spd_plain_vs_disabled", loop(nil, e, spd), loop(live, e, spd))
+	pl, dis, _ := sc.pair("spd_plain_vs_disabled", passOf(nil, e, spd), passOf(live, e, spd))
 	sc.bound("spd disabled allocs_op - plain allocs_op == 0", dis.allocs-pl.allocs, dis.allocs == pl.allocs)
 	return nil
 }

@@ -2,10 +2,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
-	"time"
 
 	"indoorsq/internal/dataset"
 	"indoorsq/internal/exec"
@@ -36,7 +36,6 @@ const (
 	paperQueries = 10
 	paperObjects = 1000
 	paperK       = 10
-	paperReps    = 5
 )
 
 // paperSetting is one x-axis point of tasks A and B1–B7: a dataset, its
@@ -176,30 +175,31 @@ func paperPlan(smoke bool) ([]paperSetting, error) {
 // ✓ shape claim of EXPERIMENTS.md is then checked as one bound.
 func runPaper(sc *scenario, smoke bool) error {
 	sc.Params["seed"], sc.Params["queries"], sc.Params["objects"], sc.Params["k"] = paperSeed, paperQueries, paperObjects, paperK
-	reps := paperReps
-	if smoke {
-		reps = 1
-	}
-	sc.Params["build_ms"] = fmt.Sprintf("best of %d builds", reps)
-	sc.Params["time_us"] = fmt.Sprintf("best of %d sequential passes over the instances, per query", reps)
+	sc.Params["build_ms"] = "median of the builds of one dataset's five engines, interleaved; build_samples builds per engine"
+	sc.Params["time_us"] = "median per query of passes over the instances, every (engine, kind) of a setting interleaved; <kind>_samples samples each"
 	sc.Params["mem_mb"] = "engine SizeBytes plus the mean per-query working set, MB"
 	sc.Params["nvd"] = "mean visited doors per query"
 	sc.Gate = "at every B1–B7 setting all five engines answer every instance as IDModel does (distances to 1e-6)"
-	// build constructs the five engines over info, timing each as the best
-	// of reps builds.
-	build := func(info *dataset.Info, reps int) ([]query.Engine, []time.Duration, error) {
+	// build constructs the five engines over info; timed, every engine is
+	// one side of one estimate and the last build of each is kept.
+	build := func(info *dataset.Info, timed bool) ([]query.Engine, []timing, error) {
 		es := make([]query.Engine, len(bundle.EngineNames))
-		took := make([]time.Duration, len(es))
+		errs := make([]error, len(es))
+		sides := make([]side, len(es))
 		for i, name := range bundle.EngineNames {
-			var err error
-			took[i] = timeBest(reps, func() {
-				es[i], err = bundle.NewEngine(name, info.Space, bundle.Options{Gamma: info.Gamma})
-			})
-			if err != nil {
-				return nil, nil, err
+			sides[i] = side{1, func() {
+				es[i], errs[i] = bundle.NewEngine(name, info.Space, bundle.Options{Gamma: info.Gamma})
+			}}
+		}
+		var took []timing
+		if timed {
+			took = estimate(sides...)
+		} else {
+			for _, s := range sides {
+				s.run()
 			}
 		}
-		return es, took, nil
+		return es, took, errors.Join(errs...)
 	}
 
 	plan, err := paperPlan(smoke)
@@ -211,7 +211,7 @@ func runPaper(sc *scenario, smoke bool) error {
 	for _, s := range tab.plan {
 		info := dataset.Get(s.ds)
 		if s.task == "A" {
-			es, took, err := build(info, reps)
+			es, took, err := build(info, !smoke)
 			if err != nil {
 				return err
 			}
@@ -219,7 +219,8 @@ func runPaper(sc *scenario, smoke bool) error {
 			for i, e := range es {
 				if !smoke {
 					tab.row(sc, s.name(e.Name()), map[string]float64{
-						"size_mb": float64(e.SizeBytes()) / 1e6, "build_ms": ms(took[i]),
+						"size_mb": float64(e.SizeBytes()) / 1e6, "build_ms": took[i].median() / 1e6,
+						"build_samples": float64(len(took[i].ns)),
 					})
 				}
 			}
@@ -228,7 +229,7 @@ func runPaper(sc *scenario, smoke bool) error {
 		es := engines[s.ds]
 		if es == nil {
 			var err error
-			if es, _, err = build(info, 1); err != nil {
+			if es, _, err = build(info, false); err != nil {
 				return err
 			}
 			engines[s.ds] = es
@@ -251,35 +252,43 @@ func runPaper(sc *scenario, smoke bool) error {
 		if smoke {
 			continue
 		}
+		// One estimate per setting: each (engine, kind) is a side whose
+		// unit is one pass over that kind's instances.
+		type cell struct {
+			engine int
+			kind   exec.Kind
+		}
+		var cells []cell
+		var sides []side
+		metrics := make([]map[string]float64, len(es))
 		for i, e := range es {
-			metrics := map[string]float64{}
+			metrics[i] = map[string]float64{}
 			for _, kind := range []exec.Kind{exec.RangeQ, exec.KNNQ, exec.SPDQ} {
-				var work, doors int64
-				n := 0
-				for j, op := range s.ops {
-					if op.Kind == kind {
-						work += res[i][j].Stats.WorkBytes
-						doors += int64(res[i][j].Stats.VisitedDoors)
-						n++
-					}
+				if kops := opsOf(s.ops, kind); len(kops) > 0 {
+					cells = append(cells, cell{i, kind})
+					sides = append(sides, passOf(context.Background(), e, kops))
 				}
-				if n == 0 {
-					continue
-				}
-				kops := opsOf(s.ops, kind)
-				best := timeBest(reps, func() {
-					ctx := context.Background()
-					var st query.Stats
-					for j := range kops {
-						runOp(ctx, e, &kops[j], &st)
-					}
-				})
-				f := float64(n)
-				metrics[kind.String()+"_time_us"] = float64(best.Nanoseconds()) / f / 1e3
-				metrics[kind.String()+"_mem_mb"] = (float64(work)/f + float64(e.SizeBytes())) / 1e6
-				metrics[kind.String()+"_nvd"] = float64(doors) / f
 			}
-			tab.row(sc, s.name(e.Name()), metrics)
+		}
+		took := estimate(sides...)
+		for c, cl := range cells {
+			i, kind := cl.engine, cl.kind
+			var work, doors int64
+			for j, op := range s.ops {
+				if op.Kind == kind {
+					work += res[i][j].Stats.WorkBytes
+					doors += int64(res[i][j].Stats.VisitedDoors)
+				}
+			}
+			f := float64(sides[c].ops)
+			m := metrics[i]
+			m[kind.String()+"_time_us"] = took[c].median() / 1e3
+			m[kind.String()+"_samples"] = float64(len(took[c].ns))
+			m[kind.String()+"_mem_mb"] = (float64(work)/f + float64(es[i].SizeBytes())) / 1e6
+			m[kind.String()+"_nvd"] = float64(doors) / f
+		}
+		for i, e := range es {
+			tab.row(sc, s.name(e.Name()), metrics[i])
 		}
 	}
 	if smoke {

@@ -71,10 +71,10 @@ func (cfg routeVenue) plan(sp *indoor.Space, n int) []exec.Op {
 func runRoute(sc *scenario, smoke bool) error {
 	cfgs := routeVenues(smoke)
 	engines := bundle.EngineNames
-	rounds, batch, objects := 40, 40, 200
+	batches, batch, objects := 40, 40, 200
 	if smoke {
 		engines = []string{"IDModel", "IDIndex", "CIndex"}
-		rounds, batch, objects = 5, 8, 24
+		batches, batch, objects = 5, 8, 24
 	}
 	specs := make([]tenant.VenueSpec, len(cfgs))
 	for i, cfg := range cfgs {
@@ -88,7 +88,7 @@ func runRoute(sc *scenario, smoke bool) error {
 		return err
 	}
 	sc.Params["venues"], sc.Params["engines"] = len(cfgs), engines
-	sc.Params["rounds"], sc.Params["batch"], sc.Params["objects_per_venue"] = rounds, batch, objects
+	sc.Params["batches_per_venue"], sc.Params["batch"], sc.Params["objects_per_venue"] = batches, batch, objects
 	sc.Gate = "routed and every pinned engine answer like the first pinned engine: range id sets, kNN distance per rank and SPD distance within 1e-6, same errors; routed mode has no errors and every venue's router decides all three query classes"
 
 	// replay runs one batch on a venue through a worker pool, as the
@@ -112,7 +112,7 @@ func runRoute(sc *scenario, smoke bool) error {
 	plans := make(map[string][]exec.Op, len(cfgs))
 	for _, cfg := range cfgs {
 		v, _ := tier.Venue(cfg.id)
-		plans[cfg.id] = cfg.plan(v.Space, rounds*batch)
+		plans[cfg.id] = cfg.plan(v.Space, batches*batch)
 		for _, eng := range engines {
 			if _, err := replay(cfg.id, plans[cfg.id], eng); err != nil {
 				return err
@@ -120,14 +120,15 @@ func runRoute(sc *scenario, smoke bool) error {
 		}
 	}
 
-	// runMode replays every venue's stream in interleaved rounds and
-	// returns the per-op latencies plus each venue's results.
+	// runMode replays every venue's stream batch by batch, one batch per
+	// venue in turn, and returns the per-op latencies plus each venue's
+	// results.
 	runMode := func(override string) ([]time.Duration, map[string][]exec.Result, error) {
 		var lat []time.Duration
 		res := make(map[string][]exec.Result, len(cfgs))
-		for round := 0; round < rounds; round++ {
+		for b := 0; b < batches; b++ {
 			for _, cfg := range cfgs {
-				ops := plans[cfg.id][round*batch : (round+1)*batch]
+				ops := plans[cfg.id][b*batch : (b+1)*batch]
 				out, err := replay(cfg.id, ops, override)
 				if err != nil {
 					return nil, nil, err

@@ -38,8 +38,9 @@ import (
 var (
 	// ErrDuplicateQuery marks a Register with an already-registered query id.
 	ErrDuplicateQuery = errors.New("moving: query already registered")
-	// ErrNotIndoors marks a query point hosted by no indoor partition, or
-	// an update position its named partition does not host.
+	// ErrNotIndoors marks a query point or an unlocated update position
+	// hosted by no indoor partition, or an update position its named
+	// partition does not host.
 	ErrNotIndoors = errors.New("moving: point is not indoors")
 )
 
@@ -47,8 +48,8 @@ var (
 type Update struct {
 	ID   int32
 	Loc  indoor.Point
-	Part indoor.PartitionID
-	T    float64 // timestamp, seconds
+	Part indoor.PartitionID // the host; indoor.NoPartition asks Stream.ApplyBatch to locate it
+	T    float64            // timestamp, seconds
 }
 
 // Event is an emitted membership change of a continuous query.

@@ -499,24 +499,35 @@ func (s *Stream) Apply(u Update) ([]Event, error) {
 // ApplyBatch absorbs a batch of position updates and returns the emitted
 // membership events sorted by (T, query, object). The whole batch is
 // validated up front; an invalid update rejects the batch with no state
-// change. The batch is applied in one pass, in batch order, on the caller's
-// goroutine: each update swaps the object's position under its shard lock,
-// evaluates the monitors its old and new partitions touch (see move), and
-// folds each change into that monitor's result at once. So for update
-// streams with strictly increasing timestamps the events are bit-identical
-// to applying the same updates one at a time — for any shard count or batch
-// partitioning — and the sort key (T, query, object) is total, because one
-// timestamp is one update, and one update yields at most one event per
-// (query, object) pair: a kNN update can emit a leave and an enter on one
-// query, but for different objects. When timestamps tie, events equal on
-// (T, query, object) share a query, so the stable sort keeps them in that
-// monitor's fold order, which is batch order.
+// change. An update whose Part is indoor.NoPartition is located there with
+// Space.HostPartition, and its Part in us is set to the host found; one that
+// no partition hosts is invalid. An update that names a partition is checked
+// against it. The batch is applied in one pass, in batch order, on the
+// caller's goroutine: each update swaps the object's position under its
+// shard lock, evaluates the monitors its old and new partitions touch (see
+// move), and folds each change into that monitor's result at once. So for
+// update streams with strictly increasing timestamps the events are
+// bit-identical to applying the same updates one at a time — for any shard
+// count or batch partitioning — and the sort key (T, query, object) is
+// total, because one timestamp is one update, and one update yields at most
+// one event per (query, object) pair: a kNN update can emit a leave and an
+// enter on one query, but for different objects. When timestamps tie, events
+// equal on (T, query, object) share a query, so the stable sort keeps them
+// in that monitor's fold order, which is batch order.
 func (s *Stream) ApplyBatch(us []Update) ([]Event, error) {
 	if len(us) == 0 {
 		return nil, nil
 	}
 	for i := range us {
-		if err := validateUpdate(s.sp, us[i]); err != nil {
+		u := &us[i]
+		if u.Part == indoor.NoPartition {
+			part, ok := s.sp.HostPartition(u.Loc)
+			if !ok {
+				return nil, fmt.Errorf("moving: batch index %d: %w: object %d at %v is in no partition",
+					i, ErrNotIndoors, u.ID, u.Loc)
+			}
+			u.Part = part
+		} else if err := validateUpdate(s.sp, *u); err != nil {
 			return nil, fmt.Errorf("moving: batch index %d: %w", i, err)
 		}
 	}

@@ -75,24 +75,19 @@ func registerMonitor(ctx context.Context, mov *moving.Stream, req monitorRequest
 	}
 }
 
-// decodeUpdates converts a wire batch, resolving omitted partitions.
-func decodeUpdates(sp *indoor.Space, req updateRequest) ([]moving.Update, error) {
+// decodeUpdates converts a wire batch. A report without a partition gets
+// indoor.NoPartition, which ApplyBatch resolves with HostPartition while it
+// validates the batch, so each report is located once.
+func decodeUpdates(req updateRequest) []moving.Update {
 	us := make([]moving.Update, len(req.Updates))
 	for i, u := range req.Updates {
-		p := indoor.At(u.X, u.Y, u.Floor)
-		var part indoor.PartitionID
+		part := indoor.NoPartition
 		if u.Part != nil {
 			part = indoor.PartitionID(*u.Part)
-		} else {
-			v, ok := sp.HostPartition(p)
-			if !ok {
-				return nil, fmt.Errorf("update %d: object %d at %v: %w", i, u.ID, p, moving.ErrNotIndoors)
-			}
-			part = v
 		}
-		us[i] = moving.Update{ID: u.ID, Loc: p, Part: part, T: u.T}
+		us[i] = moving.Update{ID: u.ID, Loc: indoor.At(u.X, u.Y, u.Floor), Part: part, T: u.T}
 	}
-	return us, nil
+	return us
 }
 
 // monitorID parses the {mid} path segment.
@@ -244,11 +239,7 @@ func (s *TenantServer) handleUpdates(w http.ResponseWriter, r *http.Request, v *
 		s.fail(w, fmt.Errorf("%w: %d updates in one batch, at most %d", errTooLarge, n, maxUpdateBatch))
 		return
 	}
-	us, err := decodeUpdates(v.Space, req)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
+	us := decodeUpdates(req)
 	evs, err := v.Stream().ApplyBatch(us)
 	if err != nil {
 		s.fail(w, err)

@@ -526,3 +526,51 @@ func TestStaircaseLandingUpdate(t *testing.T) {
 		t.Fatalf("event %+v, want query 1 object 7 enter at t=1", e)
 	}
 }
+
+// TestUnlocatedOutdoorsRejectsBatch posts a batch of reports without a
+// partition, one of them outdoors between two indoor ones: the stream
+// locates each report while it validates the batch, so the outdoor one
+// rejects it whole with 422, no event and no position moved; the same
+// batch without that report then applies and emits the enter events.
+func TestUnlocatedOutdoorsRejectsBatch(t *testing.T) {
+	f := testspaces.NewStrip()
+	tier := newStripTier(t, f, stripObjects(f), "IDModel")
+	v, _ := tier.Venue("strip")
+	h := server.NewTenantServer(tier).Handler()
+	serve := func(method, url, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, url, strings.NewReader(body)))
+		return rec
+	}
+	if rec := serve(http.MethodPost, "/v1/monitors", `{"id":1,"kind":"range","x":2.5,"y":8,"r":5,"t":0}`); rec.Code != http.StatusCreated {
+		t.Fatalf("register: status %d: %s", rec.Code, rec.Body)
+	}
+	objects, result := v.Stream().NumObjects(), v.Stream().Result(1)
+
+	rec := serve(http.MethodPost, "/v1/updates",
+		`{"updates":[{"id":7,"x":2.5,"y":9,"t":1},{"id":21,"x":-50,"y":-50,"t":2},{"id":8,"x":2,"y":8,"t":3}]}`)
+	if rec.Code != http.StatusUnprocessableEntity || !strings.Contains(rec.Body.String(), `"error"`) {
+		t.Fatalf("batch with an outdoor report: status %d: %s, want 422 with an error", rec.Code, rec.Body)
+	}
+	if n, res := v.Stream().NumObjects(), v.Stream().Result(1); n != objects || !slices.Equal(res, result) {
+		t.Fatalf("rejected batch changed state: %d objects, result %v; was %d, %v", n, res, objects, result)
+	}
+
+	var applied struct {
+		Applied int `json:"applied"`
+		Events  []struct {
+			Object int32 `json:"object"`
+			Enter  bool  `json:"enter"`
+		} `json:"events"`
+	}
+	rec = serve(http.MethodPost, "/v1/updates", `{"updates":[{"id":7,"x":2.5,"y":9,"t":1},{"id":8,"x":2,"y":8,"t":3}]}`)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("indoor reports alone: status %d: %s", rec.Code, rec.Body)
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &applied); err != nil {
+		t.Fatal(err)
+	}
+	if applied.Applied != 2 || len(applied.Events) != 2 || !applied.Events[0].Enter || !applied.Events[1].Enter {
+		t.Fatalf("applied %d, events %+v; want 2 and an enter event per object", applied.Applied, applied.Events)
+	}
+}

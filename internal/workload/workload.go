@@ -131,8 +131,10 @@ type Pair struct {
 var ErrNoPair = errors.New("workload: no SPD pair near s2t")
 
 // maxMisses bounds the consecutive failed pair draws of one SPDPairs call.
-// The longest run any draw in this repository makes is 3,135 (isqsnap
-// verify's s2t 0.5 on HSM), so the bound cuts short no draw that succeeds.
+// Every draw the repository's tools make at their defaults (isqperf paper's
+// s2t grids, isqquery, the examples) finds its pair at the first try, so
+// the bound cuts short no draw that succeeds; the longest run measured was
+// 3,135, by a fixed s2t of 0.5 on HSM that isqsnap verify no longer draws.
 const maxMisses = 10000
 
 // SPDPairs generates n source-target pairs whose indoor distance
