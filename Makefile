@@ -98,7 +98,8 @@ bench-compare:
 # Quick compile-and-run pass over the heap and door-graph benchmarks, the
 # query, update and monitor-result handlers' allocation benchmarks, the
 # stream batch-apply and host-scan benchmarks, the committed router's
-# choose+observe hot path (a handful of iterations each) and the root
+# choose+observe hot path (a handful of iterations each), each engine's
+# build on perfbench's serve_mix airport venue, and the root
 # package's ablation and extension benchmarks (one iteration each), just to
 # keep the benchmark code from rotting.
 bench-smoke:
@@ -106,4 +107,5 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench='BenchmarkQueryHandler|BenchmarkUpdatesHandler|BenchmarkMonitorResult' -benchtime=10x -benchmem ./internal/server/
 	$(GO) test -run '^$$' -bench='BenchmarkApplyBatch|BenchmarkHostPartition' -benchtime=10x -benchmem ./internal/moving/ ./internal/indoor/
 	$(GO) test -run '^$$' -bench='BenchmarkRouterRouted' -benchtime=10x -benchmem ./internal/tenant/
+	$(GO) test -run '^$$' -bench='BenchmarkBuild' -benchtime=3x -benchmem ./internal/snapshot/bundle/
 	$(GO) test -run '^$$' -bench=. -benchtime=1x .

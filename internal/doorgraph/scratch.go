@@ -54,6 +54,10 @@ type Scratch struct {
 	tmark  []uint32
 	tepoch uint32
 
+	// order lists the doors the last run settled, in pop order. Its
+	// capacity is N from NewScratch on, so recording it never allocates.
+	order []int32
+
 	h pq.Indexed
 }
 
@@ -64,6 +68,7 @@ func NewScratch(n int) *Scratch {
 	s := &Scratch{
 		nodes: make([]node, n),
 		tmark: make([]uint32, n),
+		order: make([]int32, 0, n),
 	}
 	s.h.Grow(n)
 	return s
@@ -95,8 +100,16 @@ func (s *Scratch) reset() {
 		}
 		s.epoch = 1
 	}
+	s.order = s.order[:0]
 	s.h.Reset()
 }
+
+// SettleOrder returns the doors the last run settled, in the order it
+// popped them, valid until the next run. Edge weights are non-negative, so
+// pop priorities never decrease: the distances along the slice are
+// nondecreasing. A full run settles exactly the doors it reached; an early
+// exit or an aborted run lists only those settled before it stopped.
+func (s *Scratch) SettleOrder() []int32 { return s.order }
 
 // DistAt returns the shortest distance of door d from the last run's
 // source (+Inf when unreached).
@@ -241,8 +254,8 @@ func (s *Scratch) RunTargets(g *Graph, src int32, reverse bool, targets []int32)
 
 // runFast is the specialized sweep behind Run and single-target RunTargets:
 // no cancellation probe and no target set, so the pop loop carries nothing
-// but the settle count (and, when target >= 0, one register compare for the
-// goal-directed early exit).
+// but the settle-order append (and, when target >= 0, one register compare
+// for the goal-directed early exit).
 //
 // The relaxation iterates one direction's CSR arrays directly: row bounds
 // come from one offset array and the target/weight scans are sequential, so
@@ -259,10 +272,10 @@ func (s *Scratch) runFast(adj *csr, src, target int32) {
 	epoch := s.epoch
 	nodes[src] = node{dist: 0, prev: -1, first: src, stamp: epoch}
 	s.h.Push(src, 0)
-	settled := 0
+	order := s.order
 	for s.h.Len() > 0 {
 		d, dd := s.h.Pop()
-		settled++
+		order = append(order, d)
 		if d == target {
 			break
 		}
@@ -299,8 +312,9 @@ func (s *Scratch) runFast(adj *csr, src, target int32) {
 			s.h.Push(t, nd)
 		}
 	}
+	s.order = order
 	Metrics.Sweeps.Add(1)
-	Metrics.Settled.Add(int64(settled))
+	Metrics.Settled.Add(int64(len(order)))
 }
 
 // run is the general sweep behind RunChecked, RunPruned and multi-target
@@ -318,15 +332,14 @@ func (s *Scratch) run(g *Graph, src int32, reverse bool, remainingTargets, every
 	epoch := s.epoch
 	nodes[src] = node{dist: 0, prev: -1, first: src, stamp: epoch}
 	s.h.Push(src, 0)
-	settled := 0
 	defer func() {
 		Metrics.Sweeps.Add(1)
-		Metrics.Settled.Add(int64(settled))
+		Metrics.Settled.Add(int64(len(s.order)))
 	}()
 	for s.h.Len() > 0 {
 		d, dd := s.h.Pop()
-		settled++
-		if check != nil && settled%every == 0 {
+		s.order = append(s.order, d)
+		if check != nil && len(s.order)%every == 0 {
 			if err := check(); err != nil {
 				return err
 			}

@@ -58,6 +58,47 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 	}
 }
 
+// TestSettleOrder asserts that a full sweep, on either path (Run and
+// RunChecked), lists every reached door exactly once in SettleOrder, at
+// nondecreasing distance, and that recording the order allocates nothing.
+func TestSettleOrder(t *testing.T) {
+	sp := testspaces.RandomGrid(8, 4, 4, 2, 6, 0.5)
+	g := Build(sp)
+	s := NewScratch(g.N)
+	for src := int32(0); src < int32(g.N); src++ {
+		for _, reverse := range []bool{false, true} {
+			for _, checked := range []bool{false, true} {
+				if checked {
+					if err := s.RunChecked(g, src, reverse, 1, func() error { return nil }); err != nil {
+						t.Fatal(err)
+					}
+				} else {
+					s.Run(g, src, reverse)
+				}
+				order := s.SettleOrder()
+				seen := make([]bool, g.N)
+				for i, d := range order {
+					if seen[d] {
+						t.Fatalf("src %d rev %v: door %d settled twice", src, reverse, d)
+					}
+					seen[d] = true
+					if i > 0 && s.DistAt(int(d)) < s.DistAt(int(order[i-1])) {
+						t.Fatalf("src %d rev %v: settle order falls at %d", src, reverse, i)
+					}
+				}
+				for d := 0; d < g.N; d++ {
+					if seen[d] == math.IsInf(s.DistAt(d), 1) {
+						t.Fatalf("src %d rev %v: door %d settled=%v at dist %g", src, reverse, d, seen[d], s.DistAt(d))
+					}
+				}
+			}
+		}
+	}
+	if a := testing.AllocsPerRun(20, func() { s.Run(g, 0, false) }); a != 0 {
+		t.Fatalf("Run allocates %v objects per sweep, want 0", a)
+	}
+}
+
 // TestFirstHopConsistent asserts FirstAt matches the first step of the prev
 // chain walked back from each reachable door.
 func TestFirstHopConsistent(t *testing.T) {

@@ -5,8 +5,10 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sort"
 	"testing"
 
+	"indoorsq/internal/indoor"
 	"indoorsq/internal/spacegen"
 	"indoorsq/internal/testspaces"
 )
@@ -71,6 +73,73 @@ func TestParallelBuildDeterministicSpacegen(t *testing.T) {
 			}
 			if !reflect.DeepEqual(seq.idx, par.idx) || !reflect.DeepEqual(seq.fh, par.fh) {
 				t.Fatalf("seed=%d workers=%d: order/first-hop matrices differ", seed, w)
+			}
+		}
+	}
+}
+
+// TestOrderRowsMatchDistIDSort pins every Midx row to the full sort of its
+// d2d row by (distance, door id), on generated venues with one-way doors
+// and on the same venues with a closed wing, whose rows end in unreached
+// (+Inf) doors. The compact build must order its rows identically.
+func TestOrderRowsMatchDistIDSort(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		p := spacegen.Params{
+			Floors:     1 + int(seed%2),
+			Rows:       2,
+			Cols:       3 + int(seed%3),
+			Hall:       spacegen.HallKind(seed % 3),
+			ExtraDoors: int(seed % 5),
+			OneWayFrac: float64(seed%3) / 2,
+			Imbalance:  0.4,
+			Decompose:  seed%2 == 0,
+		}.Normalize()
+		sp, err := spacegen.Generate(seed, p)
+		if err != nil {
+			t.Fatalf("seed=%d: generate: %v", seed, err)
+		}
+		maxX := math.Inf(-1)
+		for v := 0; v < sp.NumPartitions(); v++ {
+			maxX = math.Max(maxX, sp.Partition(indoor.PartitionID(v)).MBR.MaxX)
+		}
+		wing, err := testspaces.CloseWing(sp, 0.6*maxX)
+		if err != nil {
+			t.Fatalf("seed=%d: close wing: %v", seed, err)
+		}
+		for _, c := range []struct {
+			name string
+			sp   *indoor.Space
+		}{{"open", sp}, {"wing", wing}} {
+			ix, cx := New(c.sp), NewCompact(c.sp)
+			n := ix.n
+			unreached := 0
+			want := make([]int32, n)
+			for src := 0; src < n; src++ {
+				row := ix.d2d[src*n : (src+1)*n]
+				for i := range want {
+					want[i] = int32(i)
+				}
+				sort.Slice(want, func(a, b int) bool {
+					da, db := row[want[a]], row[want[b]]
+					if da != db {
+						return da < db
+					}
+					return want[a] < want[b]
+				})
+				if got := ix.idx[src*n : (src+1)*n]; !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed=%d %s: Midx row %d = %v, want %v", seed, c.name, src, got, want)
+				}
+				for _, v := range row {
+					if math.IsInf(v, 1) {
+						unreached++
+					}
+				}
+			}
+			if !reflect.DeepEqual(cx.idx, ix.idx) {
+				t.Fatalf("seed=%d %s: compact Midx differs", seed, c.name)
+			}
+			if c.name == "wing" && unreached == 0 {
+				t.Fatalf("seed=%d: closed wing left every door reachable", seed)
 			}
 		}
 	}

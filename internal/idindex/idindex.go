@@ -12,7 +12,7 @@ package idindex
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"indoorsq/internal/doorgraph"
 	"indoorsq/internal/exec"
@@ -75,7 +75,8 @@ func build(sp *indoor.Space, compact bool) *Index {
 	// synchronization is needed beyond the range counter, and the merge is
 	// deterministic because row src depends only on src. Each chunk reuses
 	// a pooled scratch across its sources, so the sweeps allocate nothing
-	// per source.
+	// per source. The sweep settles doors in distance order, so the Midx
+	// row is read off its settle order rather than sorted (orderRow).
 	exec.Chunks(n, func(lo, hi int) {
 		s := dg.AcquireScratch()
 		defer dg.ReleaseScratch(s)
@@ -92,18 +93,7 @@ func build(sp *indoor.Space, compact bool) *Index {
 				copy(ix.d2d[src*n:(src+1)*n], dist)
 			}
 			s.CopyFirst(ix.fh[src*n : (src+1)*n])
-
-			order := ix.idx[src*n : (src+1)*n]
-			for i := range order {
-				order[i] = int32(i)
-			}
-			sort.Slice(order, func(a, b int) bool {
-				da, db := dist[order[a]], dist[order[b]]
-				if da != db {
-					return da < db
-				}
-				return order[a] < order[b]
-			})
+			orderRow(ix.idx[src*n:(src+1)*n], s.SettleOrder(), dist)
 		}
 	})
 	cell := int64(8)
@@ -112,6 +102,41 @@ func build(sp *indoor.Space, compact bool) *Index {
 	}
 	ix.size = int64(n)*int64(n)*(cell+4+4) + sp.BaseSizeBytes() + sp.GeomSizeBytes() + ix.reach.SizeBytes()
 	return ix
+}
+
+// orderRow fills row with every door ascending by (dist, door id), given
+// the settle order of the full sweep that produced dist. Pop priorities
+// never decrease, so the settled doors already ascend by distance and only
+// runs of equal distance (rarely more than one door) need sorting by id.
+// Every door the sweep did not settle is at +Inf; doorgraph.Build drops
+// +Inf edges, so a settled door is finite unless a sum overflowed, and
+// cutting the settle order at the first +Inf keeps even that case equal to
+// the full (dist, id) sort: all +Inf doors follow in id order.
+func orderRow(row, settled []int32, dist []float64) {
+	k := 0
+	for _, d := range settled {
+		if math.IsInf(dist[d], 1) {
+			break
+		}
+		row[k] = d
+		k++
+	}
+	for i := 0; i < k; {
+		j := i + 1
+		for j < k && dist[row[j]] == dist[row[i]] {
+			j++
+		}
+		if j-i > 1 {
+			slices.Sort(row[i:j])
+		}
+		i = j
+	}
+	for d, v := range dist {
+		if math.IsInf(v, 1) {
+			row[k] = int32(d)
+			k++
+		}
+	}
 }
 
 // Reach returns the index's reachability summary (nil after SetReach(nil)).

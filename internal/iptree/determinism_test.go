@@ -1,12 +1,15 @@
 package iptree
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
+	"indoorsq/internal/indoor"
 	"indoorsq/internal/spacegen"
 	"indoorsq/internal/testspaces"
 )
@@ -120,5 +123,57 @@ func TestParallelBuildDeterministicSpacegen(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestAccessDoorsMatchSubtreeScan checks the per-door ancestor walk of
+// computeAccessDoors against its definition: a node's access doors are the
+// two-partition doors, ascending by id, with exactly one partition in the
+// node's subtree.
+func TestAccessDoorsMatchSubtreeScan(t *testing.T) {
+	check := func(label string, tr *Tree) {
+		inSubtree := func(p indoor.PartitionID, n int32) bool {
+			for id := tr.partLeaf[p]; id >= 0; id = tr.nodes[id].parent {
+				if id == n {
+					return true
+				}
+			}
+			return false
+		}
+		for i := range tr.nodes {
+			n := &tr.nodes[i]
+			var want []indoor.DoorID
+			for di := 0; di < tr.sp.NumDoors(); di++ {
+				parts := tr.sp.Door(indoor.DoorID(di)).Parts
+				if len(parts) == 2 && inSubtree(parts[0], n.id) != inSubtree(parts[1], n.id) {
+					want = append(want, indoor.DoorID(di))
+				}
+			}
+			if !slices.Equal(n.ad, want) {
+				t.Fatalf("%s: node %d access doors %v, want %v", label, i, n.ad, want)
+			}
+			for j, d := range n.ad {
+				if n.adIdx[d] != int32(j) || len(n.adIdx) != len(n.ad) {
+					t.Fatalf("%s: node %d adIdx does not index ad", label, i)
+				}
+			}
+		}
+	}
+	check("grid", New(testspaces.RandomGrid(9, 4, 5, 2, 7, 0.25), Options{LeafSize: 3, Fanout: 2, Gamma: 4}))
+	for seed := int64(1); seed <= 6; seed++ {
+		p := spacegen.Params{
+			Floors:     1 + int(seed%3),
+			Rows:       1 + int(seed%3),
+			Cols:       2 + int(seed%4),
+			Hall:       spacegen.HallKind(seed % 3),
+			ExtraDoors: int(seed % 6),
+			OneWayFrac: float64(seed%3) / 2,
+			Decompose:  seed%2 == 1,
+		}.Normalize()
+		sp, err := spacegen.Generate(seed, p)
+		if err != nil {
+			t.Fatalf("seed=%d: generate: %v", seed, err)
+		}
+		check(fmt.Sprintf("seed=%d", seed), New(sp, Options{LeafSize: 3, Fanout: 3, Gamma: 4, VIP: true}))
 	}
 }

@@ -372,35 +372,36 @@ func (t *Tree) levelOwner(current []int32) []int32 {
 	return out
 }
 
-// inSubtree reports whether partition p belongs to node n's subtree.
-func (t *Tree) inSubtree(p indoor.PartitionID, n int32) bool {
-	id := t.partLeaf[p]
-	for id >= 0 {
-		if id == n {
-			return true
-		}
-		id = t.nodes[id].parent
-	}
-	return false
-}
-
 // computeAccessDoors fills ad/adIdx for every node: the doors whose two
-// partitions straddle the node boundary.
+// partitions straddle the node boundary, i.e. the nodes whose subtree holds
+// exactly one of the door's partitions. Those are the nodes on the two
+// leaf-to-root chains of the door's partitions below their lowest common
+// ancestor, so one walk up from both leaves per door finds them, in
+// O(doors x depth) for the whole tree. Doors are visited in ascending id,
+// so every node's ad ascends too.
 func (t *Tree) computeAccessDoors() {
 	for i := range t.nodes {
-		n := &t.nodes[i]
-		n.adIdx = make(map[indoor.DoorID]int32)
-		for di := 0; di < t.sp.NumDoors(); di++ {
-			d := indoor.DoorID(di)
-			parts := t.sp.Door(d).Parts
-			if len(parts) != 2 {
-				continue
-			}
-			in0 := t.inSubtree(parts[0], n.id)
-			in1 := t.inSubtree(parts[1], n.id)
-			if in0 != in1 {
-				n.adIdx[d] = int32(len(n.ad))
-				n.ad = append(n.ad, d)
+		t.nodes[i].adIdx = make(map[indoor.DoorID]int32)
+	}
+	add := func(id int32, d indoor.DoorID) {
+		n := &t.nodes[id]
+		n.adIdx[d] = int32(len(n.ad))
+		n.ad = append(n.ad, d)
+	}
+	for di := 0; di < t.sp.NumDoors(); di++ {
+		d := indoor.DoorID(di)
+		parts := t.sp.Door(d).Parts
+		if len(parts) != 2 {
+			continue
+		}
+		a, b := t.partLeaf[parts[0]], t.partLeaf[parts[1]]
+		for a != b {
+			if t.nodes[a].depth >= t.nodes[b].depth {
+				add(a, d)
+				a = t.nodes[a].parent
+			} else {
+				add(b, d)
+				b = t.nodes[b].parent
 			}
 		}
 	}

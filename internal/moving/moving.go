@@ -14,9 +14,9 @@
 //     reference the streaming benchmarks compare against.
 //   - Stream (stream.go) is the sharded streaming subsystem: a
 //     partition→query inverted index derived from each query's cached
-//     distance field, object-sharded state, batched deterministic ingestion
-//     through exec.Pool, standing range and kNN monitors, and incremental
-//     delta push over subscriptions.
+//     distance field, object-sharded state, deterministic batched ingestion
+//     (one pass per batch on the caller's goroutine), standing range and
+//     kNN monitors, and incremental delta push over subscriptions.
 package moving
 
 import (

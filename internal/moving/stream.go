@@ -63,20 +63,23 @@ type Stream struct {
 	rc  *reach.Reach
 	nsh int
 
-	// mu guards queries, partQ, and closed. ApplyBatch/Remove hold it for
-	// read (registration topology is frozen during a batch); Register,
-	// Unregister, and Close hold it for write.
+	// mu guards queries, partQ, partMark and closed. ApplyBatch/Remove
+	// hold it for read (registration topology is frozen during a batch);
+	// Register, Unregister, and Close hold it for write.
 	mu      sync.RWMutex
 	queries map[int32]*stQuery
 	// partQ is the inverted index: partQ[P] lists the queries relevant to
 	// partition P with their door-distance rows (see partIndex).
 	partQ  []partIndex
 	closed bool
+	// partMark is relevantParts' per-partition scratch, all false between
+	// registrations.
+	partMark []bool
 
 	shards []streamShard
 
-	// scratch holds *sitePair values, the two positions an update is
-	// evaluated at, reused across batches so their buffers are not
+	// scratch holds *batchScratch values, the working memory of one batch
+	// or removal, reused across batches so their buffers are not
 	// reallocated.
 	scratch sync.Pool
 }
@@ -122,18 +125,20 @@ type stQuery struct {
 	subs   []*Sub
 }
 
-// sitePair is the pooled working memory of one update: its new and its
-// previous position.
-type sitePair struct {
+// batchScratch is the pooled working memory of one batch: the new and the
+// previous position of the update being applied, and the keys the batch's
+// events are sorted by when they come out of order.
+type batchScratch struct {
 	now, was site
+	keys     []keyedEvent
 }
 
-// getSites returns a pooled sitePair.
-func (s *Stream) getSites() *sitePair {
-	if sc, ok := s.scratch.Get().(*sitePair); ok {
+// getScratch returns a pooled batchScratch.
+func (s *Stream) getScratch() *batchScratch {
+	if sc, ok := s.scratch.Get().(*batchScratch); ok {
 		return sc
 	}
-	return new(sitePair)
+	return new(batchScratch)
 }
 
 // holds reports whether an object at distance d belongs in the monitor's
@@ -164,12 +169,13 @@ func NewStream(sp *indoor.Space, opt StreamOptions) *Stream {
 		nsh = DefaultShards
 	}
 	s := &Stream{
-		sp:      sp,
-		rc:      opt.Reach,
-		nsh:     nsh,
-		queries: make(map[int32]*stQuery),
-		partQ:   make([]partIndex, len(sp.Partitions())),
-		shards:  make([]streamShard, nsh),
+		sp:       sp,
+		rc:       opt.Reach,
+		nsh:      nsh,
+		queries:  make(map[int32]*stQuery),
+		partQ:    make([]partIndex, len(sp.Partitions())),
+		partMark: make([]bool, len(sp.Partitions())),
+		shards:   make([]streamShard, nsh),
 	}
 	for i := range s.shards {
 		s.shards[i].cur = make(map[int32]Update)
@@ -191,34 +197,37 @@ func (s *Stream) shardOf(id int32) int {
 
 // relevantParts derives the query's slice of the inverted index from its
 // door-distance field: the host partition, plus every partition with a
-// finite field entry on some enter door. Any object whose distance to the
-// query point is finite sits in such a partition (objDist is +Inf
-// otherwise), so folding only touched queries loses no event. A reach
-// summary, when configured, skips partitions proven unreachable from the
-// host's leave doors — those can hold no finite entry, so the result is
-// identical, just cheaper to derive on venues with closed-off wings.
+// finite field entry on some enter door, ascending. Any object whose
+// distance to the query point is finite sits in such a partition (objDist
+// is +Inf otherwise), so folding only touched queries loses no event. The
+// partitions are marked off the finite entries' Enterable lists and read
+// back in id order, one pass over the doors and one over the marks. A
+// reach summary, when configured, drops partitions proven unreachable from
+// the host's leave doors; those hold no finite entry, so it changes
+// nothing. Caller holds s.mu for write (partMark is shared).
 func (s *Stream) relevantParts(q *qcore) []indoor.PartitionID {
+	mark := s.partMark
+	mark[q.vp] = true
+	for d, v := range q.doorDist {
+		if !math.IsInf(v, 1) {
+			for _, p := range s.sp.Door(indoor.DoorID(d)).Enterable {
+				mark[p] = true
+			}
+		}
+	}
 	var from reach.From
-	gated := false
 	if s.rc != nil {
 		from = s.rc.FromDoors(s.sp.Partition(q.vp).Leave, nil)
-		gated = true
 	}
 	var out []indoor.PartitionID
-	for v := range s.partQ {
+	for v, marked := range mark {
+		if !marked {
+			continue
+		}
+		mark[v] = false
 		pid := indoor.PartitionID(v)
-		if pid == q.vp {
+		if pid == q.vp || s.rc == nil || from.CanReachPart(pid) {
 			out = append(out, pid)
-			continue
-		}
-		if gated && !from.CanReachPart(pid) {
-			continue
-		}
-		for _, d := range s.sp.Partition(pid).Enter {
-			if !math.IsInf(q.doorDist[d], 1) {
-				out = append(out, pid)
-				break
-			}
 		}
 	}
 	return out
@@ -512,8 +521,8 @@ func (s *Stream) Apply(u Update) ([]Event, error) {
 // total, because one timestamp is one update, and one update yields at most
 // one event per (query, object) pair: a kNN update can emit a leave and an
 // enter on one query, but for different objects. When timestamps tie, events
-// equal on (T, query, object) share a query, so the stable sort keeps them
-// in that monitor's fold order, which is batch order.
+// equal on (T, query, object) share a query, and they stay in that
+// monitor's fold order, which is batch order.
 func (s *Stream) ApplyBatch(us []Update) ([]Event, error) {
 	if len(us) == 0 {
 		return nil, nil
@@ -536,7 +545,7 @@ func (s *Stream) ApplyBatch(us []Update) ([]Event, error) {
 	if s.closed {
 		return nil, ErrStreamClosed
 	}
-	sc := s.getSites()
+	sc := s.getScratch()
 	defer s.scratch.Put(sc)
 	// Sized for about two events per update, what ingest traffic emits, so
 	// a batch's events are usually one allocation.
@@ -565,7 +574,7 @@ func (s *Stream) ApplyBatch(us []Update) ([]Event, error) {
 	// order unless timestamps tie or fall along the batch, or a kNN swap
 	// enters a lower id than it drops.
 	if !slices.IsSortedFunc(events, compareEvents) {
-		slices.SortStableFunc(events, compareEvents)
+		sc.keys = sortEvents(events, sc.keys)
 	}
 	if len(events) == 0 {
 		events = nil
@@ -585,6 +594,45 @@ func compareEvents(a, b Event) int {
 		return c
 	}
 	return cmp.Compare(a.Object, b.Object)
+}
+
+// keyedEvent is an event with its position in the batch's event list.
+// (T, query, object, position) is unique, so an unstable sort on it orders
+// the events exactly as a stable sort on (T, query, object) does, in
+// O(n log n) where a stable sort without a buffer merges in place in
+// O(n log² n): a seeding batch, every report at one timestamp, is that
+// sort's worst case.
+type keyedEvent struct {
+	t          float64
+	query, obj int32
+	pos        int32
+	enter      bool
+}
+
+// sortEvents sorts events by (T, query, object), keeping events equal on
+// that key in their current order. keys is reusable working memory; the
+// grown buffer is returned.
+func sortEvents(events []Event, keys []keyedEvent) []keyedEvent {
+	keys = keys[:0]
+	for i, e := range events {
+		keys = append(keys, keyedEvent{t: e.T, query: e.Query, obj: e.Object, pos: int32(i), enter: e.Enter})
+	}
+	slices.SortFunc(keys, func(a, b keyedEvent) int {
+		if c := cmp.Compare(a.t, b.t); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.query, b.query); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.obj, b.obj); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.pos, b.pos)
+	})
+	for i, k := range keys {
+		events[i] = Event{Query: k.query, Object: k.obj, Enter: k.enter, T: k.t}
+	}
+	return keys
 }
 
 // move evaluates object obj's step from was (nil: it was unknown) to now
@@ -661,7 +709,7 @@ func (s *Stream) Remove(objID int32, t float64) []Event {
 	if !known {
 		return nil
 	}
-	sc := s.getSites()
+	sc := s.getScratch()
 	defer s.scratch.Put(sc)
 	sc.was.reset(s.sp, prev.Part, prev.Loc)
 	events, _ := s.move(nil, objID, t, &sc.was, nil)

@@ -164,61 +164,80 @@ func (st *Stats) Stop() func() bool {
 	}
 }
 
+// Observation is one observed query armed by Begin. It is a value, not a
+// closure, so arming and ending an observation allocates nothing beyond
+// what the registry or trace itself records. The zero Observation (an
+// unobserved query) ends as a no-op.
+type Observation struct {
+	st         *Stats
+	ser        *obs.Series
+	tr         *obs.Trace
+	engine, op string
+	base       Stats // counter snapshot; deltas are this query's own work
+	t0         time.Time
+}
+
 // Begin arms st for one observed query: it runs Track (cancellation,
 // deadlines, budgets) and, when ctx carries an obs binding (obs.With*),
 // attaches the trace to st so engine hot paths can open stage spans, and
-// resolves the registry series for (engine, op). The returned done must be
-// called exactly once at query completion when non-nil; it publishes the
+// resolves the registry series for (engine, op). The returned Observation's
+// End must be called exactly once at query completion; it publishes the
 // query's latency and Stats deltas into the registry and appends a summary
-// to the trace. done is nil when ctx carries no binding, so unobserved
-// queries pay one context lookup beyond Track and nothing else.
-func Begin(ctx context.Context, engine, op string, st *Stats) (*Stats, func(err error)) {
+// to the trace. Without a binding the Observation is the zero value, so
+// unobserved queries pay one context lookup beyond Track and nothing else.
+func Begin(ctx context.Context, engine, op string, st *Stats) (*Stats, Observation) {
 	st = Track(ctx, st)
 	if ctx == nil {
-		return st, nil
+		return st, Observation{}
 	}
 	b, ok := obs.From(ctx)
 	if !ok || (b.Reg == nil && b.Trace == nil) {
-		return st, nil
+		return st, Observation{}
 	}
 	if st == nil {
 		st = &Stats{}
 	}
 	st.tr = b.Trace
-	var ser *obs.Series
+	o := Observation{st: st, tr: b.Trace, engine: engine, op: op, base: *st}
 	if b.Reg != nil {
-		ser = b.Reg.Series(engine, op)
-		ser.InFlight.Add(1)
+		o.ser = b.Reg.Series(engine, op)
+		o.ser.InFlight.Add(1)
 	}
-	base := *st // counter snapshot; deltas below are this query's own work
-	t0 := time.Now()
-	return st, func(err error) {
-		dur := time.Since(t0)
-		doors := st.VisitedDoors - base.VisitedDoors
-		work := st.WorkBytes - base.WorkBytes
-		hits := st.CacheHits - base.CacheHits
-		misses := st.CacheMisses - base.CacheMisses
-		if ser != nil {
-			ser.InFlight.Add(-1)
-			ser.Observe(dur, int64(doors), work, hits, misses, err != nil)
+	o.t0 = time.Now()
+	return st, o
+}
+
+// End completes the observation with the query's error (nil on success).
+func (o *Observation) End(err error) {
+	if o.st == nil {
+		return
+	}
+	dur := time.Since(o.t0)
+	st, base := o.st, &o.base
+	doors := st.VisitedDoors - base.VisitedDoors
+	work := st.WorkBytes - base.WorkBytes
+	hits := st.CacheHits - base.CacheHits
+	misses := st.CacheMisses - base.CacheMisses
+	if o.ser != nil {
+		o.ser.InFlight.Add(-1)
+		o.ser.Observe(dur, int64(doors), work, hits, misses, err != nil)
+	}
+	if o.tr != nil {
+		q := obs.QuerySummary{
+			Engine:        o.engine,
+			Op:            o.op,
+			Dur:           dur,
+			VisitedDoors:  doors,
+			WorkBytes:     work,
+			PeakWorkBytes: work, // within one query the peak is the final working set
+			CacheHits:     hits,
+			CacheMisses:   misses,
 		}
-		if b.Trace != nil {
-			q := obs.QuerySummary{
-				Engine:        engine,
-				Op:            op,
-				Dur:           dur,
-				VisitedDoors:  doors,
-				WorkBytes:     work,
-				PeakWorkBytes: work, // within one query the peak is the final working set
-				CacheHits:     hits,
-				CacheMisses:   misses,
-			}
-			if err != nil {
-				q.Err = err.Error()
-			}
-			b.Trace.FinishQuery(q)
-			st.tr = nil
+		if err != nil {
+			q.Err = err.Error()
 		}
+		o.tr.FinishQuery(q)
+		st.tr = nil
 	}
 }
 
@@ -229,10 +248,8 @@ func Begin(ctx context.Context, engine, op string, st *Stats) (*Stats, func(err 
 // binding on ctx records it under e.Name(). Cancellation rides st into the
 // engine's traversal, so this one wrapper serves every engine.
 func Range(ctx context.Context, e Engine, p indoor.Point, r float64, st *Stats) (ids []int32, err error) {
-	st, done := Begin(ctx, e.Name(), obs.OpRange, st)
-	if done != nil {
-		defer func() { done(err) }()
-	}
+	st, o := Begin(ctx, e.Name(), obs.OpRange, st)
+	defer func() { o.End(err) }()
 	if err = st.Interrupted(); err != nil {
 		return nil, err
 	}
@@ -241,10 +258,8 @@ func Range(ctx context.Context, e Engine, p indoor.Point, r float64, st *Stats) 
 
 // KNN is e.KNN bounded by ctx and observed, like Range.
 func KNN(ctx context.Context, e Engine, p indoor.Point, k int, st *Stats) (nn []Neighbor, err error) {
-	st, done := Begin(ctx, e.Name(), obs.OpKNN, st)
-	if done != nil {
-		defer func() { done(err) }()
-	}
+	st, o := Begin(ctx, e.Name(), obs.OpKNN, st)
+	defer func() { o.End(err) }()
 	if err = st.Interrupted(); err != nil {
 		return nil, err
 	}
@@ -253,10 +268,8 @@ func KNN(ctx context.Context, e Engine, p indoor.Point, k int, st *Stats) (nn []
 
 // SPD is e.SPD bounded by ctx and observed, like Range.
 func SPD(ctx context.Context, e Engine, p, q indoor.Point, st *Stats) (path Path, err error) {
-	st, done := Begin(ctx, e.Name(), obs.OpSPD, st)
-	if done != nil {
-		defer func() { done(err) }()
-	}
+	st, o := Begin(ctx, e.Name(), obs.OpSPD, st)
+	defer func() { o.End(err) }()
 	if err = st.Interrupted(); err != nil {
 		return Path{}, err
 	}

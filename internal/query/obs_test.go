@@ -5,24 +5,27 @@ import (
 	"errors"
 	"testing"
 
+	"indoorsq/internal/indoor"
 	"indoorsq/internal/obs"
 )
 
 func TestBeginDisabledPathIsFree(t *testing.T) {
 	// No binding on the context: Begin must behave exactly like Track —
-	// same Stats pointer, nil done, nothing allocated for observation.
+	// same Stats pointer, a zero Observation, nothing allocated for
+	// observation.
 	var st Stats
-	got, done := Begin(context.Background(), "e", obs.OpRange, &st)
+	got, o := Begin(context.Background(), "e", obs.OpRange, &st)
 	if got != &st {
 		t.Fatal("Begin changed the Stats pointer on the disabled path")
 	}
-	if done != nil {
-		t.Fatal("Begin returned a done closure without a binding")
+	if o != (Observation{}) {
+		t.Fatal("Begin armed an observation without a binding")
 	}
-	if got, done := Begin(context.Background(), "e", obs.OpRange, nil); got != nil || done != nil {
+	o.End(nil) // a no-op
+	if got, o := Begin(context.Background(), "e", obs.OpRange, nil); got != nil || o != (Observation{}) {
 		t.Fatal("nil Stats on an untracked, unobserved context should stay nil")
 	}
-	if got, done := Begin(nil, "e", obs.OpRange, &st); got != &st || done != nil {
+	if got, o := Begin(nil, "e", obs.OpRange, &st); got != &st || o != (Observation{}) {
 		t.Fatal("nil context should be a no-op")
 	}
 }
@@ -37,9 +40,9 @@ func TestBeginObservesRegistry(t *testing.T) {
 	st.Cache(true)
 	pre := st
 
-	got, done := Begin(ctx, "stub", obs.OpKNN, &st)
-	if got != &st || done == nil {
-		t.Fatal("Begin should keep the Stats pointer and arm a done closure")
+	got, o := Begin(ctx, "stub", obs.OpKNN, &st)
+	if got != &st || o.st == nil {
+		t.Fatal("Begin should keep the Stats pointer and arm an observation")
 	}
 	ser := reg.Series("stub", obs.OpKNN)
 	if ser.InFlight.Load() != 1 {
@@ -51,10 +54,10 @@ func TestBeginObservesRegistry(t *testing.T) {
 	st.Alloc(100)
 	st.Cache(true)
 	st.Cache(false)
-	done(nil)
+	o.End(nil)
 
 	if ser.InFlight.Load() != 0 {
-		t.Fatalf("in-flight = %d after done", ser.InFlight.Load())
+		t.Fatalf("in-flight = %d after End", ser.InFlight.Load())
 	}
 	if ser.Count.Load() != 1 || ser.Errs.Load() != 0 {
 		t.Fatalf("count/errs = %d/%d", ser.Count.Load(), ser.Errs.Load())
@@ -76,8 +79,8 @@ func TestBeginObservesRegistry(t *testing.T) {
 	}
 
 	// A failed query increments Errs.
-	_, done2 := Begin(ctx, "stub", obs.OpKNN, &st)
-	done2(errors.New("boom"))
+	_, o2 := Begin(ctx, "stub", obs.OpKNN, &st)
+	o2.End(errors.New("boom"))
 	if ser.Errs.Load() != 1 {
 		t.Fatalf("errs = %d after failure", ser.Errs.Load())
 	}
@@ -87,15 +90,15 @@ func TestBeginTraceSummaryAndSpans(t *testing.T) {
 	tr := obs.NewTrace()
 	ctx := obs.WithTrace(context.Background(), tr)
 
-	st, done := Begin(ctx, "stub", obs.OpSPD, nil)
-	if st == nil || done == nil {
-		t.Fatal("Begin with a trace binding should allocate Stats and arm done")
+	st, o := Begin(ctx, "stub", obs.OpSPD, nil)
+	if st == nil || o.st == nil {
+		t.Fatal("Begin with a trace binding should allocate Stats and arm an observation")
 	}
 	end := st.Span(obs.StageExpand)
 	st.Door()
 	st.Alloc(48)
 	end()
-	done(ErrUnreachable)
+	o.End(ErrUnreachable)
 
 	qs := tr.Queries()
 	if len(qs) != 1 {
@@ -116,15 +119,48 @@ func TestBeginTraceSummaryAndSpans(t *testing.T) {
 		t.Fatalf("spans = %+v", spans)
 	}
 
-	// done must disarm the trace so a pooled Stats reused afterwards does
+	// End must disarm the trace so a pooled Stats reused afterwards does
 	// not keep writing spans into a finished trace.
 	if st.tr != nil {
-		t.Fatal("done did not clear the trace from the Stats")
+		t.Fatal("End did not clear the trace from the Stats")
 	}
 	st.Span(obs.StageHost)()
 	if got := len(tr.Spans()); got != 1 {
 		t.Fatalf("span after done leaked into the trace: %d spans", got)
 	}
+}
+
+// TestObservedQueryAllocatesNothing pins the registry-observed path of
+// query.Range at zero allocations beyond the engine's own: arming and
+// ending the observation must not move anything to the heap.
+func TestObservedQueryAllocatesNothing(t *testing.T) {
+	ctx := obs.WithRegistry(context.Background(), obs.NewRegistry())
+	var e noAllocEngine
+	var st Stats
+	run := func() {
+		st = Stats{}
+		if _, err := Range(ctx, e, indoor.Point{}, 1, &st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // creates the series
+	if got := testing.AllocsPerRun(200, run); got != 0 {
+		t.Fatalf("observed Range allocates %v objects per query, want 0", got)
+	}
+}
+
+// noAllocEngine answers every query with nothing, allocating nothing.
+type noAllocEngine struct{}
+
+func (noAllocEngine) Name() string        { return "noalloc" }
+func (noAllocEngine) SetObjects([]Object) {}
+func (noAllocEngine) SizeBytes() int64    { return 0 }
+func (noAllocEngine) Range(indoor.Point, float64, *Stats) ([]int32, error) {
+	return nil, nil
+}
+func (noAllocEngine) KNN(indoor.Point, int, *Stats) ([]Neighbor, error) { return nil, nil }
+func (noAllocEngine) SPD(indoor.Point, indoor.Point, *Stats) (Path, error) {
+	return Path{}, nil
 }
 
 func TestSpanUntracedIsNop(t *testing.T) {

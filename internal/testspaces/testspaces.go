@@ -3,6 +3,8 @@
 package testspaces
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 
@@ -382,4 +384,67 @@ func RandomGridConcave(seed int64, rows, cols, floors int, extraDoors int) *indo
 		panic(err)
 	}
 	return sp
+}
+
+// CloseWing returns a copy of sp in which every door between a partition
+// west of the vertical line x = cut and one east of it (by MBR center)
+// only lets people walk west to east. No door of the east wing can then
+// reach the west block, so the door graph splits into several SCCs and
+// every sweep from a wing door leaves the west block unreached. The copy
+// round-trips through indoor.EncodeSpace, so partition and door ids are
+// unchanged.
+func CloseWing(sp *indoor.Space, cut float64) (*indoor.Space, error) {
+	var buf bytes.Buffer
+	if err := indoor.EncodeSpace(&buf, sp); err != nil {
+		return nil, err
+	}
+	var venue map[string]json.RawMessage
+	if err := json.Unmarshal(buf.Bytes(), &venue); err != nil {
+		return nil, err
+	}
+	var doors []map[string]json.RawMessage
+	if err := json.Unmarshal(venue["doors"], &doors); err != nil {
+		return nil, err
+	}
+	type link struct {
+		From int32 `json:"from"`
+		To   int32 `json:"to"`
+	}
+	west := func(v int32) bool { return sp.Partition(indoor.PartitionID(v)).MBR.Center().X < cut }
+	for _, d := range doors {
+		var links []link
+		if err := json.Unmarshal(d["links"], &links); err != nil {
+			return nil, err
+		}
+		kept := links[:0]
+		crossing := false
+		for _, l := range links {
+			if west(l.From) == west(l.To) {
+				kept = append(kept, l)
+				continue
+			}
+			crossing = true
+			if west(l.From) {
+				kept = append(kept, l)
+			}
+		}
+		if crossing && len(kept) == 0 {
+			// A one-way door from the wing: turn it around.
+			kept = append(kept, link{From: links[0].To, To: links[0].From})
+		}
+		raw, err := json.Marshal(kept)
+		if err != nil {
+			return nil, err
+		}
+		d["links"] = raw
+	}
+	raw, err := json.Marshal(doors)
+	if err != nil {
+		return nil, err
+	}
+	venue["doors"] = raw
+	if raw, err = json.Marshal(venue); err != nil {
+		return nil, err
+	}
+	return indoor.DecodeSpace(bytes.NewReader(raw))
 }
