@@ -1,6 +1,6 @@
 # Development workflow. `make verify` is the tier-1 gate: build, vet,
 # formatting, the full test suite, the race subset that hammers the
-# engines and the batch executor concurrently, the nested perfbench
+# engines and the exec fan-outs concurrently, the nested perfbench
 # module (which the root ./... patterns do not reach) and a run of every
 # example program. `make verify-full` adds
 # the per-package coverage report and a fuzz smoke pass over every
@@ -44,7 +44,7 @@ test:
 	$(GO) test -shuffle=on -count=1 ./...
 
 race:
-	$(GO) test -race ./internal/enginetest/ ./internal/exec/ ./internal/obs/ ./internal/server/ ./internal/spacegen/ ./internal/oracle/ ./internal/doorgraph/ ./internal/reach/ ./internal/temporal/ ./internal/moving/ ./internal/tenant/ ./internal/idindex/ ./internal/iptree/
+	$(GO) test -race ./internal/enginetest/ ./internal/exec/ ./internal/obs/ ./internal/server/ ./internal/spacegen/ ./internal/oracle/ ./internal/doorgraph/ ./internal/reach/ ./internal/temporal/ ./internal/moving/ ./internal/tenant/ ./internal/idindex/ ./internal/iptree/ ./internal/route/
 
 # perfbench is its own module (perfbench/go.mod), so build/vet/test above
 # never compile it; it imports internal/query, the oracle and the server.

@@ -286,9 +286,13 @@ func runOp(ctx context.Context, e query.Engine, op *exec.Op, st *query.Stats) {
 	}
 }
 
-// answers runs ops on e through an exec.Pool under ctx.
-func answers(ctx context.Context, p *exec.Pool, e query.Engine, ops []exec.Op) []exec.Result {
-	res, _ := p.Run(ctx, e, ops)
+// answers runs ops on e under ctx through exec.Do, in order, on the
+// caller's goroutine.
+func answers(ctx context.Context, e query.Engine, ops []exec.Op) []exec.Result {
+	res := make([]exec.Result, len(ops))
+	for i := range ops {
+		res[i] = exec.Do(ctx, e, ops[i])
+	}
 	return res
 }
 

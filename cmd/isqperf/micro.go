@@ -48,14 +48,14 @@ func (m micro) cindex(opt cindex.Options) *cindex.Index {
 // warm fills e's lazy distance cache over every op, so no timed side pays
 // first-touch fills.
 func (m micro) warm(e query.Engine) {
-	answers(context.Background(), &exec.Pool{}, e, m.ops)
+	answers(context.Background(), e, m.ops)
 }
 
 // gate requires every context in ctxs to answer like the first, bit for bit.
-func (m micro) gate(e query.Engine, pools []*exec.Pool, ctxs []context.Context) error {
-	want := answers(ctxs[0], pools[0], e, m.ops)
+func (m micro) gate(e query.Engine, ctxs []context.Context) error {
+	want := answers(ctxs[0], e, m.ops)
 	for i := 1; i < len(ctxs); i++ {
-		if err := sameResults(m.ops, want, answers(ctxs[i], pools[i], e, m.ops), 0); err != nil {
+		if err := sameResults(m.ops, want, answers(ctxs[i], e, m.ops), 0); err != nil {
 			return fmt.Errorf("side %d: %w", i, err)
 		}
 	}
@@ -78,8 +78,7 @@ func runCache(sc *scenario, smoke bool) error {
 	sc.Params["d2d_kernel_concave"] = "door pairs of one concave partition; before WithinDoors, after WithinDoorsCached on a warm cache"
 	sc.Params["before"], sc.Params["after"] = "CINDEX, distance cache off", "CINDEX through the lazy door-pair cache"
 	sc.Gate = "cached CINDEX answers range/kNN/SPD bit-identically to uncached"
-	var p exec.Pool
-	if err := sameResults(m.ops, answers(context.Background(), &p, uncached, m.ops), answers(context.Background(), &p, cached, m.ops), 0); err != nil {
+	if err := sameResults(m.ops, answers(context.Background(), uncached, m.ops), answers(context.Background(), cached, m.ops), 0); err != nil {
 		return err
 	}
 	if smoke {
@@ -143,8 +142,7 @@ func runCtx(sc *scenario, smoke bool) error {
 	sc.Params["before"], sc.Params["after"] = "plain entry points", "query.* under a live cancellable context"
 	sc.Params["check_interval"] = query.CheckInterval
 	sc.Gate = "tracked and budgeted CINDEX answer range/kNN/SPD bit-identically to untracked"
-	var p exec.Pool
-	if err := m.gate(e, []*exec.Pool{&p, &p, &p}, []context.Context{context.Background(), live, budget}); err != nil {
+	if err := m.gate(e, []context.Context{context.Background(), live, budget}); err != nil {
 		return err
 	}
 	if smoke {
@@ -174,10 +172,8 @@ func runObs(sc *scenario, smoke bool) error {
 	enabled := obs.WithRegistry(live, reg)
 	sc.Params["before"], sc.Params["after"] = "live context, no obs binding", "live context with an obs.Registry bound"
 	sc.Gate = "CINDEX answers range/kNN/SPD bit-identically with obs disabled, with a registry, and with a registry and trace"
-	var plain exec.Pool
-	withReg := exec.Pool{Obs: reg}
-	traced := obs.WithTrace(live, obs.NewTrace())
-	if err := m.gate(e, []*exec.Pool{&plain, &withReg, &withReg}, []context.Context{live, live, traced}); err != nil {
+	traced := obs.WithTrace(enabled, obs.NewTrace())
+	if err := m.gate(e, []context.Context{live, enabled, traced}); err != nil {
 		return err
 	}
 	if smoke {

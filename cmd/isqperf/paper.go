@@ -235,11 +235,10 @@ func runPaper(sc *scenario, smoke bool) error {
 			engines[s.ds] = es
 		}
 		objs := workload.New(info.Space, paperSeed+int64(s.objects)*7919).Objects(s.objects)
-		p := exec.Pool{Workers: 1}
 		res := make([][]exec.Result, len(es))
 		for i, e := range es {
 			e.SetObjects(objs)
-			res[i] = answers(context.Background(), &p, e, s.ops)
+			res[i] = answers(context.Background(), e, s.ops)
 			for _, r := range res[i] {
 				if r.Err != nil {
 					return fmt.Errorf("%s: %w", s.name(e.Name()), r.Err)

@@ -106,9 +106,8 @@ func runReach(sc *scenario, smoke bool) error {
 
 			for i, name := range []string{"IDModel", "CIndex"} {
 				label := fmt.Sprintf("oneway=%.2f/%s/%s", oneWay, regime, name)
-				var p exec.Pool
-				pruned := answers(context.Background(), &p, engines[i][0], ops)
-				unpruned := answers(context.Background(), &p, engines[i][1], ops)
+				pruned := answers(context.Background(), engines[i][0], ops)
+				unpruned := answers(context.Background(), engines[i][1], ops)
 				if err := sameResults(ops, unpruned, pruned, 0); err != nil {
 					return fmt.Errorf("%s: %w", label, err)
 				}

@@ -91,13 +91,13 @@ func runRoute(sc *scenario, smoke bool) error {
 	sc.Params["batches_per_venue"], sc.Params["batch"], sc.Params["objects_per_venue"] = batches, batch, objects
 	sc.Gate = "routed and every pinned engine answer like the first pinned engine: range id sets, kNN distance per rank and SPD distance within 1e-6, same errors; routed mode has no errors and every venue's router decides all three query classes"
 
-	// replay runs one batch on a venue through a worker pool, as the
-	// server's concurrent requests would; an unserved engine aborts it.
-	var pool exec.Pool
+	// replay runs one batch on a venue across GOMAXPROCS workers
+	// (exec.Map), as the server's concurrent requests would; an unserved
+	// engine aborts it.
 	replay := func(id string, ops []exec.Op, override string) ([]exec.Result, error) {
 		v, _ := tier.Venue(id)
 		out := make([]exec.Result, len(ops))
-		pool.Map(len(ops), func(i int, _ *query.Stats) error {
+		exec.Map(len(ops), func(i int, _ *query.Stats) error {
 			out[i], _ = v.Query(context.Background(), ops[i], override)
 			return nil
 		})

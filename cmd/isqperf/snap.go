@@ -16,7 +16,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"indoorsq/internal/exec"
 	"indoorsq/internal/indoor"
 	"indoorsq/internal/server"
 	"indoorsq/internal/snapshot/bundle"
@@ -222,7 +221,6 @@ func snapGate(t snapTier, path string) error {
 	gen := workload.New(sp, 4)
 	objs := gen.Objects(64)
 	ops := mixOps(gen.Points(16), 16, 20, 5)
-	var p exec.Pool
 	for _, name := range built.EngineList() {
 		be, le := built.Engines[name], loaded.Engines[name]
 		if le == nil {
@@ -230,8 +228,8 @@ func snapGate(t snapTier, path string) error {
 		}
 		be.SetObjects(objs)
 		le.SetObjects(objs)
-		want := answers(context.Background(), &p, be, ops)
-		if err := sameResults(ops, want, answers(context.Background(), &p, le, ops), 0); err != nil {
+		want := answers(context.Background(), be, ops)
+		if err := sameResults(ops, want, answers(context.Background(), le, ops), 0); err != nil {
 			return fmt.Errorf("%s after load: %w", name, err)
 		}
 	}

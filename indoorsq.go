@@ -277,8 +277,8 @@ type (
 	// inverted index, batched ingestion, standing range and kNN monitors,
 	// and delta-push subscriptions.
 	MovingStream = moving.Stream
-	// MovingStreamOptions configures a MovingStream (shards, optional
-	// reachability pruning).
+	// MovingStreamOptions configures a MovingStream (its object shard
+	// count).
 	MovingStreamOptions = moving.StreamOptions
 	// MovingSub is a bounded subscription to one monitor's delta stream.
 	MovingSub = moving.Sub

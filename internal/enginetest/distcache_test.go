@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"indoorsq/internal/cindex"
@@ -70,9 +71,9 @@ func TestCIndexCachedEqualsUncached(t *testing.T) {
 }
 
 // TestDistCacheUnderExecWorkers fans a mixed batch over a cached CINDEX
-// through the exec worker pool on a concave space — run with -race in
-// tier-1 — and checks that the answers match a 1-worker run and that cache
-// counters survive the per-worker stats merge.
+// through exec.Map and exec.Do on a concave space — run with -race in
+// tier-1 — and checks that the answers match a sequential run and that
+// cache counters survive the per-worker stats merge.
 func TestDistCacheUnderExecWorkers(t *testing.T) {
 	sp := testspaces.RandomGridConcave(17, 5, 4, 2, 4)
 	rng := rand.New(rand.NewSource(99))
@@ -92,11 +93,21 @@ func TestDistCacheUnderExecWorkers(t *testing.T) {
 		}
 	}
 
-	seq := exec.Pool{Workers: 1}
-	seqRes, seqBatch := seq.Run(context.Background(), eng, ops)
+	var seqStats query.Stats
+	seqRes := make([]exec.Result, len(ops))
+	for i := range ops {
+		seqRes[i] = exec.Do(context.Background(), eng, ops[i])
+		seqStats.Add(seqRes[i].Stats)
+	}
 
-	par := exec.Pool{Workers: 8}
-	parRes, parBatch := par.Run(context.Background(), eng, ops)
+	prev := runtime.GOMAXPROCS(8)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	parRes := make([]exec.Result, len(ops))
+	parStats, _ := exec.Map(len(ops), func(i int, st *query.Stats) error {
+		parRes[i] = exec.Do(context.Background(), eng, ops[i])
+		st.Add(parRes[i].Stats)
+		return nil
+	})
 
 	for i := range seqRes {
 		if (seqRes[i].Err == nil) != (parRes[i].Err == nil) {
@@ -115,18 +126,18 @@ func TestDistCacheUnderExecWorkers(t *testing.T) {
 		}
 	}
 
-	if total := parBatch.Stats.CacheHits + parBatch.Stats.CacheMisses; total == 0 {
+	if total := parStats.CacheHits + parStats.CacheMisses; total == 0 {
 		t.Fatal("concurrent batch recorded no cache lookups")
 	}
 	// The cache was warmed by the sequential run, so every lookup of the
 	// concurrent batch must be a hit — and the merged totals must match the
 	// sequential run's lookup count exactly.
-	if parBatch.Stats.CacheMisses != 0 {
-		t.Fatalf("warm concurrent batch recorded %d misses", parBatch.Stats.CacheMisses)
+	if parStats.CacheMisses != 0 {
+		t.Fatalf("warm concurrent batch recorded %d misses", parStats.CacheMisses)
 	}
-	seqTotal := seqBatch.Stats.CacheHits + seqBatch.Stats.CacheMisses
-	if parBatch.Stats.CacheHits != seqTotal {
-		t.Fatalf("merged hits %d != sequential lookups %d", parBatch.Stats.CacheHits, seqTotal)
+	seqTotal := seqStats.CacheHits + seqStats.CacheMisses
+	if parStats.CacheHits != seqTotal {
+		t.Fatalf("merged hits %d != sequential lookups %d", parStats.CacheHits, seqTotal)
 	}
 
 	// Everything the cache holds must still agree with the uncached kernel.

@@ -7,7 +7,7 @@ import (
 )
 
 // Chunks fans the index range [0, n) over GOMAXPROCS workers as contiguous
-// chunks, one Pool.Map index per chunk — a handful of fetch-adds per worker
+// chunks, one Map index per chunk — a handful of fetch-adds per worker
 // instead of one per item. It is the work feed of the construction loops
 // (door-graph derivation, reach summaries, IDINDEX rows, IP/VIP-tree matrix
 // fills), whose per-item channel handoff used to show up in build profiles.
@@ -28,8 +28,7 @@ func Chunks(n int, fn func(lo, hi int)) {
 	// 8 chunks per worker bounds the imbalance of uneven item costs at
 	// ~1/8 of a worker's share while keeping counter traffic negligible.
 	chunk := (n + w*8 - 1) / (w * 8)
-	var p Pool
-	p.Map((n+chunk-1)/chunk, func(c int, _ *query.Stats) error {
+	Map((n+chunk-1)/chunk, func(c int, _ *query.Stats) error {
 		lo := c * chunk
 		fn(lo, min(lo+chunk, n))
 		return nil

@@ -1,17 +1,11 @@
-package exec
+package exec_test
 
 import (
-	"runtime"
 	"sync"
 	"testing"
-)
 
-// setProcs sets GOMAXPROCS to w for the rest of the test; t.Cleanup
-// restores the previous value.
-func setProcs(t *testing.T, w int) {
-	prev := runtime.GOMAXPROCS(w)
-	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
-}
+	"indoorsq/internal/exec"
+)
 
 // TestChunksCoversExactlyOnce asserts every index in [0, n) is visited by
 // exactly one chunk, for sequential and parallel GOMAXPROCS alike.
@@ -21,7 +15,7 @@ func TestChunksCoversExactlyOnce(t *testing.T) {
 			setProcs(t, procs)
 			seen := make([]int32, n)
 			var mu sync.Mutex
-			Chunks(n, func(lo, hi int) {
+			exec.Chunks(n, func(lo, hi int) {
 				if lo < 0 || hi > n || lo >= hi {
 					t.Errorf("n=%d procs=%d: bad range [%d,%d)", n, procs, lo, hi)
 					return
@@ -47,7 +41,7 @@ func TestChunksConcurrentSum(t *testing.T) {
 	setProcs(t, 8)
 	const n = 100000
 	out := make([]int, n)
-	Chunks(n, func(lo, hi int) {
+	exec.Chunks(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = i * 2
 		}

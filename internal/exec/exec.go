@@ -1,10 +1,13 @@
-// Package exec is the concurrent batch query executor: it fans a slice of
-// queries (RQ / kNNQ / SPDQ) over one engine across a bounded worker pool.
-// Engines are read-only at query time (verified by the race-detector suite
-// in internal/enginetest), so the only shared mutable state is the cost
-// accounting — each worker accumulates into its own query.Stats shard, and
-// the shards are merged once the batch drains, keeping the hot path free of
-// locks and the merged counters equal to a sequential run's.
+// Package exec is the query entry point every served query goes through:
+// an Op (RQ / kNNQ / SPDQ) is validated and dispatched to one engine by Do.
+// Beside it sit the two fan-outs the repo runs, both sized by GOMAXPROCS
+// alone: Map, over the legs of a route or the ops of a replay, and Chunks,
+// over construction rows. Engines are read-only at query time (verified by
+// the race-detector suite in internal/enginetest), so the only shared
+// mutable state of a fan-out is the cost accounting: each worker
+// accumulates into its own query.Stats shard, and the shards are merged
+// once the work drains, keeping the hot path free of locks and the merged
+// counters equal to a sequential run's.
 package exec
 
 import (
@@ -29,14 +32,14 @@ var ErrInvalidOp = errors.New("exec: invalid op")
 // Kind selects the query type of an Op.
 type Kind int
 
-// The three query types the executor understands.
+// The three query types Do dispatches.
 const (
 	RangeQ Kind = iota // Range(P, R)
 	KNNQ               // KNN(P, K)
 	SPDQ               // SPD(P, Q)
 )
 
-// Op is one query of a batch.
+// Op is one query.
 type Op struct {
 	Kind Kind
 	P, Q indoor.Point // Q is the SPDQ target; unused otherwise
@@ -55,20 +58,6 @@ type Result struct {
 	Elapsed   time.Duration // this query's own latency
 }
 
-// Batch aggregates one executed batch.
-type Batch struct {
-	Stats     query.Stats   // merged worker shards (== sequential sums)
-	Wall      time.Duration // wall-clock time of the whole batch
-	QueryTime time.Duration // summed per-query latencies across workers
-	// Errs counts ops that finished with a non-nil Result.Err, including
-	// validation rejects and cancellations.
-	Errs int
-	// Cancelled counts the subset of Errs caused by context cancellation,
-	// deadline expiry, or budget exhaustion — ops that were interrupted
-	// rather than answered.
-	Cancelled int
-}
-
 // String returns the query class label the metrics registry and the
 // router key evidence by (obs.OpRange, obs.OpKNN, obs.OpSPD).
 func (k Kind) String() string {
@@ -82,20 +71,9 @@ func (k Kind) String() string {
 	}
 }
 
-// Pool runs batches with at most Workers concurrent queries (<= 0 means
-// GOMAXPROCS). The zero value is ready to use.
-type Pool struct {
-	Workers int
-	// Obs, when non-nil, is the metrics registry every op of a batch emits
-	// into (per engine × query type, via query.Range/KNN/SPD). It
-	// composes with any obs binding already on the batch context: an
-	// incoming trace is kept, the registry is overridden.
-	Obs *obs.Registry
-}
-
 // Validate rejects ops that could never produce an answer (a negative or
-// NaN range radius, k < 1), so no worker or engine is burned on them; Do
-// applies it first.
+// NaN range radius, k < 1), so no engine work is burned on them; Do applies
+// it first.
 func Validate(op Op) error {
 	switch op.Kind {
 	case RangeQ:
@@ -110,32 +88,9 @@ func Validate(op Op) error {
 	return nil
 }
 
-// interrupted reports whether err is an interruption (context cancellation,
-// deadline expiry, or budget exhaustion) rather than a query failure.
-func interrupted(err error) bool {
-	return errors.Is(err, context.Canceled) ||
-		errors.Is(err, context.DeadlineExceeded) ||
-		errors.Is(err, query.ErrBudgetExhausted)
-}
-
-// workers resolves the effective worker count for a batch of n items.
-func (p *Pool) workers(n int) int {
-	w := p.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // Do runs one op on eng under ctx: an invalid op fails with ErrInvalidOp
 // before any engine work, anything else is dispatched to query.Range, KNN
-// or SPD and timed. Every single query and every batch op runs through it.
+// or SPD and timed. Every served query runs through it.
 func Do(ctx context.Context, eng query.Engine, op Op) Result {
 	var r Result
 	if r.Err = Validate(op); r.Err != nil {
@@ -154,53 +109,21 @@ func Do(ctx context.Context, eng query.Engine, op Op) Result {
 	return r
 }
 
-// Run executes ops against eng under ctx, each through Do. Results are
-// indexed like ops regardless of scheduling, so the output is deterministic
-// for deterministic engines. Cancelling ctx interrupts the whole batch
-// mid-traversal; interrupted and invalid ops report their error in their
-// Result like any other per-op failure, and the batch itself always
-// completes and tallies them in Errs/Cancelled.
-func (p *Pool) Run(ctx context.Context, eng query.Engine, ops []Op) ([]Result, Batch) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if p.Obs != nil {
-		ctx = obs.WithRegistry(ctx, p.Obs)
-	}
-	results := make([]Result, len(ops))
-	start := time.Now()
-	merged, _ := p.Map(len(ops), func(i int, st *query.Stats) error {
-		results[i] = Do(ctx, eng, ops[i])
-		st.Add(results[i].Stats)
-		return nil // per-op errors live in the Result, not the batch
-	})
-	b := Batch{Stats: merged, Wall: time.Since(start)}
-	for i := range results {
-		b.QueryTime += results[i].Elapsed
-		if err := results[i].Err; err != nil {
-			b.Errs++
-			if interrupted(err) {
-				b.Cancelled++
-			}
-		}
-	}
-	return results, b
-}
-
-// Map runs fn(0) … fn(n-1) across the pool. Each invocation receives its
-// worker's private Stats shard; the shards are merged into the returned
-// Stats after all workers finish, so the totals match a sequential run.
-// The returned error is the lowest-index non-nil error, independent of
-// scheduling; later indexes still run (no cancellation).
+// Map runs fn(0) … fn(n-1) across min(GOMAXPROCS, n) workers. Each
+// invocation receives its worker's private Stats shard; the shards are
+// merged into the returned Stats after all workers finish, so the totals
+// match a sequential run. The returned error is the lowest-index non-nil
+// error, independent of scheduling; later indexes still run (no
+// cancellation).
 //
 // Workers claim indexes from a shared atomic counter, one atomic add per
 // item. The caller is worker 0 and w-1 goroutines join it, so a Map nested
 // inside fn always makes progress.
-func (p *Pool) Map(n int, fn func(i int, st *query.Stats) error) (query.Stats, error) {
+func Map(n int, fn func(i int, st *query.Stats) error) (query.Stats, error) {
 	if n <= 0 {
 		return query.Stats{}, nil
 	}
-	w := p.workers(n)
+	w := min(runtime.GOMAXPROCS(0), n)
 	if w == 1 {
 		// Sequential fast path: no goroutines, same contract.
 		var st query.Stats

@@ -10,8 +10,8 @@ import (
 	"indoorsq/internal/query"
 )
 
-// TestValidateRejectsUpFront asserts invalid ops never reach the engine and
-// are tallied as errors but not cancellations.
+// TestValidateRejectsUpFront asserts invalid ops fail with ErrInvalidOp
+// before they reach the engine, while the valid ops beside them run.
 func TestValidateRejectsUpFront(t *testing.T) {
 	eng, ops := testEngineAndOps()
 	bad := append([]exec.Op{
@@ -21,11 +21,14 @@ func TestValidateRejectsUpFront(t *testing.T) {
 		{Kind: exec.KNNQ, P: ops[0].P, K: -3},
 	}, ops...)
 
-	p := exec.Pool{Workers: 2}
-	results, batch := p.Run(context.Background(), eng, bad)
+	setProcs(t, 2)
+	results, _ := runOps(context.Background(), eng, bad)
 	for i := 0; i < 4; i++ {
 		if !errors.Is(results[i].Err, exec.ErrInvalidOp) {
 			t.Errorf("op %d: err = %v, want exec.ErrInvalidOp", i, results[i].Err)
+		}
+		if err := exec.Validate(bad[i]); !errors.Is(err, exec.ErrInvalidOp) {
+			t.Errorf("op %d: Validate = %v, want exec.ErrInvalidOp", i, err)
 		}
 		if results[i].Stats != (query.Stats{}) {
 			t.Errorf("op %d: engine work was spent on an invalid op: %+v", i, results[i].Stats)
@@ -36,32 +39,26 @@ func TestValidateRejectsUpFront(t *testing.T) {
 			t.Errorf("op %d: valid op failed: %v", i, results[i].Err)
 		}
 	}
-	if batch.Errs != 4 || batch.Cancelled != 0 {
-		t.Fatalf("batch tallies = %d errs / %d cancelled, want 4 / 0", batch.Errs, batch.Cancelled)
-	}
 }
 
-// TestRunCtxCancelledBatch asserts a pre-cancelled context interrupts every
-// op and the tallies say so.
+// TestRunCtxCancelledBatch asserts a pre-cancelled context interrupts
+// every op it is passed to.
 func TestRunCtxCancelledBatch(t *testing.T) {
 	eng, ops := testEngineAndOps()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	p := exec.Pool{Workers: 4}
-	results, batch := p.Run(ctx, eng, ops)
+	setProcs(t, 4)
+	results, _ := runOps(ctx, eng, ops)
 	for i, r := range results {
 		if !errors.Is(r.Err, context.Canceled) {
 			t.Errorf("op %d: err = %v, want Canceled", i, r.Err)
 		}
 	}
-	if batch.Errs != len(ops) || batch.Cancelled != len(ops) {
-		t.Fatalf("batch tallies = %d errs / %d cancelled, want %d / %d",
-			batch.Errs, batch.Cancelled, len(ops), len(ops))
-	}
 }
 
-// TestRunCtxBudget asserts a WithBudget context bounds every op of a batch.
+// TestRunCtxBudget asserts a WithBudget context bounds every op it is
+// passed to: the ops that fail, fail on the budget.
 func TestRunCtxBudget(t *testing.T) {
 	eng, ops := testEngineAndOps()
 	// Keep only cross-partition SPDQs, which must expand doors.
@@ -72,18 +69,18 @@ func TestRunCtxBudget(t *testing.T) {
 		}
 	}
 	ctx := query.WithBudget(context.Background(), query.Budget{MaxVisitedDoors: 1})
-	p := exec.Pool{Workers: 2}
-	results, batch := p.Run(ctx, eng, spds)
+	setProcs(t, 2)
+	results, _ := runOps(ctx, eng, spds)
 	exhausted := 0
-	for _, r := range results {
-		if errors.Is(r.Err, query.ErrBudgetExhausted) {
+	for i, r := range results {
+		switch {
+		case errors.Is(r.Err, query.ErrBudgetExhausted):
 			exhausted++
+		case r.Err != nil:
+			t.Fatalf("op %d: err = %v, want nil or ErrBudgetExhausted", i, r.Err)
 		}
 	}
 	if exhausted == 0 {
 		t.Fatal("no exec.SPDQ hit the one-door budget")
-	}
-	if batch.Cancelled != exhausted {
-		t.Fatalf("batch.Cancelled = %d, want %d", batch.Cancelled, exhausted)
 	}
 }

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"indoorsq/internal/exec"
 	"indoorsq/internal/idmodel"
@@ -45,8 +47,28 @@ func testEngineAndOps() (query.Engine, []exec.Op) {
 	return eng, ops
 }
 
-// TestRunMatchesSequential asserts the concurrent batch returns the same
-// answers and the same merged Stats as running the ops one by one.
+// setProcs sets GOMAXPROCS to w for the rest of the test; t.Cleanup
+// restores the previous value.
+func setProcs(t *testing.T, w int) {
+	prev := runtime.GOMAXPROCS(w)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// runOps runs ops on eng under ctx through exec.Map and exec.Do, each
+// result in its op's slot, and returns the results with the merged Stats.
+func runOps(ctx context.Context, eng query.Engine, ops []exec.Op) ([]exec.Result, query.Stats) {
+	results := make([]exec.Result, len(ops))
+	merged, _ := exec.Map(len(ops), func(i int, st *query.Stats) error {
+		results[i] = exec.Do(ctx, eng, ops[i])
+		st.Add(results[i].Stats)
+		return nil
+	})
+	return results, merged
+}
+
+// TestRunMatchesSequential asserts ops fanned over Map through Do return
+// the same answers and the same merged Stats as running them one by one on
+// the engine.
 func TestRunMatchesSequential(t *testing.T) {
 	eng, ops := testEngineAndOps()
 
@@ -75,8 +97,8 @@ func TestRunMatchesSequential(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 4} {
-		p := exec.Pool{Workers: workers}
-		results, batch := p.Run(context.Background(), eng, ops)
+		setProcs(t, workers)
+		results, merged := runOps(context.Background(), eng, ops)
 		if len(results) != len(ops) {
 			t.Fatalf("workers=%d: %d results for %d ops", workers, len(results), len(ops))
 		}
@@ -105,19 +127,21 @@ func TestRunMatchesSequential(t *testing.T) {
 			}
 		}
 		// Merged shards must equal the sequential sums exactly.
-		if batch.Stats != seqStats {
-			t.Fatalf("workers=%d: merged stats %+v != sequential %+v", workers, batch.Stats, seqStats)
+		if merged != seqStats {
+			t.Fatalf("workers=%d: merged stats %+v != sequential %+v", workers, merged, seqStats)
 		}
 		// And the merged counters must equal the sum of per-op stats.
 		var fromOps query.Stats
+		var took time.Duration
 		for _, r := range results {
 			fromOps.Add(r.Stats)
+			took += r.Elapsed
 		}
-		if batch.Stats != fromOps {
-			t.Fatalf("workers=%d: merged stats %+v != per-op sum %+v", workers, batch.Stats, fromOps)
+		if merged != fromOps {
+			t.Fatalf("workers=%d: merged stats %+v != per-op sum %+v", workers, merged, fromOps)
 		}
-		if batch.QueryTime <= 0 || batch.Wall <= 0 {
-			t.Fatalf("workers=%d: non-positive timings %+v", workers, batch)
+		if took <= 0 {
+			t.Fatalf("workers=%d: non-positive summed latency %v", workers, took)
 		}
 	}
 }
@@ -127,8 +151,8 @@ func TestRunMatchesSequential(t *testing.T) {
 func TestMapShardsMergeExactly(t *testing.T) {
 	const n = 137
 	for _, workers := range []int{1, 3, 16} {
-		p := exec.Pool{Workers: workers}
-		st, err := p.Map(n, func(i int, st *query.Stats) error {
+		setProcs(t, workers)
+		st, err := exec.Map(n, func(i int, st *query.Stats) error {
 			st.Door()
 			st.Alloc(int64(i))
 			return nil
@@ -151,8 +175,8 @@ func TestMapFirstErrorDeterministic(t *testing.T) {
 	errB := errors.New("b")
 	for _, workers := range []int{1, 8} {
 		var ran atomic.Int32
-		p := exec.Pool{Workers: workers}
-		_, err := p.Map(50, func(i int, st *query.Stats) error {
+		setProcs(t, workers)
+		_, err := exec.Map(50, func(i int, st *query.Stats) error {
 			ran.Add(1)
 			switch i {
 			case 7:
@@ -176,13 +200,13 @@ func TestMapFirstErrorDeterministic(t *testing.T) {
 // every call.
 func TestMapRunsEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
+		setProcs(t, workers)
 		for _, n := range []int{1, workers - 1, workers, workers + 1, 1000} {
 			if n < 1 {
 				continue
 			}
 			calls := make([]atomic.Int32, n)
-			p := exec.Pool{Workers: workers}
-			st, err := p.Map(n, func(i int, st *query.Stats) error {
+			st, err := exec.Map(n, func(i int, st *query.Stats) error {
 				calls[i].Add(1)
 				st.Door()
 				return nil
@@ -202,14 +226,14 @@ func TestMapRunsEveryIndexOnce(t *testing.T) {
 	}
 }
 
-// TestMapNested runs a Map inside every fn of an outer Map on the same
-// pool: the caller works as one of the workers, so nesting cannot starve
-// and both levels complete with every index run once.
+// TestMapNested runs a Map inside every fn of an outer Map: the caller
+// works as one of the workers, so nesting cannot starve and both levels
+// complete with every index run once.
 func TestMapNested(t *testing.T) {
-	p := exec.Pool{Workers: 4}
+	setProcs(t, 4)
 	var inner atomic.Int64
-	st, err := p.Map(16, func(i int, st *query.Stats) error {
-		sub, err := p.Map(i+1, func(j int, st *query.Stats) error {
+	st, err := exec.Map(16, func(i int, st *query.Stats) error {
+		sub, err := exec.Map(i+1, func(j int, st *query.Stats) error {
 			inner.Add(1)
 			st.Door()
 			return nil
@@ -233,8 +257,8 @@ func TestMapFirstErrorAcrossWorkers(t *testing.T) {
 	errB := errors.New("b")
 	for _, workers := range []int{2, 8} {
 		failed31 := make(chan struct{})
-		p := exec.Pool{Workers: workers}
-		_, err := p.Map(50, func(i int, st *query.Stats) error {
+		setProcs(t, workers)
+		_, err := exec.Map(50, func(i int, st *query.Stats) error {
 			switch i {
 			case 7:
 				<-failed31

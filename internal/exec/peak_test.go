@@ -1,9 +1,10 @@
-package exec
+package exec_test
 
 import (
 	"context"
 	"testing"
 
+	"indoorsq/internal/exec"
 	"indoorsq/internal/indoor"
 	"indoorsq/internal/query"
 )
@@ -37,21 +38,21 @@ func (e allocEngine) SPD(p, q indoor.Point, st *query.Stats) (query.Path, error)
 }
 
 // TestBatchPeakMergesWithMax is the regression test for the sharded-stats
-// peak folding: the ops of a batch each touch the same fixed working set,
-// so the merged PeakWorkBytes must equal the single-query peak no matter
-// how many workers the batch fans over — while WorkBytes still sums. The
-// old Add folded peaks with +, reporting an 8-op batch as 8× the actual
+// peak folding: the ops fanned over Map each touch the same fixed working
+// set, so the merged PeakWorkBytes must equal the single-query peak no
+// matter how many workers the ops fan over — while WorkBytes still sums.
+// The old Add folded peaks with +, reporting 8 ops as 8× the actual
 // high-water mark.
 func TestBatchPeakMergesWithMax(t *testing.T) {
 	const bytesPerOp = int64(1 << 20)
 	eng := allocEngine{allocBytes: bytesPerOp}
-	ops := make([]Op, 8)
+	ops := make([]exec.Op, 8)
 	for i := range ops {
-		ops[i] = Op{Kind: SPDQ}
+		ops[i] = exec.Op{Kind: exec.SPDQ}
 	}
 	for _, workers := range []int{1, 4, 8} {
-		p := Pool{Workers: workers}
-		results, batch := p.Run(context.Background(), eng, ops)
+		setProcs(t, workers)
+		results, merged := runOps(context.Background(), eng, ops)
 		for i, r := range results {
 			if r.Err != nil {
 				t.Fatalf("workers=%d op %d: %v", workers, i, r.Err)
@@ -61,11 +62,11 @@ func TestBatchPeakMergesWithMax(t *testing.T) {
 					workers, i, r.Stats.PeakWorkBytes, bytesPerOp)
 			}
 		}
-		if got := batch.Stats.WorkBytes; got != bytesPerOp*int64(len(ops)) {
+		if got := merged.WorkBytes; got != bytesPerOp*int64(len(ops)) {
 			t.Fatalf("workers=%d: total work = %d, want sum %d",
 				workers, got, bytesPerOp*int64(len(ops)))
 		}
-		if got := batch.Stats.PeakWorkBytes; got != bytesPerOp {
+		if got := merged.PeakWorkBytes; got != bytesPerOp {
 			t.Fatalf("workers=%d: merged peak = %d, want single-worker peak %d (peaks must fold with max, not +)",
 				workers, got, bytesPerOp)
 		}
@@ -73,7 +74,7 @@ func TestBatchPeakMergesWithMax(t *testing.T) {
 }
 
 // TestStatsAddPeakMax pins the merge rule at the query.Stats level, where
-// the executor's shard folding gets it from.
+// Map's shard folding gets it from.
 func TestStatsAddPeakMax(t *testing.T) {
 	var a query.Stats
 	a.Alloc(100)

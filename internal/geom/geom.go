@@ -78,12 +78,6 @@ func (r Rect) Contains(p Point) bool {
 		p.Y >= r.MinY-Eps && p.Y <= r.MaxY+Eps
 }
 
-// ContainsRect reports whether s lies fully inside r (boundary inclusive).
-func (r Rect) ContainsRect(s Rect) bool {
-	return s.MinX >= r.MinX-Eps && s.MaxX <= r.MaxX+Eps &&
-		s.MinY >= r.MinY-Eps && s.MaxY <= r.MaxY+Eps
-}
-
 // Intersects reports whether r and s overlap (touching counts).
 func (r Rect) Intersects(s Rect) bool {
 	return r.MinX <= s.MaxX+Eps && s.MinX <= r.MaxX+Eps &&

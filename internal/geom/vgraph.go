@@ -261,12 +261,6 @@ func (g *VGraph) SourceFrom(p Point) *Source {
 	return s
 }
 
-// SourceFromAnchor prepares a reusable origin at anchor i without any
-// geometric work.
-func (g *VGraph) SourceFromAnchor(i int) *Source {
-	return &Source{g: g, p: g.anchors[i], dist: g.anchorVert[i], ok: true}
-}
-
 // Dist returns the geodesic distance from the source point to b.
 func (s *Source) Dist(b Point) float64 {
 	if !s.ok || !s.g.poly.Contains(b) {
@@ -280,18 +274,6 @@ func (s *Source) Dist(b Point) float64 {
 	d := s.g.combine(s.dist, sc.seed)
 	s.g.putScratch(sc)
 	return d
-}
-
-// MaxDist returns the greatest geodesic distance from the source to any
-// polygon vertex (which bounds the distance to anywhere in the polygon).
-func (s *Source) MaxDist() float64 {
-	var m float64
-	for _, d := range s.dist {
-		if !math.IsInf(d, 1) && d > m {
-			m = d
-		}
-	}
-	return m
 }
 
 // MaxDistFrom returns the greatest geodesic distance from point a to any

@@ -281,80 +281,6 @@ func (s *Space) CanTraverse(d DoorID, from, to PartitionID) bool {
 	return s.leavesInto(d, from, to)
 }
 
-// WithinFrom returns a closure computing ‖center,·‖v for many points with
-// the center-side geometric work done once — the hot path of object-bucket
-// scans. The closure returns +Inf for points outside v.
-func (s *Space) WithinFrom(v PartitionID, center Point) func(Point) float64 {
-	part := &s.parts[v]
-	if part.Kind == Staircase {
-		return func(b Point) float64 {
-			if center.Floor != b.Floor {
-				return part.StairLength
-			}
-			return center.XY().Dist(b.XY())
-		}
-	}
-	if center.Floor != part.Floor {
-		return infWithin
-	}
-	if part.convex {
-		if !part.Poly.Contains(center.XY()) {
-			return infWithin
-		}
-		c := center.XY()
-		return func(b Point) float64 {
-			if b.Floor != part.Floor || !part.Poly.Contains(b.XY()) {
-				return math.Inf(1)
-			}
-			return c.Dist(b.XY())
-		}
-	}
-	src := s.vg[v].SourceFrom(center.XY())
-	return func(b Point) float64 {
-		if b.Floor != part.Floor {
-			return math.Inf(1)
-		}
-		return src.Dist(b.XY())
-	}
-}
-
-// WithinFromDoor is WithinFrom anchored at a door of v; for concave
-// partitions it reuses the precomputed door-to-vertex distances, making it
-// cheaper than WithinFrom at an arbitrary point.
-func (s *Space) WithinFromDoor(v PartitionID, d DoorID) func(Point) float64 {
-	i := s.doorIndexIn(v, d)
-	if i < 0 {
-		return infWithin
-	}
-	part := &s.parts[v]
-	door := &s.doors[d]
-	if part.Kind == Staircase {
-		return func(b Point) float64 {
-			if door.Floor != b.Floor {
-				return part.StairLength
-			}
-			return door.P.Dist(b.XY())
-		}
-	}
-	if part.convex {
-		return func(b Point) float64 {
-			if b.Floor != part.Floor || !part.Poly.Contains(b.XY()) {
-				return math.Inf(1)
-			}
-			return door.P.Dist(b.XY())
-		}
-	}
-	src := s.vg[v].SourceFromAnchor(int(s.doorAnchor[v][i]))
-	return func(b Point) float64 {
-		if b.Floor != part.Floor {
-			return math.Inf(1)
-		}
-		return src.Dist(b.XY())
-	}
-}
-
-func infWithin(Point) float64 { return math.Inf(1) }
-
 // PointRef is a reusable handle to a point inside a known partition: for
 // concave partitions it caches the point's geodesic vertex distances so
 // repeated distance computations (object bucket scans) cost O(vertices)

@@ -9,7 +9,6 @@ import (
 	"indoorsq/internal/moving"
 	"indoorsq/internal/oracle"
 	"indoorsq/internal/query"
-	"indoorsq/internal/reach"
 	"indoorsq/internal/spacegen"
 	"indoorsq/internal/workload"
 )
@@ -18,7 +17,6 @@ import (
 // of valid indoor points ops draw from.
 type fuzzVenue struct {
 	sp   *indoor.Space
-	rc   *reach.Reach
 	pts  []indoor.Point
 	part []indoor.PartitionID
 }
@@ -39,7 +37,7 @@ func buildFuzzVenues() []fuzzVenue {
 		if err != nil {
 			panic(err)
 		}
-		v := fuzzVenue{sp: sp, rc: reach.FromSpace(sp, nil)}
+		v := fuzzVenue{sp: sp}
 		gen := workload.New(sp, s.seed*31)
 		for i := 0; i < 64; i++ {
 			p, part := gen.PointIn()
@@ -57,7 +55,8 @@ func buildFuzzVenues() []fuzzVenue {
 // from-scratch recomputation over the same object set: range result sets,
 // kNN top-k (ids and distances), and the emitted event diffs. The Stream's
 // shard count is fuzzed too, so the generative harness also exercises the
-// fan-out/merge path, and bit 4 of the first byte gives it a reach summary.
+// fan-out/merge path. The first byte also seeds the bytes drawn past the
+// end of the input.
 // Every step also checks the inverted index's packed rows and sorted range
 // results (moving.CheckIndex).
 func FuzzMonitorStream(f *testing.F) {
@@ -68,11 +67,12 @@ func FuzzMonitorStream(f *testing.F) {
 	f.Add([]byte{2, 3, 5, 2, 6, 1, 2, 0, 9, 1, 4, 3, 3, 2, 8})
 	f.Add([]byte{3, 7, 7, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
 	// The change-only folding edge cases (see TestChangeOnlyEdgeCases),
-	// each without and with a reach summary: range monitor 1 unregistered
-	// and registered again while objects 1 and 2 stay put; object 1
-	// removed and re-added at the same point, then elsewhere; kNN
-	// monitors on the one-way venue while objects hop between pooled
-	// points, some unreachable from the query point.
+	// each also with bit 4 of the first byte set (same venue and shard
+	// count, another draw seed): range monitor 1 unregistered and
+	// registered again while objects 1 and 2 stay put; object 1 removed and
+	// re-added at the same point, then elsewhere; kNN monitors on the
+	// one-way venue while objects hop between pooled points, some
+	// unreachable from the query point.
 	for _, seed := range [][]byte{
 		{0, 0, 13, 1, 26, 4, 13, 4, 13, 4, 13, 0, 13, 1, 26, 7, 13},
 		{1, 4, 13, 5, 6, 0, 13, 6, 13, 0, 13, 6, 13, 6, 13, 0, 25, 0, 13},
@@ -87,11 +87,7 @@ func FuzzMonitorStream(f *testing.F) {
 			return
 		}
 		v := venues[int(data[0])%len(venues)]
-		opt := moving.StreamOptions{Shards: 1 + int(data[0]>>2)%4}
-		if data[0]&16 != 0 {
-			opt.Reach = v.rc
-		}
-		st := moving.NewStream(v.sp, opt)
+		st := moving.NewStream(v.sp, moving.StreamOptions{Shards: 1 + int(data[0]>>2)%4})
 		ora := oracle.New(v.sp)
 		rng := rand.New(rand.NewSource(int64(data[0]) + 7))
 

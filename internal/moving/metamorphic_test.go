@@ -8,7 +8,6 @@ import (
 
 	"indoorsq/internal/indoor"
 	"indoorsq/internal/moving"
-	"indoorsq/internal/reach"
 	"indoorsq/internal/spacegen"
 	"indoorsq/internal/workload"
 )
@@ -224,85 +223,79 @@ func TestMetamorphicPermutation(t *testing.T) {
 // TestMetamorphicIndexRows replays the fixture's stream in batches of 64
 // while monitors churn — every eighth batch one range and one kNN monitor
 // is unregistered and registered again at the same point — and then
-// removes a sixth of the objects, once with and once without a reach
-// summary. After every step the inverted index must pass
-// moving.CheckIndex (packed rows in step with their monitors, ascending
-// range results) and every range result must equal the scan-all
-// Monitor's fed the same steps; both runs must emit identical events.
+// removes a sixth of the objects. After every step the inverted index must
+// pass moving.CheckIndex (packed rows in step with their monitors,
+// ascending range results) and every range result must equal the scan-all
+// Monitor's fed the same steps.
 func TestMetamorphicIndexRows(t *testing.T) {
 	t.Parallel()
 	fx := newMetaFixture(t)
-	run := func(rc *reach.Reach) []moving.Event {
-		st := moving.NewStream(fx.sp, moving.StreamOptions{Shards: 4, Reach: rc})
-		mon := moving.NewMonitor(fx.sp)
-		var events []moving.Event
-		check := func(step string) {
-			t.Helper()
-			if err := moving.CheckIndex(st); err != nil {
-				t.Fatalf("reach=%v %s: index: %v", rc != nil, step, err)
-			}
-			for _, q := range fx.rq {
-				if got, want := st.Result(q.qid), mon.Result(q.qid); !slices.Equal(got, want) {
-					t.Fatalf("reach=%v %s: monitor %d holds %v, scan-all %v", rc != nil, step, q.qid, got, want)
-				}
-			}
-		}
-		must := func(evs []moving.Event, err error) {
-			t.Helper()
-			if err != nil {
-				t.Fatal(err)
-			}
-			events = append(events, evs...)
+	st := moving.NewStream(fx.sp, moving.StreamOptions{Shards: 4})
+	mon := moving.NewMonitor(fx.sp)
+	var events []moving.Event
+	check := func(step string) {
+		t.Helper()
+		if err := moving.CheckIndex(st); err != nil {
+			t.Fatalf("%s: index: %v", step, err)
 		}
 		for _, q := range fx.rq {
-			must(st.Register(q.qid, q.p, q.r, 0))
-			if _, err := mon.Register(q.qid, q.p, q.r, 0); err != nil {
-				t.Fatal(err)
+			if got, want := st.Result(q.qid), mon.Result(q.qid); !slices.Equal(got, want) {
+				t.Fatalf("%s: monitor %d holds %v, scan-all %v", step, q.qid, got, want)
 			}
 		}
-		for _, q := range fx.kq {
-			must(st.RegisterKNN(q.qid, q.p, q.k, 0))
-		}
-		check("registration")
-		tm := 0.0
-		for bi, lo := 0, 0; lo < len(fx.us); bi, lo = bi+1, lo+64 {
-			batch := fx.us[lo:min(lo+64, len(fx.us))]
-			must(st.ApplyBatch(batch))
-			for _, u := range batch {
-				if _, err := mon.Apply(u); err != nil {
-					t.Fatal(err)
-				}
-			}
-			tm = batch[len(batch)-1].T
-			check(fmt.Sprintf("batch %d", bi))
-			if bi%8 != 7 {
-				continue
-			}
-			rq, kq := fx.rq[bi/8%len(fx.rq)], fx.kq[bi/8%len(fx.kq)]
-			st.Unregister(rq.qid)
-			mon.Unregister(rq.qid)
-			st.Unregister(kq.qid)
-			if err := moving.CheckIndex(st); err != nil {
-				t.Fatalf("reach=%v batch %d: index after unregister: %v", rc != nil, bi, err)
-			}
-			must(st.Register(rq.qid, rq.p, rq.r, tm))
-			if _, err := mon.Register(rq.qid, rq.p, rq.r, tm); err != nil {
-				t.Fatal(err)
-			}
-			must(st.RegisterKNN(kq.qid, kq.p, kq.k, tm))
-			check(fmt.Sprintf("churn after batch %d", bi))
-		}
-		for id := int32(0); id < 30; id += 6 {
-			tm++
-			events = append(events, st.Remove(id, tm)...)
-			mon.Remove(id, tm)
-			check(fmt.Sprintf("remove %d", id))
-		}
-		return events
 	}
-	plain := run(nil)
-	if len(plain) == 0 {
+	must := func(evs []moving.Event, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		events = append(events, evs...)
+	}
+	for _, q := range fx.rq {
+		must(st.Register(q.qid, q.p, q.r, 0))
+		if _, err := mon.Register(q.qid, q.p, q.r, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, q := range fx.kq {
+		must(st.RegisterKNN(q.qid, q.p, q.k, 0))
+	}
+	check("registration")
+	tm := 0.0
+	for bi, lo := 0, 0; lo < len(fx.us); bi, lo = bi+1, lo+64 {
+		batch := fx.us[lo:min(lo+64, len(fx.us))]
+		must(st.ApplyBatch(batch))
+		for _, u := range batch {
+			if _, err := mon.Apply(u); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tm = batch[len(batch)-1].T
+		check(fmt.Sprintf("batch %d", bi))
+		if bi%8 != 7 {
+			continue
+		}
+		rq, kq := fx.rq[bi/8%len(fx.rq)], fx.kq[bi/8%len(fx.kq)]
+		st.Unregister(rq.qid)
+		mon.Unregister(rq.qid)
+		st.Unregister(kq.qid)
+		if err := moving.CheckIndex(st); err != nil {
+			t.Fatalf("batch %d: index after unregister: %v", bi, err)
+		}
+		must(st.Register(rq.qid, rq.p, rq.r, tm))
+		if _, err := mon.Register(rq.qid, rq.p, rq.r, tm); err != nil {
+			t.Fatal(err)
+		}
+		must(st.RegisterKNN(kq.qid, kq.p, kq.k, tm))
+		check(fmt.Sprintf("churn after batch %d", bi))
+	}
+	for id := int32(0); id < 30; id += 6 {
+		tm++
+		events = append(events, st.Remove(id, tm)...)
+		mon.Remove(id, tm)
+		check(fmt.Sprintf("remove %d", id))
+	}
+	if len(events) == 0 {
 		t.Fatal("fixture produced no events; the suite is vacuous")
 	}
-	diffEvents(t, "reach summary", run(reach.FromSpace(fx.sp, nil)), plain)
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"indoorsq/internal/indoor"
-	"indoorsq/internal/reach"
 	"indoorsq/internal/spacegen"
 	"indoorsq/internal/testspaces"
 )
@@ -39,21 +38,14 @@ func TestSortEventsMatchesStableSort(t *testing.T) {
 }
 
 // scanParts is the partition-major derivation relevantParts replaced: the
-// host, plus every partition the reach gate admits that has a finite field
-// entry on one of its enter doors.
+// host, plus every partition that has a finite field entry on one of its
+// enter doors.
 func scanParts(s *Stream, q *qcore) []indoor.PartitionID {
-	var from reach.From
-	if s.rc != nil {
-		from = s.rc.FromDoors(s.sp.Partition(q.vp).Leave, nil)
-	}
 	var out []indoor.PartitionID
 	for v := range s.partQ {
 		pid := indoor.PartitionID(v)
 		if pid == q.vp {
 			out = append(out, pid)
-			continue
-		}
-		if s.rc != nil && !from.CanReachPart(pid) {
 			continue
 		}
 		for _, d := range s.sp.Partition(pid).Enter {
@@ -67,9 +59,9 @@ func scanParts(s *Stream, q *qcore) []indoor.PartitionID {
 }
 
 // TestRelevantPartsMatchScan registers range and kNN monitors on generated
-// venues with one-way doors, and on the same venues with a closed wing,
-// with and without a reach summary, and requires every monitor's relevant
-// partitions to equal the partition-major scan's.
+// venues with one-way doors, and on the same venues with a closed wing, and
+// requires every monitor's relevant partitions to equal the
+// partition-major scan's.
 func TestRelevantPartsMatchScan(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		p := spacegen.Params{
@@ -94,24 +86,22 @@ func TestRelevantPartsMatchScan(t *testing.T) {
 			t.Fatalf("seed=%d: close wing: %v", seed, err)
 		}
 		for _, venue := range []*indoor.Space{sp, wing} {
-			for _, rc := range []*reach.Reach{nil, reach.FromSpace(venue, nil)} {
-				label := fmt.Sprintf("seed=%d wing=%v reach=%v", seed, venue == wing, rc != nil)
-				s := NewStream(venue, StreamOptions{Reach: rc})
-				rng := rand.New(rand.NewSource(seed))
-				for qid := int32(0); qid < 24; qid++ {
-					pt := spacegen.Point(venue, rng)
-					if qid%4 == 3 {
-						_, err = s.RegisterKNN(qid, pt, 3, 0)
-					} else {
-						_, err = s.Register(qid, pt, 5+rng.Float64()*40, 0)
-					}
-					if err != nil {
-						t.Fatalf("%s: register %d: %v", label, qid, err)
-					}
-					q := s.queries[qid]
-					if want := scanParts(s, &q.qcore); !slices.Equal(q.parts, want) {
-						t.Fatalf("%s: monitor %d parts %v, want %v", label, qid, q.parts, want)
-					}
+			label := fmt.Sprintf("seed=%d wing=%v", seed, venue == wing)
+			s := NewStream(venue, StreamOptions{})
+			rng := rand.New(rand.NewSource(seed))
+			for qid := int32(0); qid < 24; qid++ {
+				pt := spacegen.Point(venue, rng)
+				if qid%4 == 3 {
+					_, err = s.RegisterKNN(qid, pt, 3, 0)
+				} else {
+					_, err = s.Register(qid, pt, 5+rng.Float64()*40, 0)
+				}
+				if err != nil {
+					t.Fatalf("%s: register %d: %v", label, qid, err)
+				}
+				q := s.queries[qid]
+				if want := scanParts(s, &q.qcore); !slices.Equal(q.parts, want) {
+					t.Fatalf("%s: monitor %d parts %v, want %v", label, qid, q.parts, want)
 				}
 			}
 		}

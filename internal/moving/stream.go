@@ -11,7 +11,6 @@ import (
 	"indoorsq/internal/exec"
 	"indoorsq/internal/indoor"
 	"indoorsq/internal/query"
-	"indoorsq/internal/reach"
 )
 
 // ErrStreamClosed marks any operation on a Stream after Close.
@@ -23,17 +22,11 @@ const (
 	kindKNN
 )
 
-// StreamOptions configures a Stream. The zero value is usable: DefaultShards
-// object shards, no reach summary.
+// StreamOptions configures a Stream. The zero value is usable:
+// DefaultShards object shards.
 type StreamOptions struct {
 	// Shards is the number of object shards (<= 0 means DefaultShards).
 	Shards int
-	// Reach optionally gates registration: partitions its summary proves
-	// unreachable from the query point are skipped when deriving the
-	// inverted index. Purely an optimization — the derived index, and
-	// therefore every answer, is identical with or without it, because a
-	// partition the summary rules out can hold no finite field entry.
-	Reach *reach.Reach
 }
 
 // DefaultShards is the object-shard count of a zero-options Stream.
@@ -60,7 +53,6 @@ const DefaultShards = 8
 // per-query subscriptions receiving incremental enter/leave deltas.
 type Stream struct {
 	sp  *indoor.Space
-	rc  *reach.Reach
 	nsh int
 
 	// mu guards queries, partQ, partMark and closed. ApplyBatch/Remove
@@ -170,7 +162,6 @@ func NewStream(sp *indoor.Space, opt StreamOptions) *Stream {
 	}
 	s := &Stream{
 		sp:       sp,
-		rc:       opt.Reach,
 		nsh:      nsh,
 		queries:  make(map[int32]*stQuery),
 		partQ:    make([]partIndex, len(sp.Partitions())),
@@ -201,10 +192,8 @@ func (s *Stream) shardOf(id int32) int {
 // distance to the query point is finite sits in such a partition (objDist
 // is +Inf otherwise), so folding only touched queries loses no event. The
 // partitions are marked off the finite entries' Enterable lists and read
-// back in id order, one pass over the doors and one over the marks. A
-// reach summary, when configured, drops partitions proven unreachable from
-// the host's leave doors; those hold no finite entry, so it changes
-// nothing. Caller holds s.mu for write (partMark is shared).
+// back in id order, one pass over the doors and one over the marks. Caller
+// holds s.mu for write (partMark is shared).
 func (s *Stream) relevantParts(q *qcore) []indoor.PartitionID {
 	mark := s.partMark
 	mark[q.vp] = true
@@ -215,19 +204,11 @@ func (s *Stream) relevantParts(q *qcore) []indoor.PartitionID {
 			}
 		}
 	}
-	var from reach.From
-	if s.rc != nil {
-		from = s.rc.FromDoors(s.sp.Partition(q.vp).Leave, nil)
-	}
 	var out []indoor.PartitionID
 	for v, marked := range mark {
-		if !marked {
-			continue
-		}
-		mark[v] = false
-		pid := indoor.PartitionID(v)
-		if pid == q.vp || s.rc == nil || from.CanReachPart(pid) {
-			out = append(out, pid)
+		if marked {
+			mark[v] = false
+			out = append(out, indoor.PartitionID(v))
 		}
 	}
 	return out

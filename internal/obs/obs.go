@@ -4,8 +4,8 @@
 // trace (trace.go) that rides the context alongside query.Budget.
 //
 // The package sits below every other internal package (it imports only the
-// standard library) so the query framework, the engines, the batch
-// executor, and the HTTP server can all emit into one registry without
+// standard library) so the query framework, the engines, the query entry
+// point (exec.Do), and the HTTP server can all emit into one registry without
 // import cycles. Everything is safe for concurrent use; the disabled path
 // — no registry bound on the context — costs the caller a single context
 // lookup and nothing else.

@@ -1,12 +1,14 @@
 package obs_test
 
-// Registry/trace exactness under concurrent batch load. This file is part
-// of the race-detector suite (make race runs ./internal/obs/ with -race):
-// many workers hammer one registry and one shared trace, and every counter,
-// histogram bucket, and span must still come out exact.
+// Registry/trace exactness under concurrent load. This file is part of
+// the race-detector suite (make race runs ./internal/obs/ with -race): many
+// exec.Map workers hammer one registry and one shared trace through
+// exec.Do, and every counter, histogram bucket, and span must still come
+// out exact.
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"indoorsq/internal/exec"
@@ -75,15 +77,21 @@ func TestRegistryExactUnderConcurrentPool(t *testing.T) {
 			exec.Op{Kind: exec.KNNQ, K: 3},
 			exec.Op{Kind: exec.SPDQ})
 	}
-	p := exec.Pool{Workers: 8, Obs: reg}
-	// The trace rides the batch context; Pool.Obs layers the registry on
-	// top without displacing it.
-	results, batch := p.Run(obs.WithTrace(context.Background(), tr), stubEngine{}, ops)
-	if batch.Errs != 0 {
-		t.Fatalf("batch errs = %d", batch.Errs)
-	}
-	if len(results) != 3*perKind {
-		t.Fatalf("results = %d", len(results))
+	prev := runtime.GOMAXPROCS(8)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	// The trace rides the context; WithRegistry layers the registry on top
+	// without displacing it.
+	ctx := obs.WithRegistry(obs.WithTrace(context.Background(), tr), reg)
+	results := make([]exec.Result, len(ops))
+	merged, _ := exec.Map(len(ops), func(i int, st *query.Stats) error {
+		results[i] = exec.Do(ctx, stubEngine{}, ops[i])
+		st.Add(results[i].Stats)
+		return nil
+	})
+	for i, r := range results {
+		if r.Err != nil {
+			t.Fatalf("op %d: %v", i, r.Err)
+		}
 	}
 
 	for _, want := range []struct {
@@ -154,9 +162,9 @@ func TestRegistryExactUnderConcurrentPool(t *testing.T) {
 		}
 	}
 
-	// The merged batch stats fold peaks with max: the batch-wide peak is
-	// the largest single query, not a sum.
-	if batch.Stats.PeakWorkBytes != stubSPDBytes {
-		t.Fatalf("batch peak = %d, want %d", batch.Stats.PeakWorkBytes, stubSPDBytes)
+	// The merged stats fold peaks with max: the overall peak is the
+	// largest single query, not a sum.
+	if merged.PeakWorkBytes != stubSPDBytes {
+		t.Fatalf("merged peak = %d, want %d", merged.PeakWorkBytes, stubSPDBytes)
 	}
 }

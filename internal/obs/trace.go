@@ -64,8 +64,9 @@ type QuerySummary struct {
 }
 
 // Trace records spans and query summaries. Safe for concurrent use (a
-// single trace can be shared across an exec.Pool batch); a nil *Trace is a
-// valid disabled trace on every method.
+// single trace can be shared by queries running at once, as the legs of
+// route.Optimized fanned over exec.Map are); a nil *Trace is a valid
+// disabled trace on every method.
 type Trace struct {
 	t0      time.Time
 	mu      sync.Mutex

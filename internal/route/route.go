@@ -20,12 +20,11 @@ import (
 const MaxStops = 12
 
 // Planner builds multi-stop routes over one engine. Optimized's O(n²)
-// pairwise legs run through a concurrent batch executor — engines are
-// read-only at query time — so the planner itself stays safe for
-// concurrent use.
+// pairwise legs fan out over exec.Map — engines are read-only at query
+// time — and the planner holds nothing else, so it is safe for concurrent
+// use.
 type Planner struct {
-	eng  query.Engine
-	pool exec.Pool
+	eng query.Engine
 }
 
 // New returns a planner over the engine.
@@ -81,7 +80,7 @@ func (pl *Planner) Via(ctx context.Context, p indoor.Point, stops []indoor.Point
 // Optimized returns the shortest walk p -> (all stops, any order) -> q
 // together with the visiting order (indexes into stops). It errors when
 // more than MaxStops waypoints are given or any leg is unreachable. The
-// O(n²) pairwise SPDQ legs fan out over the batch executor, every leg under
+// O(n²) pairwise SPDQ legs fan out over exec.Map, every leg under
 // ctx, so cancelling ctx interrupts the whole fan-out promptly. A
 // query.Budget carried by ctx bounds each leg individually (shards track
 // independently).
@@ -97,8 +96,8 @@ func (pl *Planner) Optimized(ctx context.Context, p indoor.Point, stops []indoor
 
 	// Pairwise legs: from p to each stop, between stops (both directions),
 	// and from each stop to q. The O(n²) SPD legs are independent, so they
-	// fan out over the batch executor; each leg writes its own slot and the
-	// executor reports the lowest-index error, keeping results and error
+	// fan out over exec.Map; each leg writes its own slot and Map reports
+	// the lowest-index error, keeping results and error
 	// messages identical to the old serial triple loop.
 	fromP := make([]query.Path, n)
 	toQ := make([]query.Path, n)
@@ -122,7 +121,7 @@ func (pl *Planner) Optimized(ctx context.Context, p indoor.Point, stops []indoor
 			}
 		}
 	}
-	merged, err := pl.pool.Map(len(jobs), func(i int, shard *query.Stats) error {
+	merged, err := exec.Map(len(jobs), func(i int, shard *query.Stats) error {
 		leg, err := query.SPD(ctx, pl.eng, jobs[i].src, jobs[i].dst, shard)
 		if err != nil {
 			return fmt.Errorf("route: %s: %w", jobs[i].what, err)

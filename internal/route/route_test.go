@@ -2,7 +2,11 @@ package route_test
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"indoorsq/internal/idindex"
@@ -10,6 +14,7 @@ import (
 	"indoorsq/internal/indoor"
 	"indoorsq/internal/query"
 	"indoorsq/internal/route"
+	"indoorsq/internal/spacegen"
 	"indoorsq/internal/testspaces"
 )
 
@@ -160,5 +165,59 @@ func TestErrors(t *testing.T) {
 	}
 	if _, _, err := pl.Optimized(context.Background(), indoor.At(1, 5, 0), many, indoor.At(1, 5, 0), &st); err == nil {
 		t.Fatal("too many stops must fail")
+	}
+}
+
+// TestOptimizedAcrossProcs plans the same walks at GOMAXPROCS 1 (exec.Map's
+// sequential path), 2 and 4 and requires the same walk, visiting order,
+// distance bits and merged leg counters (VisitedDoors, WorkBytes) every
+// time: the fan-out of the pairwise legs must not show in the answer or in
+// its summed cost. PeakWorkBytes is left out: a worker's shard accumulates
+// every leg it ran, so its peak follows the split of legs over workers.
+func TestOptimizedAcrossProcs(t *testing.T) {
+	type plan struct {
+		walk  query.Path
+		order []int
+		err   error
+		st    query.Stats
+	}
+	planned := 0
+	for seed := int64(1); seed <= 4; seed++ {
+		sp := testspaces.RandomGrid(seed, 4, 4, 2, 3, float64(seed%2)*0.2)
+		pl := route.New(idmodel.New(sp))
+		rng := rand.New(rand.NewSource(seed))
+		p, q := spacegen.Point(sp, rng), spacegen.Point(sp, rng)
+		stops := make([]indoor.Point, 6)
+		for i := range stops {
+			stops[i] = spacegen.Point(sp, rng)
+		}
+		var ref plan
+		for _, procs := range []int{1, 2, 4} {
+			prev := runtime.GOMAXPROCS(procs)
+			var got plan
+			got.walk, got.order, got.err = pl.Optimized(context.Background(), p, stops, q, &got.st)
+			runtime.GOMAXPROCS(prev)
+			if procs == 1 {
+				ref = got
+				if got.err == nil {
+					planned++
+				}
+				continue
+			}
+			if fmt.Sprint(got.err) != fmt.Sprint(ref.err) {
+				t.Fatalf("seed=%d procs=%d: err %v, want %v", seed, procs, got.err, ref.err)
+			}
+			if math.Float64bits(got.walk.Dist) != math.Float64bits(ref.walk.Dist) ||
+				!slices.Equal(got.walk.Doors, ref.walk.Doors) || !slices.Equal(got.order, ref.order) {
+				t.Fatalf("seed=%d procs=%d: walk %g %v order %v, want %g %v order %v", seed, procs,
+					got.walk.Dist, got.walk.Doors, got.order, ref.walk.Dist, ref.walk.Doors, ref.order)
+			}
+			if got.st.VisitedDoors != ref.st.VisitedDoors || got.st.WorkBytes != ref.st.WorkBytes {
+				t.Fatalf("seed=%d procs=%d: stats %+v, want %+v", seed, procs, got.st, ref.st)
+			}
+		}
+	}
+	if planned == 0 {
+		t.Fatal("no seed planned a walk; the test is vacuous")
 	}
 }

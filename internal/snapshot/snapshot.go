@@ -334,16 +334,6 @@ func Open(path string) (*Reader, error) {
 	return NewReader(buf)
 }
 
-// ReadFrom slurps r and parses the result (used when the source is not a
-// file; prefer Open for files, which sizes the buffer up front).
-func ReadFrom(r io.Reader) (*Reader, error) {
-	buf, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: read: %w", err)
-	}
-	return NewReader(buf)
-}
-
 // NewReader parses a snapshot from buf, which the returned Reader (and every
 // zero-copy view handed out by its sections) aliases until dropped.
 func NewReader(buf []byte) (*Reader, error) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -167,8 +168,8 @@ func mixedOps(v *Venue, seed int64, n int) []exec.Op {
 	return ops
 }
 
-// TestVenueQuery routes a mixed stream through Venue.Query from a pool of
-// workers and cross-checks every answer against every pinned engine on the
+// TestVenueQuery routes a mixed stream through Venue.Query from four
+// exec.Map workers and cross-checks every answer against every pinned engine on the
 // same generation; the routed answers must also feed the router's evidence.
 func TestVenueQuery(t *testing.T) {
 	tier := newTestTier(t)
@@ -176,8 +177,9 @@ func TestVenueQuery(t *testing.T) {
 	ops := mixedOps(v, 3, 24)
 	results := make([]exec.Result, len(ops))
 	engines := make([]string, len(ops))
-	pool := exec.Pool{Workers: 4}
-	pool.Map(len(ops), func(i int, _ *query.Stats) error {
+	prev := runtime.GOMAXPROCS(4)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	exec.Map(len(ops), func(i int, _ *query.Stats) error {
 		results[i], engines[i] = v.Query(context.Background(), ops[i], "")
 		return nil
 	})
