@@ -44,7 +44,7 @@ test:
 	$(GO) test -shuffle=on -count=1 ./...
 
 race:
-	$(GO) test -race ./internal/enginetest/ ./internal/exec/ ./internal/obs/ ./internal/server/ ./internal/spacegen/ ./internal/oracle/ ./internal/doorgraph/ ./internal/reach/ ./internal/temporal/ ./internal/moving/ ./internal/tenant/ ./internal/idindex/ ./internal/iptree/ ./internal/route/
+	$(GO) test -race ./internal/enginetest/ ./internal/exec/ ./internal/obs/ ./internal/server/ ./internal/spacegen/ ./internal/oracle/ ./internal/doorgraph/ ./internal/reach/ ./internal/temporal/ ./internal/moving/ ./internal/tenant/ ./internal/idindex/ ./internal/iptree/ ./internal/route/ ./internal/snapshot/bundle/
 
 # perfbench is its own module (perfbench/go.mod), so build/vet/test above
 # never compile it; it imports internal/query, the oracle and the server.

@@ -246,28 +246,3 @@ func BenchmarkExtMultiStop(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkAblationCompactIDIndex compares the float64 and float32 matrix
-// variants on SPDQ.
-func BenchmarkAblationCompactIDIndex(b *testing.B) {
-	info := dataset.Get("CPH")
-	pairs := benchPairs(b, info, info.DefaultS2T, 10)
-	for _, compact := range []bool{false, true} {
-		var eng query.Engine
-		if compact {
-			eng = idindex.NewCompact(info.Space)
-		} else {
-			eng = idindex.New(info.Space)
-		}
-		eng.SetObjects(nil)
-		b.Run(fmt.Sprintf("compact=%v", compact), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				pr := pairs[i%len(pairs)]
-				if _, err := eng.SPD(pr.P, pr.Q, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(eng.SizeBytes())/1e6, "MB")
-		})
-	}
-}

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	isqsnap build -o venue.isq [-dataset CPH] [-engines IDModel,IDIndex,CIndex,IPTree,VIPTree]
-//	              [-compact] [-no-warm]
+//	              [-no-warm]
 //	isqsnap inspect venue.isq
 //	isqsnap verify [-queries 32] [-seed 1] venue.isq
 //
@@ -63,11 +63,10 @@ func usage() {
 func cmdBuild(args []string) {
 	fs := flag.NewFlagSet("build", flag.ExitOnError)
 	var (
-		out     = fs.String("o", "", "output artifact path (required)")
-		ds      = fs.String("dataset", "CPH", "benchmark dataset")
-		names   = fs.String("engines", strings.Join(bundle.EngineNames, ","), "engines to materialize")
-		compact = fs.Bool("compact", false, "build IDINDEX with float32 matrices")
-		noWarm  = fs.Bool("no-warm", false, "omit the warm distance-cache pages")
+		out    = fs.String("o", "", "output artifact path (required)")
+		ds     = fs.String("dataset", "CPH", "benchmark dataset")
+		names  = fs.String("engines", strings.Join(bundle.EngineNames, ","), "engines to materialize")
+		noWarm = fs.Bool("no-warm", false, "omit the warm distance-cache pages")
 	)
 	fs.Parse(args)
 	if *out == "" {
@@ -81,7 +80,6 @@ func cmdBuild(args []string) {
 	b, err := bundle.Build(info.Name, info.Space, bundle.Options{
 		Engines: strings.Split(*names, ","),
 		Gamma:   info.Gamma,
-		Compact: *compact,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -8,12 +8,11 @@ import (
 )
 
 // Metrics aggregates process-wide Dijkstra sweep counters across every
-// Scratch (build-time and query-time alike), plus the footprint of the most
-// recently built graph. The obs registry exposes them as gauges; the
-// counters are global because a Scratch is pooled and has no natural owner
-// to report through.
+// Scratch, plus the footprint of the most recently built graph. The obs
+// registry exposes them as gauges; the counters are global because a
+// Scratch is pooled and has no natural owner to report through.
 var Metrics struct {
-	// Sweeps counts completed or aborted run() invocations.
+	// Sweeps counts Run invocations; every sweep runs to completion.
 	Sweeps atomic.Int64
 	// Settled counts doors settled (popped final) across all sweeps.
 	Settled atomic.Int64
@@ -49,11 +48,6 @@ type Scratch struct {
 	nodes []node
 	epoch uint32
 
-	// Early-exit target marks (RunTargets), stamped independently so the
-	// target set of one run never leaks into the next.
-	tmark  []uint32
-	tepoch uint32
-
 	// order lists the doors the last run settled, in pop order. Its
 	// capacity is N from NewScratch on, so recording it never allocates.
 	order []int32
@@ -67,7 +61,6 @@ type Scratch struct {
 func NewScratch(n int) *Scratch {
 	s := &Scratch{
 		nodes: make([]node, n),
-		tmark: make([]uint32, n),
 		order: make([]int32, 0, n),
 	}
 	s.h.Grow(n)
@@ -107,8 +100,7 @@ func (s *Scratch) reset() {
 // SettleOrder returns the doors the last run settled, in the order it
 // popped them, valid until the next run. Edge weights are non-negative, so
 // pop priorities never decrease: the distances along the slice are
-// nondecreasing. A full run settles exactly the doors it reached; an early
-// exit or an aborted run lists only those settled before it stopped.
+// nondecreasing. A run settles exactly the doors it reached.
 func (s *Scratch) SettleOrder() []int32 { return s.order }
 
 // DistAt returns the shortest distance of door d from the last run's
@@ -176,86 +168,6 @@ func (s *Scratch) CopyFirst(dst []int32) {
 // Run executes a full single-source Dijkstra from src (see Graph.Dijkstra
 // for the forward/reverse semantics), leaving the results readable through
 // the accessors until the next run.
-func (s *Scratch) Run(g *Graph, src int32, reverse bool) {
-	adj := &g.fwd
-	if reverse {
-		adj = &g.rev
-	}
-	s.runFast(adj, src, -1)
-}
-
-// RunChecked is Run with an amortized cancellation probe: check is invoked
-// after every `every` settled doors (every <= 0 defaults to 64) and its
-// first non-nil error aborts the sweep and is returned. The accessors then
-// describe a partial relaxation; callers must not trust unreached entries.
-func (s *Scratch) RunChecked(g *Graph, src int32, reverse bool, every int, check func() error) error {
-	if every <= 0 {
-		every = 64
-	}
-	if check == nil {
-		s.run(g, src, reverse, 0, 0, nil, nil)
-		return nil
-	}
-	return s.run(g, src, reverse, 0, every, check, nil)
-}
-
-// RunPruned is Run with an edge filter: relaxations into doors for which
-// allow reports false are skipped, exactly as if those doors (and every
-// edge into them) were removed from the graph; they end up unreached (+Inf
-// distance, -1 predecessor). The filter is not applied to src itself. A nil
-// allow is Run. Conservative reachability filters (e.g. "door can reach the
-// goal" from internal/reach summaries) leave the distances of all surviving
-// doors bit-identical to an unfiltered sweep, because every door on a
-// shortest path to an allowed door must itself be allowed.
-func (s *Scratch) RunPruned(g *Graph, src int32, reverse bool, allow func(int32) bool) {
-	if allow == nil {
-		s.Run(g, src, reverse)
-		return
-	}
-	s.run(g, src, reverse, 0, 0, nil, allow)
-}
-
-// RunTargets is Run with an early exit: the sweep stops as soon as every
-// door in targets has been settled (popped with its final distance), which
-// for a single target turns an all-pairs sweep into a goal-directed one.
-// Unreachable targets cannot settle; the sweep then ends when the frontier
-// empties, exactly like Run.
-func (s *Scratch) RunTargets(g *Graph, src int32, reverse bool, targets []int32) {
-	adj := &g.fwd
-	if reverse {
-		adj = &g.rev
-	}
-	if len(targets) == 0 {
-		s.runFast(adj, src, -1)
-		return
-	}
-	// One target — the SPDQ case — keeps the goal in a register instead of
-	// paying two tmark loads on every pop of the general loop.
-	if len(targets) == 1 {
-		s.runFast(adj, src, targets[0])
-		return
-	}
-	s.tepoch++
-	if s.tepoch == 0 {
-		for i := range s.tmark {
-			s.tmark[i] = 0
-		}
-		s.tepoch = 1
-	}
-	remaining := 0
-	for _, t := range targets {
-		if s.tmark[t] != s.tepoch {
-			s.tmark[t] = s.tepoch
-			remaining++
-		}
-	}
-	s.run(g, src, reverse, remaining, 0, nil, nil)
-}
-
-// runFast is the specialized sweep behind Run and single-target RunTargets:
-// no cancellation probe and no target set, so the pop loop carries nothing
-// but the settle-order append (and, when target >= 0, one register compare
-// for the goal-directed early exit).
 //
 // The relaxation iterates one direction's CSR arrays directly: row bounds
 // come from one offset array and the target/weight scans are sequential, so
@@ -265,7 +177,11 @@ func (s *Scratch) RunTargets(g *Graph, src int32, reverse bool, targets []int32)
 // is written — the unstamped default (+Inf, -1) is never materialized — and
 // an improvement to an already-queued door is a decrease-key on the indexed
 // heap, so no stale entries exist and every Pop is final.
-func (s *Scratch) runFast(adj *csr, src, target int32) {
+func (s *Scratch) Run(g *Graph, src int32, reverse bool) {
+	adj := &g.fwd
+	if reverse {
+		adj = &g.rev
+	}
 	off, to, ws := adj.off, adj.to, adj.w
 	nodes := s.nodes
 	s.reset()
@@ -276,9 +192,6 @@ func (s *Scratch) runFast(adj *csr, src, target int32) {
 	for s.h.Len() > 0 {
 		d, dd := s.h.Pop()
 		order = append(order, d)
-		if d == target {
-			break
-		}
 		isSrc := d == src
 		fd := nodes[d].first
 		row := to[off[d]:off[d+1]]
@@ -315,76 +228,4 @@ func (s *Scratch) runFast(adj *csr, src, target int32) {
 	s.order = order
 	Metrics.Sweeps.Add(1)
 	Metrics.Settled.Add(int64(len(order)))
-}
-
-// run is the general sweep behind RunChecked, RunPruned and multi-target
-// RunTargets; remainingTargets > 0 enables the early exit against the tmark
-// set, a non-nil check is polled every `every` settled doors, and a non-nil
-// allow drops relaxations into rejected doors.
-func (s *Scratch) run(g *Graph, src int32, reverse bool, remainingTargets, every int, check func() error, allow func(int32) bool) error {
-	adj := &g.fwd
-	if reverse {
-		adj = &g.rev
-	}
-	off, to, ws := adj.off, adj.to, adj.w
-	nodes := s.nodes
-	s.reset()
-	epoch := s.epoch
-	nodes[src] = node{dist: 0, prev: -1, first: src, stamp: epoch}
-	s.h.Push(src, 0)
-	defer func() {
-		Metrics.Sweeps.Add(1)
-		Metrics.Settled.Add(int64(len(s.order)))
-	}()
-	for s.h.Len() > 0 {
-		d, dd := s.h.Pop()
-		s.order = append(s.order, d)
-		if check != nil && len(s.order)%every == 0 {
-			if err := check(); err != nil {
-				return err
-			}
-		}
-		if remainingTargets > 0 && s.tmark[d] == s.tepoch {
-			s.tmark[d] = s.tepoch - 1 // settle each target once
-			if remainingTargets--; remainingTargets == 0 {
-				return nil
-			}
-		}
-		isSrc := d == src
-		fd := nodes[d].first
-		row := to[off[d]:off[d+1]]
-		wr := ws[off[d]:off[d+1]]
-		wr = wr[:len(row)]
-		for i, t := range row {
-			if allow != nil && !allow(t) {
-				continue
-			}
-			nd := dd + wr[i]
-			nt := &nodes[t]
-			if nt.stamp == epoch {
-				if nd >= nt.dist {
-					continue
-				}
-				nt.dist = nd
-				nt.prev = d
-				if isSrc {
-					nt.first = t
-				} else {
-					nt.first = fd
-				}
-				s.h.Decrease(t, nd)
-				continue
-			}
-			nt.stamp = epoch
-			nt.dist = nd
-			nt.prev = d
-			if isSrc {
-				nt.first = t
-			} else {
-				nt.first = fd
-			}
-			s.h.Push(t, nd)
-		}
-	}
-	return nil
 }

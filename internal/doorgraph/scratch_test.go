@@ -58,38 +58,30 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestSettleOrder asserts that a full sweep, on either path (Run and
-// RunChecked), lists every reached door exactly once in SettleOrder, at
-// nondecreasing distance, and that recording the order allocates nothing.
+// TestSettleOrder asserts that a full sweep lists every reached door
+// exactly once in SettleOrder, at nondecreasing distance, and that
+// recording the order allocates nothing.
 func TestSettleOrder(t *testing.T) {
 	sp := testspaces.RandomGrid(8, 4, 4, 2, 6, 0.5)
 	g := Build(sp)
 	s := NewScratch(g.N)
 	for src := int32(0); src < int32(g.N); src++ {
 		for _, reverse := range []bool{false, true} {
-			for _, checked := range []bool{false, true} {
-				if checked {
-					if err := s.RunChecked(g, src, reverse, 1, func() error { return nil }); err != nil {
-						t.Fatal(err)
-					}
-				} else {
-					s.Run(g, src, reverse)
+			s.Run(g, src, reverse)
+			order := s.SettleOrder()
+			seen := make([]bool, g.N)
+			for i, d := range order {
+				if seen[d] {
+					t.Fatalf("src %d rev %v: door %d settled twice", src, reverse, d)
 				}
-				order := s.SettleOrder()
-				seen := make([]bool, g.N)
-				for i, d := range order {
-					if seen[d] {
-						t.Fatalf("src %d rev %v: door %d settled twice", src, reverse, d)
-					}
-					seen[d] = true
-					if i > 0 && s.DistAt(int(d)) < s.DistAt(int(order[i-1])) {
-						t.Fatalf("src %d rev %v: settle order falls at %d", src, reverse, i)
-					}
+				seen[d] = true
+				if i > 0 && s.DistAt(int(d)) < s.DistAt(int(order[i-1])) {
+					t.Fatalf("src %d rev %v: settle order falls at %d", src, reverse, i)
 				}
-				for d := 0; d < g.N; d++ {
-					if seen[d] == math.IsInf(s.DistAt(d), 1) {
-						t.Fatalf("src %d rev %v: door %d settled=%v at dist %g", src, reverse, d, seen[d], s.DistAt(d))
-					}
+			}
+			for d := 0; d < g.N; d++ {
+				if seen[d] == math.IsInf(s.DistAt(d), 1) {
+					t.Fatalf("src %d rev %v: door %d settled=%v at dist %g", src, reverse, d, seen[d], s.DistAt(d))
 				}
 			}
 		}
@@ -124,30 +116,6 @@ func TestFirstHopConsistent(t *testing.T) {
 		if got := s.FirstAt(d); got != want {
 			t.Fatalf("door %d: first hop %d, prev chain says %d", d, got, want)
 		}
-	}
-}
-
-// TestRunTargetsEarlyExit asserts the goal-directed sweep settles every
-// requested target with its full-run distance.
-func TestRunTargetsEarlyExit(t *testing.T) {
-	sp := testspaces.RandomGrid(6, 4, 4, 2, 6, 0.3)
-	g := Build(sp)
-	full := NewScratch(g.N)
-	full.Run(g, 0, false)
-	s := g.AcquireScratch()
-	defer g.ReleaseScratch(s)
-	targets := []int32{int32(g.N - 1), int32(g.N / 2), 3}
-	s.RunTargets(g, 0, false, targets)
-	for _, tgt := range targets {
-		got, want := s.DistAt(int(tgt)), full.DistAt(int(tgt))
-		if got != want && !(math.IsInf(got, 1) && math.IsInf(want, 1)) {
-			t.Fatalf("target %d: early-exit dist %g, full %g", tgt, got, want)
-		}
-	}
-	// A second run with a different target set must not inherit marks.
-	s.RunTargets(g, 0, false, []int32{1})
-	if got, want := s.DistAt(1), full.DistAt(1); got != want {
-		t.Fatalf("second RunTargets: dist[1] = %g, want %g", got, want)
 	}
 }
 

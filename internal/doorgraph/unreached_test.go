@@ -6,7 +6,6 @@ import (
 
 	"indoorsq/internal/geom"
 	"indoorsq/internal/indoor"
-	"indoorsq/internal/testspaces"
 )
 
 // severed builds a four-room space cut by one one-way door (A1 -> B1), so
@@ -98,39 +97,5 @@ func TestUnreachedEncoding(t *testing.T) {
 			t.Errorf("stale epoch leaked into door %d: dist=%g prev=%d first=%d",
 				d, s.DistAt(int(d)), s.PrevAt(int(d)), s.FirstAt(int(d)))
 		}
-	}
-}
-
-// TestRunPruned checks the edge-filtered sweep: a nil/allow-all filter is
-// bit-identical to Run, and a filter rejecting a cut door unreaches exactly
-// the doors behind it.
-func TestRunPruned(t *testing.T) {
-	sp := testspaces.RandomGrid(3, 4, 4, 2, 6, 0.3)
-	g := Build(sp)
-	s1 := NewScratch(g.N)
-	s2 := NewScratch(g.N)
-	for src := int32(0); src < int32(g.N); src += 7 {
-		s1.Run(g, src, false)
-		s2.RunPruned(g, src, false, func(int32) bool { return true })
-		for d := 0; d < g.N; d++ {
-			if math.Float64bits(s1.DistAt(d)) != math.Float64bits(s2.DistAt(d)) ||
-				s1.PrevAt(d) != s2.PrevAt(d) {
-				t.Fatalf("allow-all differs from Run at src=%d door=%d", src, d)
-			}
-		}
-	}
-
-	// Rejecting the one-way cut door of the severed fixture strands the far
-	// side even from the source side of the cut.
-	svp, dA, dAB, dB := severed(t)
-	sg := Build(svp)
-	ss := NewScratch(sg.N)
-	ss.RunPruned(sg, int32(dA), false, func(d int32) bool { return d != int32(dAB) })
-	if !math.IsInf(ss.DistAt(int(dAB)), 1) || !math.IsInf(ss.DistAt(int(dB)), 1) {
-		t.Fatalf("filtered-out cut door still reached: dAB=%g dB=%g",
-			ss.DistAt(int(dAB)), ss.DistAt(int(dB)))
-	}
-	if math.IsInf(ss.DistAt(int(dA)), 1) {
-		t.Fatal("source itself must not be filtered")
 	}
 }

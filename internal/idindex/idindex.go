@@ -28,11 +28,10 @@ type Index struct {
 	sp    *indoor.Space
 	store *query.ObjectStore
 
-	n     int       // number of doors
-	d2d   []float64 // n x n row-major: Md2d[i*n+j] = dist door i -> door j
-	d2d32 []float32 // compact variant: float32 matrix instead of d2d
-	idx   []int32   // n x n: Midx[i*n+k] = id of the k-th nearest door from i
-	fh    []int32   // n x n: first door after i on the shortest path i -> j
+	n   int       // number of doors
+	d2d []float64 // n x n row-major: Md2d[i*n+j] = dist door i -> door j
+	idx []int32   // n x n: Midx[i*n+k] = id of the k-th nearest door from i
+	fh  []int32   // n x n: first door after i on the shortest path i -> j
 
 	// reach is the SCC condensation of the same door graph the matrices
 	// were swept from, so "summary says unreachable" coincides exactly
@@ -44,25 +43,14 @@ type Index struct {
 
 // New builds the IDINDEX over a space, precomputing all global door-to-door
 // distances (the paper's costliest construction, Sec. 6.1).
-func New(sp *indoor.Space) *Index { return build(sp, false) }
-
-// NewCompact builds the IDINDEX with float32 distance matrices, halving the
-// dominant memory term (Sec. 6.1 flags the matrices as hard to fit in
-// memory at scale) at the cost of ~1e-7 relative distance error.
-func NewCompact(sp *indoor.Space) *Index { return build(sp, true) }
-
-func build(sp *indoor.Space, compact bool) *Index {
+func New(sp *indoor.Space) *Index {
 	n := sp.NumDoors()
 	ix := &Index{
 		sp:  sp,
 		n:   n,
+		d2d: make([]float64, n*n),
 		idx: make([]int32, n*n),
 		fh:  make([]int32, n*n),
-	}
-	if compact {
-		ix.d2d32 = make([]float32, n*n)
-	} else {
-		ix.d2d = make([]float64, n*n)
 	}
 
 	// Door graph shared by the n Dijkstra sweeps, and the reachability
@@ -80,27 +68,15 @@ func build(sp *indoor.Space, compact bool) *Index {
 	exec.Chunks(n, func(lo, hi int) {
 		s := dg.AcquireScratch()
 		defer dg.ReleaseScratch(s)
-		dist := make([]float64, n)
 		for src := lo; src < hi; src++ {
 			s.Run(dg, int32(src), false)
+			dist := ix.d2d[src*n : (src+1)*n]
 			s.CopyDist(dist)
-			if compact {
-				row := ix.d2d32[src*n : (src+1)*n]
-				for i, v := range dist {
-					row[i] = float32(v)
-				}
-			} else {
-				copy(ix.d2d[src*n:(src+1)*n], dist)
-			}
 			s.CopyFirst(ix.fh[src*n : (src+1)*n])
 			orderRow(ix.idx[src*n:(src+1)*n], s.SettleOrder(), dist)
 		}
 	})
-	cell := int64(8)
-	if compact {
-		cell = 4
-	}
-	ix.size = int64(n)*int64(n)*(cell+4+4) + sp.BaseSizeBytes() + sp.GeomSizeBytes() + ix.reach.SizeBytes()
+	ix.size = int64(n)*int64(n)*(8+4+4) + sp.BaseSizeBytes() + sp.GeomSizeBytes() + ix.reach.SizeBytes()
 	return ix
 }
 
@@ -147,18 +123,6 @@ func (ix *Index) Reach() *reach.Reach { return ix.reach }
 // either way.
 func (ix *Index) SetReach(r *reach.Reach) { ix.reach = r }
 
-// dd returns one matrix entry regardless of storage width.
-func (ix *Index) dd(i int) float64 {
-	if ix.d2d32 != nil {
-		v := ix.d2d32[i]
-		if math.IsInf(float64(v), 1) {
-			return math.Inf(1)
-		}
-		return float64(v)
-	}
-	return ix.d2d[i]
-}
-
 // Name implements query.Engine.
 func (ix *Index) Name() string { return "IDIndex" }
 
@@ -172,7 +136,7 @@ func (ix *Index) SizeBytes() int64 { return ix.size }
 
 // DoorDist returns the precomputed shortest indoor distance between doors.
 func (ix *Index) DoorDist(from, to indoor.DoorID) float64 {
-	return ix.dd(int(from)*ix.n + int(to))
+	return ix.d2d[int(from)*ix.n+int(to)]
 }
 
 // NthNearest returns the door whose distance from `from` is the k-th
@@ -230,7 +194,7 @@ func (ix *Index) expand(v0 indoor.PartitionID, p indoor.Point, st *query.Stats, 
 		srcDoor := leave[e.src]
 		d := ix.NthNearest(srcDoor, int(e.pos))
 		if int(e.pos)+1 < ix.n {
-			nd := off[e.src] + ix.dd(int(srcDoor)*ix.n+int(ix.idx[int(srcDoor)*ix.n+int(e.pos)+1]))
+			nd := off[e.src] + ix.d2d[int(srcDoor)*ix.n+int(ix.idx[int(srcDoor)*ix.n+int(e.pos)+1])]
 			if !math.IsInf(nd, 1) {
 				h.Push(mergeEntry{src: e.src, pos: e.pos + 1}, nd)
 			}
@@ -386,7 +350,7 @@ func (ix *Index) SPD(p, q indoor.Point, st *query.Stats) (query.Path, error) {
 	for i, dp := range leave {
 		base := int(dp) * ix.n
 		for j, dq := range enter {
-			if cand := headD[i] + ix.dd(base+int(dq)) + tailD[j]; cand < best {
+			if cand := headD[i] + ix.d2d[base+int(dq)] + tailD[j]; cand < best {
 				best = cand
 				bestP, bestQ = dp, dq
 			}

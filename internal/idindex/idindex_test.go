@@ -1,6 +1,7 @@
 package idindex_test
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"indoorsq/internal/idindex"
 	"indoorsq/internal/indoor"
 	"indoorsq/internal/query"
+	"indoorsq/internal/snapshot"
 	"indoorsq/internal/testspaces"
 )
 
@@ -127,69 +129,62 @@ func TestSizeDominatedByMatrices(t *testing.T) {
 	}
 }
 
-// TestCompactMatchesWide compares the compact engine's answers against the
-// full-precision engine within float32 tolerance (the compact variant trades
-// ~1e-7 relative distance error for half the matrix memory, so the exact
-// conformance suite does not apply).
-func TestCompactMatchesWide(t *testing.T) {
-	sp := testspaces.RandomGrid(13, 4, 5, 2, 7, 0.2)
-	wide := idindex.New(sp)
-	narrow := idindex.NewCompact(sp)
-	objs := make([]query.Object, 0, 20)
-	for i := 0; i < sp.NumPartitions() && len(objs) < 20; i += 2 {
-		v := sp.Partition(indoor.PartitionID(i))
-		if v.Kind == indoor.Staircase {
-			continue
-		}
-		c := v.MBR.Center()
-		objs = append(objs, query.Object{ID: int32(len(objs)), Loc: indoor.At(c.X, c.Y, v.Floor), Part: v.ID})
-	}
-	wide.SetObjects(objs)
-	narrow.SetObjects(objs)
-	var st query.Stats
-	pts := []indoor.Point{indoor.At(5, 5, 0), indoor.At(35, 25, 0), indoor.At(15, 35, 1)}
-	for _, p := range pts {
-		a, err1 := wide.KNN(p, 5, &st)
-		b, err2 := narrow.KNN(p, 5, &st)
-		if (err1 == nil) != (err2 == nil) || len(a) != len(b) {
-			t.Fatalf("KNN shape mismatch at %v", p)
-		}
-		for i := range a {
-			if math.Abs(a[i].Dist-b[i].Dist) > 1e-4*(1+a[i].Dist) {
-				t.Fatalf("KNN dist mismatch at %v: %g vs %g", p, a[i].Dist, b[i].Dist)
-			}
-		}
-		for _, q := range pts {
-			pa, err1 := wide.SPD(p, q, &st)
-			pb, err2 := narrow.SPD(p, q, &st)
-			if (err1 == nil) != (err2 == nil) {
-				t.Fatalf("SPD err mismatch at %v->%v", p, q)
-			}
-			if err1 == nil && math.Abs(pa.Dist-pb.Dist) > 1e-4*(1+pa.Dist) {
-				t.Fatalf("SPD mismatch at %v->%v: %g vs %g", p, q, pa.Dist, pb.Dist)
-			}
+// TestLoadRejectsFloat32Section hand-writes TagIDIndex sections in the
+// slot layout AppendTo uses: the float64 form loads, and a float32 distance
+// matrix (width flag false, or a non-empty float32 array) is an error.
+func TestLoadRejectsFloat32Section(t *testing.T) {
+	sp := testspaces.NewStrip().Space
+	n := sp.NumDoors()
+	ref := idindex.New(sp)
+	d2d := make([]float64, n*n)
+	d2d32 := make([]float32, n*n)
+	idx := make([]int32, n*n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			d2d[i*n+j] = ref.DoorDist(indoor.DoorID(i), indoor.DoorID(j))
+			d2d32[i*n+j] = float32(d2d[i*n+j])
+			idx[i*n+j] = int32(ref.NthNearest(indoor.DoorID(i), j))
 		}
 	}
-}
-
-func TestCompactHalvesMatrixMemory(t *testing.T) {
-	sp := testspaces.RandomGrid(7, 5, 5, 2, 8, 0)
-	wide := idindex.New(sp)
-	narrow := idindex.NewCompact(sp)
-	if narrow.SizeBytes() >= wide.SizeBytes() {
-		t.Fatalf("compact %d should be below wide %d", narrow.SizeBytes(), wide.SizeBytes())
+	load := func(wide bool, f64 []float64, f32 []float32) (*idindex.Index, error) {
+		var buf bytes.Buffer
+		w := snapshot.NewWriter(&buf, 1)
+		sec := w.Begin(snapshot.TagIDIndex)
+		sec.U64(uint64(n))
+		sec.Bool(wide)
+		sec.F64s(f64)
+		sec.F32s(f32)
+		sec.I32s(idx)
+		sec.I32s(make([]int32, n*n))
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := snapshot.NewReader(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return idindex.LoadFrom(r, sp, ref.Reach())
 	}
-	// Distances agree within float32 precision.
-	for d1 := 0; d1 < sp.NumDoors(); d1 += 5 {
-		for d2 := 0; d2 < sp.NumDoors(); d2 += 7 {
-			a := wide.DoorDist(indoor.DoorID(d1), indoor.DoorID(d2))
-			b := narrow.DoorDist(indoor.DoorID(d1), indoor.DoorID(d2))
-			if math.IsInf(a, 1) != math.IsInf(b, 1) {
-				t.Fatalf("infinity mismatch at (%d,%d)", d1, d2)
-			}
-			if !math.IsInf(a, 1) && math.Abs(a-b) > 1e-4*(1+a) {
-				t.Fatalf("distance mismatch at (%d,%d): %g vs %g", d1, d2, a, b)
-			}
+	ix, err := load(true, d2d, nil)
+	if err != nil {
+		t.Fatalf("float64 section: %v", err)
+	}
+	if got, want := ix.DoorDist(1, 2), ref.DoorDist(1, 2); got != want {
+		t.Fatalf("loaded DoorDist(1,2) = %g, want %g", got, want)
+	}
+	for _, c := range []struct {
+		name string
+		wide bool
+		f64  []float64
+		f32  []float32
+	}{
+		{"float32 flag", false, nil, d2d32},
+		{"float32 flag, empty matrix", false, nil, nil},
+		{"float64 flag, float32 matrix", true, nil, d2d32},
+		{"both matrices", true, d2d, d2d32},
+	} {
+		if _, err := load(c.wide, c.f64, c.f32); err == nil {
+			t.Fatalf("%s: LoadFrom accepted the section", c.name)
 		}
 	}
 }

@@ -323,39 +323,3 @@ func BenchmarkFromSpace(b *testing.B) {
 		FromSpace(sp, nil)
 	}
 }
-
-// TestRunPrunedReachFilter checks the contract RunPruned documents: with a
-// "door reaches the goal partition" filter, every door that itself reaches
-// the goal keeps a bit-identical distance, because all doors on its
-// shortest path reach the goal too (reachability is closed under path
-// prefixes). Doors that cannot reach the goal end up unreached.
-func TestRunPrunedReachFilter(t *testing.T) {
-	sp, err := spacegen.Generate(11, genParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	dg := doorgraph.Build(sp)
-	r := FromGraph(dg, sp)
-	if !r.HasParts() {
-		t.Fatal("expected a partition bitmap on a generated venue")
-	}
-	vq := indoor.PartitionID(sp.NumPartitions() - 1)
-	allow := func(d int32) bool { return r.DoorReachesPart(indoor.DoorID(d), vq) }
-
-	full := doorgraph.NewScratch(dg.N)
-	pruned := doorgraph.NewScratch(dg.N)
-	for src := int32(0); src < int32(dg.N); src += 5 {
-		full.Run(dg, src, false)
-		pruned.RunPruned(dg, src, false, allow)
-		for d := 0; d < dg.N; d++ {
-			if allow(int32(d)) {
-				if math.Float64bits(full.DistAt(d)) != math.Float64bits(pruned.DistAt(d)) {
-					t.Fatalf("src=%d door=%d: pruned dist %g != full %g",
-						src, d, pruned.DistAt(d), full.DistAt(d))
-				}
-			} else if int32(d) != src && !math.IsInf(pruned.DistAt(d), 1) {
-				t.Fatalf("src=%d: filtered door %d reached (%g)", src, d, pruned.DistAt(d))
-			}
-		}
-	}
-}

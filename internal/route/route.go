@@ -81,9 +81,10 @@ func (pl *Planner) Via(ctx context.Context, p indoor.Point, stops []indoor.Point
 // together with the visiting order (indexes into stops). It errors when
 // more than MaxStops waypoints are given or any leg is unreachable. The
 // O(n²) pairwise SPDQ legs fan out over exec.Map, every leg under
-// ctx, so cancelling ctx interrupts the whole fan-out promptly. A
-// query.Budget carried by ctx bounds each leg individually (shards track
-// independently).
+// ctx, so cancelling ctx interrupts the whole fan-out promptly. Each leg
+// runs into its own Stats, folded into its worker's shard afterwards, so a
+// query.Budget carried by ctx bounds each leg individually and the merged
+// PeakWorkBytes is the largest leg's, however Map split the legs.
 func (pl *Planner) Optimized(ctx context.Context, p indoor.Point, stops []indoor.Point, q indoor.Point, st *query.Stats) (query.Path, []int, error) {
 	n := len(stops)
 	if n == 0 {
@@ -122,7 +123,9 @@ func (pl *Planner) Optimized(ctx context.Context, p indoor.Point, stops []indoor
 		}
 	}
 	merged, err := exec.Map(len(jobs), func(i int, shard *query.Stats) error {
-		leg, err := query.SPD(ctx, pl.eng, jobs[i].src, jobs[i].dst, shard)
+		var legSt query.Stats
+		leg, err := query.SPD(ctx, pl.eng, jobs[i].src, jobs[i].dst, &legSt)
+		shard.Add(legSt)
 		if err != nil {
 			return fmt.Errorf("route: %s: %w", jobs[i].what, err)
 		}

@@ -170,10 +170,9 @@ func TestErrors(t *testing.T) {
 
 // TestOptimizedAcrossProcs plans the same walks at GOMAXPROCS 1 (exec.Map's
 // sequential path), 2 and 4 and requires the same walk, visiting order,
-// distance bits and merged leg counters (VisitedDoors, WorkBytes) every
-// time: the fan-out of the pairwise legs must not show in the answer or in
-// its summed cost. PeakWorkBytes is left out: a worker's shard accumulates
-// every leg it ran, so its peak follows the split of legs over workers.
+// distance bits and merged leg counters (VisitedDoors, WorkBytes,
+// PeakWorkBytes) every time: the fan-out of the pairwise legs must not show
+// in the answer or in its cost.
 func TestOptimizedAcrossProcs(t *testing.T) {
 	type plan struct {
 		walk  query.Path
@@ -212,12 +211,54 @@ func TestOptimizedAcrossProcs(t *testing.T) {
 				t.Fatalf("seed=%d procs=%d: walk %g %v order %v, want %g %v order %v", seed, procs,
 					got.walk.Dist, got.walk.Doors, got.order, ref.walk.Dist, ref.walk.Doors, ref.order)
 			}
-			if got.st.VisitedDoors != ref.st.VisitedDoors || got.st.WorkBytes != ref.st.WorkBytes {
+			if got.st.VisitedDoors != ref.st.VisitedDoors || got.st.WorkBytes != ref.st.WorkBytes ||
+				got.st.PeakWorkBytes != ref.st.PeakWorkBytes {
 				t.Fatalf("seed=%d procs=%d: stats %+v, want %+v", seed, procs, got.st, ref.st)
 			}
 		}
 	}
 	if planned == 0 {
 		t.Fatal("no seed planned a walk; the test is vacuous")
+	}
+}
+
+// TestOptimizedBudgetPerLeg runs a route whose legs each fit a door budget
+// that all legs together exceed, at GOMAXPROCS 1, 2 and 4: the budget
+// bounds every leg on its own, so the route succeeds however exec.Map
+// splits the legs over workers.
+func TestOptimizedBudgetPerLeg(t *testing.T) {
+	const budget = 66
+	sp := testspaces.RandomGrid(2, 4, 4, 2, 3, 0)
+	eng := idmodel.New(sp)
+	pl := route.New(eng)
+	rng := rand.New(rand.NewSource(2))
+	p, q := spacegen.Point(sp, rng), spacegen.Point(sp, rng)
+	stops := make([]indoor.Point, 6)
+	for i := range stops {
+		stops[i] = spacegen.Point(sp, rng)
+	}
+	// Every leg alone stays within the budget; all legs together do not.
+	pts := append([]indoor.Point{p, q}, stops...)
+	largest, total := 0, 0
+	for _, a := range pts {
+		for _, b := range pts {
+			var st query.Stats
+			if _, err := eng.SPD(a, b, &st); err != nil {
+				t.Fatal(err)
+			}
+			largest, total = max(largest, st.VisitedDoors), total+st.VisitedDoors
+		}
+	}
+	if largest > budget || total <= budget {
+		t.Fatalf("largest leg %d doors, all legs %d: want largest <= %d < all", largest, total, budget)
+	}
+	ctx := query.WithBudget(context.Background(), query.Budget{MaxVisitedDoors: budget})
+	for _, procs := range []int{1, 2, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		_, _, err := pl.Optimized(ctx, p, stops, q, nil)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+		}
 	}
 }

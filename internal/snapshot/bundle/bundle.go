@@ -14,7 +14,6 @@ import (
 	"bufio"
 	"fmt"
 	"os"
-	"sort"
 
 	"indoorsq/internal/cindex"
 	"indoorsq/internal/doorgraph"
@@ -36,8 +35,6 @@ type Options struct {
 	Engines []string
 	// Gamma is the crucial-partition threshold for IP/VIP-TREE.
 	Gamma int
-	// Compact builds IDINDEX with float32 matrices.
-	Compact bool
 }
 
 func (o Options) withDefaults() Options {
@@ -69,7 +66,8 @@ type Bundle struct {
 	FormatVersion uint32
 }
 
-// EngineList returns the bundle's engine names in canonical order.
+// EngineList returns the bundle's engine names in canonical order. Build
+// and Load only ever insert names from EngineNames.
 func (b *Bundle) EngineList() []string {
 	var out []string
 	for _, n := range EngineNames {
@@ -77,28 +75,14 @@ func (b *Bundle) EngineList() []string {
 			out = append(out, n)
 		}
 	}
-	// Unknown names (future engines) go last, sorted.
-	var extra []string
-	for n := range b.Engines {
-		found := false
-		for _, k := range EngineNames {
-			if n == k {
-				found = true
-				break
-			}
-		}
-		if !found {
-			extra = append(extra, n)
-		}
-	}
-	sort.Strings(extra)
-	return append(out, extra...)
+	return out
 }
 
 // Build cold-constructs a bundle over a space: the door graph and both reach
 // summaries that the bundle itself carries, then every selected engine
-// through its ordinary constructor (NewEngine) — so a built bundle's
-// engines are exactly what the paper evaluation measures. Each engine
+// through its ordinary constructor (NewEngine), so a built bundle's
+// engines are exactly what the paper evaluation measures (IDINDEX with
+// float64 matrices, the one width it has). Each engine
 // constructor derives its own door graph or reach summary again: IDINDEX
 // and both trees each rebuild the door graph and FromGraph, IDMODEL and
 // CINDEX each rebuild FromSpace. Construction runs over GOMAXPROCS
@@ -129,16 +113,13 @@ func Build(name string, sp *indoor.Space, opt Options) (*Bundle, error) {
 }
 
 // NewEngine cold-constructs one engine over a space through its ordinary
-// constructor, honouring opt's Gamma and Compact; opt.Engines is ignored.
-// Build calls it once per selected engine.
+// constructor, honouring opt's Gamma; opt.Engines is ignored. Build calls
+// it once per selected engine.
 func NewEngine(name string, sp *indoor.Space, opt Options) (query.Engine, error) {
 	switch name {
 	case "IDModel":
 		return idmodel.New(sp), nil
 	case "IDIndex":
-		if opt.Compact {
-			return idindex.NewCompact(sp), nil
-		}
 		return idindex.New(sp), nil
 	case "CIndex":
 		return cindex.New(sp), nil

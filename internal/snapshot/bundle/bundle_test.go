@@ -46,8 +46,7 @@ func corpusParams(seed int64) spacegen.Params {
 // same KNN neighbors with Float64bits-equal distances, same SPD door
 // sequences and Float64bits-equal path lengths, same size accounting, and a
 // Float64bits-equal IDINDEX distance matrix. Each built engine must also
-// match NewEngine's for the same Options. Even seeds build the compact
-// (float32) IDINDEX so both matrix encodings round-trip.
+// match NewEngine's for the same Options.
 func TestRoundTripBitIdentical(t *testing.T) {
 	dir := t.TempDir()
 	for seed := int64(1); seed <= 12; seed++ {
@@ -56,7 +55,7 @@ func TestRoundTripBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed=%d: generate: %v", seed, err)
 		}
-		opt := bundle.Options{Gamma: 4, Compact: seed%2 == 0}
+		opt := bundle.Options{Gamma: 4}
 		fresh, err := bundle.Build("corpus", sp, opt)
 		if err != nil {
 			t.Fatalf("seed=%d: build: %v", seed, err)
